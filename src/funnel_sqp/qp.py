@@ -7,9 +7,13 @@ equalities plus a subset of active bounds; steps live in the null space of
 the free-row Jacobian. The reduced Hessian is classified by eigenvalue:
 positive definite blocks give Newton steps, negative or zero curvature gives
 a ray walked to its blocking bound (no bound means the QP is unbounded).
-Feasibility comes from an elastic l1 phase; its optimal residual doubles as
-the infeasibility certificate. Anti-cycling: greedy pivot choice for the
-first half of the pivot budget, Bland's rule afterwards.
+Feasibility first tries the origin and then the minimum-norm least-squares
+solution of A^T x = b, each clipped to the box. When neither satisfies the
+equalities, an elastic l1 LP runs; it is the fallback and the only source of
+an infeasibility verdict, its optimal residual serving as the certificate.
+With W identically zero (phase-1 LPs) the reduced Hessian needs no
+eigendecomposition. Anti-cycling: greedy pivot choice for the first half of
+the pivot budget, Bland's rule afterwards.
 """
 
 from __future__ import annotations
@@ -73,17 +77,16 @@ def kkt_residual(qp: QpData, sol: QpSolution) -> float:
     r_eq = np.max(np.abs(qp.A.T @ x - qp.b), initial=0.0)
     r_lb = np.max(qp.lb - x, initial=0.0)
     r_ub = np.max(x - qp.ub, initial=0.0)
-    r_sign = 0.0
-    r_comp = 0.0
-    for i in range(qp.n):
-        if qp.lb[i] == qp.ub[i]:
-            continue
-        if mu[i] > 0.0:
-            gap = x[i] - qp.lb[i]
-            r_comp = max(r_comp, mu[i] * min(gap, 1e10))
-        elif mu[i] < 0.0:
-            gap = qp.ub[i] - x[i]
-            r_comp = max(r_comp, -mu[i] * min(gap, 1e10))
+    loose = qp.lb != qp.ub
+    lower = loose & (mu > 0.0)      # mu > 0 claims the lower bound
+    upper = loose & (mu < 0.0)      # mu < 0 claims the upper bound
+    unbacked = (lower & (qp.lb == -np.inf)) | (upper & (qp.ub == np.inf))
+    r_sign = np.max(np.abs(mu[unbacked]), initial=0.0)
+    r_comp = max(
+        np.max(mu[lower] * np.minimum(x[lower] - qp.lb[lower], 1e10),
+               initial=0.0),
+        np.max(-mu[upper] * np.minimum(qp.ub[upper] - x[upper], 1e10),
+               initial=0.0))
     return max(r_st, r_eq, r_lb, r_ub, r_sign, r_comp)
 
 
@@ -94,6 +97,7 @@ class _Core:
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
+        self.w_zero = not np.any(W)
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
@@ -138,10 +142,14 @@ class _Core:
         Z = nullspace_basis(self.A[free])
         if Z.shape[1] == 0:
             return None
-        Wff = self.W[np.ix_(free, free)]
-        H = Z.T @ Wff @ Z
         q = Z.T @ grad[free]
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
+        if self.w_zero:
+            # eigh of the zero matrix: the same values, without the solve
+            w, V = np.zeros(Z.shape[1]), np.eye(Z.shape[1])
+        else:
+            Wff = self.W[np.ix_(free, free)]
+            H = Z.T @ Wff @ Z
+            w, V = np.linalg.eigh(0.5 * (H + H.T))
         eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
         q_tol = STATIONARY_REL * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
         neg = w < -eig_tol
@@ -257,31 +265,51 @@ def _initial_work(x, lb, ub):
 
 
 def _phase1(A, b, lb, ub, max_pivots):
-    """Elastic l1 feasibility LP; returns (x, work) or None when infeasible."""
+    """Feasible point for A^T x = b inside the box.
+
+    Returns ((x, work), pivots) with the elastic LP's pivot count, or
+    (None, pivots) when the LP certifies infeasibility. The clipped origin
+    and the clipped least-squares point are tried first; only the LP may
+    declare the constraints infeasible.
+    """
+    n, m = A.shape
+    x0 = np.clip(np.zeros(n), lb, ub)
+    if m == 0 or np.max(np.abs(A.T @ x0 - b), initial=0.0) <= ELASTIC_TOL:
+        return (x0, _initial_work(x0, lb, ub)), 0
+    x_ls = np.clip(np.linalg.lstsq(A.T, b, rcond=None)[0], lb, ub)
+    if np.sum(np.abs(A.T @ x_ls - b)) <= ELASTIC_TOL:
+        return (x_ls, _initial_work(x_ls, lb, ub)), 0
+    x, resid, pivots = _elastic_lp(A, b, lb, ub, max_pivots)
+    if resid > ELASTIC_TOL:
+        return None, pivots
+    # ties in the LP's ratio test can leave a coordinate a rounding error
+    # past its bound
+    x = np.clip(x, lb, ub)
+    return (x, _initial_work(x, lb, ub)), pivots
+
+
+def _elastic_lp(A, b, lb, ub, max_pivots):
+    """min sum(u + v) s.t. A^T x - u + v = b, lb <= x <= ub, u, v >= 0.
+
+    Starts from the clipped origin with the violation loaded on u and v.
+    Returns (x, sum(u + v), pivots); the sum is inf when the LP ends
+    unsolved.
+    """
     n, m = A.shape
     x0 = np.clip(np.zeros(n), lb, ub)
     r = A.T @ x0 - b
-    if m == 0 or np.max(np.abs(r), initial=0.0) <= ELASTIC_TOL:
-        return x0, _initial_work(x0, lb, ub)
-    # variables (x, u, v) with A^T x - u + v = b, u, v >= 0
     N = n + 2 * m
     We = np.zeros((N, N))
     ge = np.concatenate([np.zeros(n), np.ones(2 * m)])
     Ae = np.vstack([A, -np.eye(m), np.eye(m)])
     lbe = np.concatenate([lb, np.zeros(2 * m)])
     ube = np.concatenate([ub, np.full(2 * m, np.inf)])
-    u0 = np.maximum(r, 0.0)
-    v0 = np.maximum(-r, 0.0)
-    xe = np.concatenate([x0, u0, v0])
+    xe = np.concatenate([x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)])
     core = _Core(We, ge, Ae, b, lbe, ube, max_pivots)
     status, xe, _, _, _ = core.run(xe, _initial_work(xe, lbe, ube))
     if status != "optimal":
-        return None
-    resid = float(np.sum(xe[n:]))
-    if resid > ELASTIC_TOL:
-        return None
-    x = xe[:n]
-    return x, _initial_work(x, lb, ub)
+        return None, np.inf, core.pivots
+    return xe[:n], float(np.sum(xe[n:])), core.pivots
 
 
 def _face_enumeration(W, g, lb, ub):
@@ -410,6 +438,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     core = _Core(W, g, Ak, bk, lb, ub, max_pivots)
 
     start = None
+    phase1_pivots = 0
     if warm_start is not None:
         start = _try_warm_eqp(W, g, Ak, bk, lb, ub, warm_start)
     if start is None and feasible_start is not None:
@@ -420,13 +449,14 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         if ok:
             start = x, _initial_work(x, lb, ub)
     if start is None:
-        start = _phase1(Ak, bk, lb, ub, max_pivots)
+        start, phase1_pivots = _phase1(Ak, bk, lb, ub, max_pivots)
         if start is None:
             return QpSolution(status="infeasible", x=np.zeros(n),
                               lam=np.zeros(m), mu=np.zeros(n),
-                              objective=np.inf, n_pivots=0)
+                              objective=np.inf, n_pivots=phase1_pivots)
 
     status, x, lam_k, mu, work = core.run(*start)
+    core.pivots += phase1_pivots
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, lam=np.zeros(m),
                           mu=np.zeros(n), objective=-np.inf,

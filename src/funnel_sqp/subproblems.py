@@ -249,7 +249,8 @@ class DirectionEngine:
                 raise RegularizationFailed(
                     f"no diagonal shift up to {sp.eta_max:g} bounds the subproblem")
             fqp.W[:prob.n, :prob.n] = \
-                evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam) \
+                evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
+                                            self.counters) \
                 + eta * np.eye(prob.n)
             sol = solve_qp(fqp, feasible_start=z0)
         if sol.status != "optimal":

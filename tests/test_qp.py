@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_qp_optimum, grid_qp_minimum
+from funnel_sqp import qp as qp_module
 from funnel_sqp.errors import DimensionMismatch, MaxPivots
-from funnel_sqp.qp import (FREE, LOWER, PINNED, UPPER, QpData, QpSolution,
-                           kkt_residual, qp_objective, solve_qp)
+from funnel_sqp.qp import (ELASTIC_TOL, FREE, LOWER, PINNED, UPPER, QpData,
+                           QpSolution, _Core, _elastic_lp, _initial_work,
+                           _phase1, kkt_residual, qp_objective, solve_qp)
 
 INF = np.inf
 
@@ -247,3 +251,213 @@ class TestOracleBattery:
         assert isinstance(sol, QpSolution)
         assert sol.active.dtype == np.int8
         assert sol.active[0] == FREE
+
+
+def probe_qp(A, b, lb, ub):
+    """Phase-1 probe shape: zero W and g, so the optimum is the start."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    return QpData(W=np.zeros((n, n)), g=np.zeros(n), A=A,
+                  b=np.asarray(b, dtype=float),
+                  lb=np.asarray(lb, dtype=float),
+                  ub=np.asarray(ub, dtype=float))
+
+
+class _NoLp(_Core):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("elastic LP ran")
+
+
+class TestPhase1:
+    def test_least_squares_point_without_lp(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((5, 2))
+        b = np.array([3.0, -1.0])
+        lb, ub = np.full(5, -INF), np.full(5, INF)
+        monkeypatch.setattr(qp_module, "_Core", _NoLp)
+        start, pivots = _phase1(A, b, lb, ub, 100)
+        x, work = start
+        assert pivots == 0
+        assert np.array_equal(x, np.linalg.lstsq(A.T, b, rcond=None)[0])
+        assert np.all(work == FREE)
+
+    def test_least_squares_solve_reports_no_pivots(self):
+        rng = np.random.default_rng(42)
+        A = rng.standard_normal((6, 3))
+        sol = solve_qp(probe_qp(A, [1.0, 2.0, -0.5],
+                                np.full(6, -INF), np.full(6, INF)))
+        assert sol.status == "optimal"
+        assert sol.n_pivots == 0
+
+    def test_clipping_falls_back_to_lp(self):
+        # lstsq gives (1, 1); clipping x0 to 1.5 breaks x0 + x1 = 2
+        A, b = np.array([[1.0], [1.0]]), np.array([2.0])
+        lb, ub = np.array([1.5, -5.0]), np.full(2, INF)
+        start, lp_pivots = _phase1(A, b, lb, ub, 100)
+        x, _ = start
+        assert lp_pivots > 0
+        assert np.all(x >= lb) and np.all(x <= ub)
+        assert np.sum(np.abs(A.T @ x - b)) <= ELASTIC_TOL
+        # a cold solve reports the LP's pivots (W = g = 0 adds none)
+        sol = solve_qp(probe_qp(A, b, lb, ub))
+        assert sol.status == "optimal"
+        assert sol.n_pivots == lp_pivots
+
+    def test_lp_point_clipped_to_box(self):
+        # the LP ends with x0 one rounding error above its upper bound 2
+        A = np.array([[0.0, -3.0, 0.0], [3.0, -2.0, 1.0],
+                      [-3.0, 0.0, 0.0], [1.0, -3.0, 0.0]])
+        b = np.array([1.0, 0.0, 0.0])
+        lb = np.array([-INF, -INF, -1.0, -2.0])
+        ub = np.array([2.0, 2.0, 0.0, -2.0])
+        x_lp, _, _ = _elastic_lp(A, b, lb, ub, 100)
+        assert x_lp[0] > ub[0]
+        (x, work), _ = _phase1(A, b, lb, ub, 100)
+        assert np.all(x >= lb) and np.all(x <= ub)
+        assert work[0] == UPPER
+        assert np.sum(np.abs(A.T @ x - b)) <= ELASTIC_TOL
+
+    def test_inconsistent_rows_infeasible(self):
+        A = np.array([[1.0, 1.0], [1.0, 1.0]])
+        b = np.array([1.0, 2.0])
+        lb, ub = np.full(2, -INF), np.full(2, INF)
+        start, pivots = _phase1(A, b, lb, ub, 100)
+        assert start is None
+        assert pivots > 0
+        sol = solve_qp(probe_qp(A, b, lb, ub))
+        assert sol.status == "infeasible"
+
+    def test_infeasible_solve_counts_lp_pivots(self):
+        A, b = np.array([[1.0], [1.0]]), np.array([10.0])
+        lb, ub = np.zeros(2), np.ones(2)
+        start, lp_pivots = _phase1(A, b, lb, ub, 100)
+        sol = solve_qp(probe_qp(A, b, lb, ub))
+        assert start is None and sol.status == "infeasible"
+        assert sol.n_pivots == lp_pivots > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_verdict_matches_elastic_lp(self, data):
+        # integer data keeps every LP residual either 0 or far from the tol
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        ints = st.integers(-3, 3)
+        A = np.array(data.draw(st.lists(ints, min_size=n * m,
+                                        max_size=n * m)),
+                     dtype=float).reshape(n, m)
+        b = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)),
+                     dtype=float)
+        lb = np.array([data.draw(st.sampled_from([-INF, -2.0, -1.0, 0.0, 1.0]))
+                       for _ in range(n)])
+        ub = np.array([data.draw(st.sampled_from([-1.0, 2.0, INF]))
+                       if lo == -INF else
+                       lo + data.draw(st.sampled_from([0.0, 1.0, 3.0, INF]))
+                       for lo in lb])
+        _, resid, _ = _elastic_lp(A, b, lb, ub, 50 * (n + 3 * m))
+        assert np.isfinite(resid)
+        start, _ = _phase1(A, b, lb, ub, 50 * (n + 3 * m))
+        assert (start is None) == (resid > ELASTIC_TOL)
+        if start is not None:
+            x, work = start
+            assert np.all(x >= lb) and np.all(x <= ub)
+            assert np.sum(np.abs(A.T @ x - b)) <= ELASTIC_TOL
+            assert np.array_equal(work, _initial_work(x, lb, ub))
+
+
+class TestZeroHessian:
+    def test_shortcut_matches_eigh_path(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(0, min(n, 4)))
+            g = rng.standard_normal(n)
+            lb = rng.uniform(-3.0, -0.5, size=n)
+            ub = rng.uniform(0.5, 3.0, size=n)
+            A = rng.standard_normal((n, m))
+            x0 = rng.uniform(lb, ub)
+            b = A.T @ x0
+            runs = []
+            for shortcut in (True, False):
+                core = _Core(np.zeros((n, n)), g, A, b, lb, ub, 50 * (n + m))
+                assert core.w_zero
+                core.w_zero = shortcut
+                out = core.run(x0.copy(), _initial_work(x0, lb, ub))
+                runs.append((out, core.pivots))
+            (fast, p_fast), (slow, p_slow) = runs
+            assert fast[0] == slow[0] == "optimal"
+            assert np.array_equal(fast[1], slow[1])
+            assert np.array_equal(fast[4], slow[4])
+            assert p_fast == p_slow
+
+
+def kkt_residual_loop(qp, sol):
+    """Per-variable reference for kkt_residual's sign and complementarity."""
+    x, lam, mu = sol.x, sol.lam, sol.mu
+    r_st = np.max(np.abs(qp.W @ x + qp.g - qp.A @ lam - mu), initial=0.0)
+    r_eq = np.max(np.abs(qp.A.T @ x - qp.b), initial=0.0)
+    r_lb = np.max(qp.lb - x, initial=0.0)
+    r_ub = np.max(x - qp.ub, initial=0.0)
+    r_sign = 0.0
+    r_comp = 0.0
+    for i in range(qp.n):
+        if qp.lb[i] == qp.ub[i]:
+            continue
+        if mu[i] > 0.0:
+            if qp.lb[i] == -INF:
+                r_sign = max(r_sign, abs(mu[i]))
+            r_comp = max(r_comp, mu[i] * min(x[i] - qp.lb[i], 1e10))
+        elif mu[i] < 0.0:
+            if qp.ub[i] == INF:
+                r_sign = max(r_sign, abs(mu[i]))
+            r_comp = max(r_comp, -mu[i] * min(qp.ub[i] - x[i], 1e10))
+    return max(r_st, r_eq, r_lb, r_ub, r_sign, r_comp)
+
+
+class TestKktResidual:
+    def test_multiplier_on_missing_bound_flagged(self):
+        # x = 0, g = mu keeps stationarity exact; x0 has only an upper and
+        # x1 only a lower bound, each active at 0
+        qp = box_qp(np.eye(2), [0.0, 0.0], lb=[-INF, 0.0], ub=[0.0, INF])
+        x = np.zeros(2)
+        for mu, bad in (([-0.5, 0.7], False), ([0.5, 0.0], True),
+                        ([0.0, -0.7], True)):
+            qp.g = np.asarray(mu)
+            sol = QpSolution(status="optimal", x=x, lam=np.zeros(0),
+                             mu=qp.g.copy(), objective=0.0, n_pivots=0)
+            assert (kkt_residual(qp, sol) >= 0.5) == bad
+
+    def test_vectorized_matches_loop(self):
+        rng = np.random.default_rng(91)
+        choices = np.array([-INF, -2.0, -1.0, 0.0, 1.0])
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(0, 3))
+            lb = rng.choice(choices, size=n)
+            ub = np.where(np.isfinite(lb), lb, 0.0) + rng.choice(
+                [0.0, 0.5, 2.0, INF], size=n)
+            qp = QpData(W=np.eye(n), g=rng.standard_normal(n),
+                        A=rng.standard_normal((n, m)),
+                        b=rng.standard_normal(m), lb=lb, ub=ub)
+            x = np.clip(rng.standard_normal(n) * 2.0, lb - 0.1, ub + 0.1)
+            mu = rng.standard_normal(n) * rng.integers(0, 2, size=n)
+            sol = QpSolution(status="optimal", x=x,
+                             lam=rng.standard_normal(m), mu=mu,
+                             objective=0.0, n_pivots=0)
+            assert kkt_residual(qp, sol) == kkt_residual_loop(qp, sol)
+
+    def test_solver_output_passes_sign_check(self):
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(0, 3))
+            M = rng.standard_normal((n, n))
+            lb = rng.choice([-INF, -1.0], size=n)
+            ub = rng.choice([INF, 1.0], size=n)
+            A = rng.standard_normal((n, m))
+            b = A.T @ rng.uniform(-0.5, 0.5, size=n)
+            qp = QpData(W=M @ M.T + 0.3 * np.eye(n),
+                        g=rng.standard_normal(n) * 3.0,
+                        A=A, b=b, lb=lb, ub=ub)
+            sol = solve_qp(qp)
+            assert sol.status == "optimal"
+            assert_kkt(qp, sol)

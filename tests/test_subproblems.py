@@ -5,11 +5,13 @@ import types
 import numpy as np
 import pytest
 
+import funnel_sqp.subproblems as sp
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.errors import RegularizationFailed
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
                                  get_problem, infeasibility)
+from funnel_sqp.qp import QpSolution
 from funnel_sqp.subproblems import (DirectionEngine, Phase,
                                     build_feasibility_qp,
                                     build_optimality_qp, convexify)
@@ -264,3 +266,30 @@ class TestDirectionEngine:
         engine.compute(x, f, c, infeasibility(c), g, J,
                        prob.start_multipliers(), delta=10.0)
         assert engine.counters.n_hess == before + 1
+
+    @pytest.mark.parametrize("unbounded_calls", [1, 3])
+    def test_elastic_retry_counts_hessians(self, monkeypatch, unbounded_calls):
+        # each unbounded elastic QP re-evaluates the Hessian once
+        real = sp.solve_qp
+        calls = []
+
+        def flaky(qp, **kwargs):
+            calls.append(qp)
+            if len(calls) <= unbounded_calls:
+                n = qp.g.shape[0]
+                return QpSolution(status="unbounded", x=np.zeros(n),
+                                  lam=np.zeros(qp.b.shape[0]),
+                                  mu=np.zeros(n), objective=-np.inf,
+                                  n_pivots=0)
+            return real(qp, **kwargs)
+
+        engine, prob, x, f, c, g, J = _engine("line-circle",
+                                              mechanism="line-search")
+        engine.enter_restoration(x, infeasibility(c), source="test")
+        monkeypatch.setattr(sp, "solve_qp", flaky)
+        before = engine.counters.n_hess
+        res = engine.compute(x, f, c, infeasibility(c), g, J,
+                             prob.start_multipliers(), delta=None)
+        assert res.phase is Phase.RESTORATION
+        assert len(calls) == unbounded_calls + 1
+        assert engine.counters.n_hess == before + 1 + unbounded_calls
