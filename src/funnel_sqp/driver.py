@@ -56,13 +56,10 @@ class SolveResult:
 
 def complementarity(x, lb, ub, mu) -> float:
     """Worst |mu_i| * gap, the gap taken on the side mu_i pushes against."""
-    worst = 0.0
-    for i in range(x.shape[0]):
-        if lb[i] == ub[i] or mu[i] == 0.0:
-            continue
-        gap = (x[i] - lb[i]) if mu[i] > 0.0 else (ub[i] - x[i])
-        worst = max(worst, abs(mu[i]) * min(gap, GAP_CAP))
-    return worst
+    pushed = (lb != ub) & (mu != 0.0)
+    gap = np.where(mu > 0.0, x - lb, ub - x)[pushed]
+    return float(np.max(np.abs(mu[pushed]) * np.minimum(gap, GAP_CAP),
+                        initial=0.0))
 
 
 def lagrangian_gradient(grad_f, J, lam, mu, rho=1.0) -> np.ndarray:

@@ -11,6 +11,12 @@ Operator precedence, loosest to tightest: +, - then *, / then unary minus
 then ^ (right associative). Relations are ==, <=, >= or the ranged form with
 numeric literals on both ends. Parsed constraints are normalized to
 lo <= body <= hi; lowering to standard form adds one slack per ranged row.
+
+Expressions parse to the trees of tape.py. A loaded problem compiles them
+once, at its first evaluation, to derivative tapes that yield the value,
+gradient and Hessian in one pass.
+A bound interval must contain a real number: [inf, inf] and [-inf, -inf]
+are rejected like [1, 0].
 """
 
 from __future__ import annotations
@@ -18,53 +24,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DuplicateDeclaration, ParseError, UndeclaredVariable
-from .hyperdual import hd_cos, hd_exp, hd_log, hd_sin, hd_sqrt
 from .problems import GeneralProblem, NcoProblem, to_standard_form
+from .tape import Binary, Call, Expr, Num, Tape, Unary, Var
 
 KEYWORDS = {"var", "minimize", "subject_to", "in", "start", "inf"}
 FUNCTIONS = {"exp", "log", "sin", "cos", "sqrt"}
-_FN_IMPL = {"exp": hd_exp, "log": hd_log, "sin": hd_sin, "cos": hd_cos,
-            "sqrt": hd_sqrt}
 
 
-# ------------------ AST ------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str            # only '-'
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str            # '+', '-', '*', '/', '^'
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-
-
-Expr = Union[Num, Var, Unary, Binary, Call]
-
+# ------------------ model ------------------
 
 @dataclass
 class VarDecl:
@@ -92,7 +64,7 @@ class Model:
 
 # ------------------ tokenizer ------------------
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str          # 'num', 'ident', an operator literal, or 'eof'
     text: str
@@ -100,13 +72,16 @@ class Token:
     col: int
 
 
+# leading blanks are skipped inside each match and the last group catches
+# any other character, so finditer can only leave out trailing blanks
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op><=|>=|==|[+\-*/^()\[\],;])
+    r"""[ \t\r]*
+      (?: (\#[^\n]*)                              # 1 comment
+        | (\n)                                     # 2 newline
+        | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)    # 3 number
+        | ([A-Za-z_][A-Za-z0-9_]*)                 # 4 identifier
+        | (<=|>=|==|[+\-*/^()\[\],;])              # 5 operator
+        | ([^ \t\r]) )                             # 6 anything else
     """,
     re.VERBOSE,
 )
@@ -114,29 +89,23 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            continue
+        if group == 2:
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        elif kind == "num":
-            tokens.append(Token("num", lexeme, line, col))
-            col += len(lexeme)
-        elif kind == "ident":
-            tokens.append(Token("ident", lexeme, line, col))
-            col += len(lexeme)
-        else:
-            tokens.append(Token(lexeme, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+            continue
+        start = m.start(group)
+        lexeme = text[start:m.end()]
+        if group == 6:
+            raise ParseError(f"unexpected character {lexeme!r}", line,
+                             start - line_start + 1)
+        kind = lexeme if group == 5 else ("num" if group == 3 else "ident")
+        tokens.append(Token(kind, lexeme, line, start - line_start + 1))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -202,7 +171,7 @@ class _Parser:
             self.expect(",")
             decl.ub = self.bound()
             self.expect("]")
-            if decl.lb > decl.ub:
+            if decl.lb > decl.ub or decl.lb == np.inf or decl.ub == -np.inf:
                 self.fail(f"empty bound interval for {name!r}", name_tok)
         if self.peek().kind == "ident" and self.peek().text == "start":
             self.advance()
@@ -288,37 +257,40 @@ class _Parser:
 
     # -- expressions --
 
+    # the expression rules read self.toks[self.i] directly: they run once
+    # per token and dominate the time to load a model
+
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
+        while (op := self.toks[self.i].kind) in ("+", "-"):
+            self.i += 1
             e = Binary(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
+        while (op := self.toks[self.i].kind) in ("*", "/"):
+            self.i += 1
             e = Binary(op, e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
+        if self.toks[self.i].kind == "-":
+            self.i += 1
             return Unary("-", self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
+        if self.toks[self.i].kind == "^":
+            self.i += 1
             return Binary("^", base, self.unary())
         return base
 
     def atom(self) -> Expr:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind == "num":
-            self.advance()
+            self.i += 1
             return Num(float(t.text))
         if t.kind == "ident":
             if t.text in FUNCTIONS:
@@ -431,44 +403,18 @@ def format_model(m: Model) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# ------------------ evaluation and lowering ------------------
+# ------------------ compilation and lowering ------------------
 
-def _eval_node(e: Expr, args, env: dict[str, int]):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return args[env[e.name]]
-    if isinstance(e, Unary):
-        return -_eval_node(e.operand, args, env)
-    if isinstance(e, Binary):
-        a = _eval_node(e.left, args, env)
-        b = _eval_node(e.right, args, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        return a ** b
-    if isinstance(e, Call):
-        return _FN_IMPL[e.fn](_eval_node(e.arg, args, env))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def compile_expr(e: Expr, env: dict[str, int]) -> Callable:
-    return lambda args: _eval_node(e, args, env)
+def compile_expr(e: Expr, env: dict[str, int]) -> Tape:
+    """The derivative tape of e; env maps variable names to indices."""
+    return Tape(e, env)
 
 
 def model_to_general(m: Model) -> GeneralProblem:
     env = {v.name: i for i, v in enumerate(m.variables)}
     n = len(m.variables)
-    if m.objective is not None:
-        f_expr = compile_expr(m.objective, env)
-    else:
-        def f_expr(args):
-            return 0.0
+    f_expr = compile_expr(m.objective if m.objective is not None
+                          else Num(0.0), env)
     cons = [compile_expr(r.body, env) for r in m.constraints]
     return GeneralProblem(
         name=m.name, n=n, f_expr=f_expr, con_exprs=cons,

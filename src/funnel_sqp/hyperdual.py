@@ -1,10 +1,17 @@
-"""Hyper-dual numbers for exact first and second derivatives.
+"""Hyper-dual numbers: the independent oracle for the derivative tape.
 
 A hyper-dual number carries a value and three infinitesimal parts
 (eps1, eps2, eps1*eps2 with eps1^2 = eps2^2 = 0). Seeding eps1 on x_i and
 eps2 on x_j makes ``second`` the exact mixed partial d2f/dx_i dx_j, with no
-truncation error. One function evaluation yields one Hessian entry, so a full
-n x n Hessian costs n*(n+1)/2 evaluations and a gradient costs n.
+truncation error (Fike & Alonso, 2011). One function evaluation yields one
+Hessian entry, so a full n x n Hessian costs n*(n+1)/2 evaluations and a
+gradient costs n.
+
+The solver gets its derivatives from the compiled tape (tape.py); this
+module shares no code with it and is kept so the tests can check the tape
+against a second, scalar implementation. A domain fault (log or sqrt at or
+below 0, a zero divisor, 0 to a power whose derivatives are infinite,
+overflow) raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -65,6 +72,8 @@ class HyperDual:
 
     def _reciprocal(self):
         v = self.value
+        if v == 0.0:
+            raise NonFiniteValue("division by zero")
         return self._chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
 
     def __pow__(self, p):
@@ -74,11 +83,14 @@ class HyperDual:
             # general u^w = exp(w * log u); requires u > 0
             return (p * self.log()).exp()
         v = self.value
-        if v == 0.0 and p >= 2:
-            return HyperDual(0.0)
         if v < 0.0 and p != int(p):
             raise NonFiniteValue(f"negative base {v} with fractional exponent {p}")
-        return self._chain(v ** p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+        if v == 0.0 and p < 2 and p not in (0, 1):
+            raise NonFiniteValue(f"zero base with exponent {p}")
+        # zero coefficients stay exact zeros: 0 ** 2 keeps its curvature 2
+        d1 = p * v ** (p - 1) if p != 0 else 0.0
+        d2 = p * (p - 1) * v ** (p - 2) if p not in (0, 1) else 0.0
+        return self._chain(v ** p, d1, d2)
 
     def __rpow__(self, base):
         return _lift(base).__pow__(self)
@@ -105,8 +117,8 @@ class HyperDual:
 
     def sqrt(self):
         v = self.value
-        if v < 0.0:
-            raise NonFiniteValue(f"sqrt of negative value {v}")
+        if v <= 0.0:
+            raise NonFiniteValue(f"sqrt of non-positive value {v}")
         r = math.sqrt(v)
         return self._chain(r, 0.5 / r, -0.25 / (r * v))
 
@@ -157,10 +169,17 @@ def _check_finite(v: float, what: str) -> float:
     return v
 
 
+def _call(fn, args) -> HyperDual:
+    try:
+        return _lift(fn(args))
+    except (OverflowError, ZeroDivisionError) as e:
+        raise NonFiniteValue(f"arithmetic fault: {e}") from e
+
+
 def value(fn, x: np.ndarray) -> float:
     """Plain function value through the hyper-dual path (consistency checks)."""
     args = [HyperDual(float(xi)) for xi in x]
-    return _check_finite(_lift(fn(args)).value, "function")
+    return _check_finite(_call(fn, args).value, "function")
 
 
 def gradient(fn, x: np.ndarray) -> np.ndarray:
@@ -174,7 +193,7 @@ def gradient(fn, x: np.ndarray) -> np.ndarray:
     for i in range(n):
         args = [HyperDual(float(xj), first1=(1.0 if j == i else 0.0))
                 for j, xj in enumerate(x)]
-        g[i] = _check_finite(_lift(fn(args)).first1, f"gradient component {i}")
+        g[i] = _check_finite(_call(fn, args).first1, f"gradient component {i}")
     return g
 
 
@@ -193,7 +212,8 @@ def hessian(fn, x: np.ndarray) -> np.ndarray:
                               first1=(1.0 if k == i else 0.0),
                               first2=(1.0 if k == j else 0.0))
                     for k, xk in enumerate(x)]
-            hij = _check_finite(_lift(fn(args)).second, f"hessian entry ({i},{j})")
+            hij = _check_finite(_call(fn, args).second,
+                                f"hessian entry ({i},{j})")
             H[i, j] = hij
             H[j, i] = hij
     return H

@@ -118,11 +118,9 @@ def _block_inertia(d: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
             blk = d[k:k + 2, k:k + 2]
             # symmetric 2x2 eigenvalues in closed form
             tr = blk[0, 0] + blk[1, 1]
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
             disc = np.sqrt(max((blk[0, 0] - blk[1, 1]) ** 2 / 4.0
                                + blk[0, 1] * blk[1, 0], 0.0))
             eigs = (tr / 2.0 - disc, tr / 2.0 + disc)
-            del det
             for e in eigs:
                 if abs(e) <= zero_tol:
                     n_zero += 1

@@ -6,18 +6,20 @@ Standard form is
 
 with c mapping R^n -> R^m. Jacobians are stored column-wise: jac_c(x) has
 shape (n, m) and column j is the gradient of c_j. General problems with
-ranged constraints lower to this form through slack variables.
+ranged constraints lower to this form through slack variables, and problems
+given as expressions get their derivatives from the tape (tape.py).
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import hyperdual
 from .errors import DimensionMismatch, NonFiniteValue, UnknownProblem
+from .tape import Tape, TapeSet, Var, trace
 
 
 @dataclass
@@ -123,14 +125,17 @@ def infeasibility(c: np.ndarray) -> float:
     return float(np.sum(np.abs(c)))
 
 
-# ------------------ general (ranged) problems ------------------
+# ------------------ expression problems ------------------
 
 @dataclass
 class GeneralProblem:
-    """Pre-lowering form: expression callables plus constraint ranges.
+    """Pre-lowering form: expressions plus constraint ranges.
 
-    Expression callables take a list of scalars (floats or hyper-duals) and
-    must be written with operator arithmetic so both work.
+    Each expression is a Tape (dsl.compile_expr) or a Python callable over a
+    list of n scalars. A callable is traced once into an expression tree
+    (tape.trace), so it must be written with operator arithmetic and the
+    hd_* helpers or numpy's exp/log/sin/cos/sqrt, and must not branch on
+    values.
     """
     name: str
     n: int
@@ -144,85 +149,62 @@ class GeneralProblem:
     var_names: list = field(default_factory=list)
 
 
+def _as_tape(e, n: int) -> Tape:
+    return e if isinstance(e, Tape) else trace(e, n)
+
+
 def from_expressions(name: str, n: int, f_expr, con_exprs,
                      lb=None, ub=None, x0=None,
                      lambda0=None, known_solution=None) -> NcoProblem:
-    """Build a standard-form problem whose derivatives come from hyper-duals.
+    """Build a standard-form problem whose derivatives come from the tape.
 
-    Every constraint expression is treated as an equality c_j(x) = 0.
+    Expressions are Tapes or traceable callables (see GeneralProblem), and
+    every constraint expression is treated as an equality c_j(x) = 0. f and
+    c return inf or NaN for evaluate_functions to reject; the derivative
+    evaluators raise NonFiniteValue themselves.
     """
-    m = len(con_exprs)
+    objective = TapeSet([_as_tape(f_expr, n)], n, "objective")
+    rows = TapeSet([_as_tape(e, n) for e in con_exprs], n, "constraint")
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-
-    def f(x):
-        return _plain(f_expr, x)
-
-    def c(x):
-        return np.array([_plain(e, x) for e in con_exprs], dtype=float)
-
-    def grad_f(x):
-        return hyperdual.gradient(f_expr, x)
-
-    def jac_c(x):
-        if m == 0:
-            return np.zeros((n, 0))
-        return np.column_stack([hyperdual.gradient(e, x) for e in con_exprs])
-
-    def hess_f(x):
-        return hyperdual.hessian(f_expr, x)
-
-    def hess_c(x):
-        if m == 0:
-            return np.zeros((0, n, n))
-        return np.stack([hyperdual.hessian(e, x) for e in con_exprs])
-
-    return NcoProblem(name=name, n=n, m=m, f=f, c=c, grad_f=grad_f,
-                      jac_c=jac_c, hess_f=hess_f, hess_c=hess_c,
-                      lb=lb, ub=ub, x0=x0, lambda0=lambda0,
-                      known_solution=known_solution)
-
-
-def _plain(expr, x):
-    out = expr([float(v) for v in x])
-    return out.value if isinstance(out, hyperdual.HyperDual) else float(out)
+    return NcoProblem(
+        name=name, n=n, m=rows.size,
+        f=lambda x: float(objective.values(x)[0]), c=rows.values,
+        grad_f=lambda x: objective.jacobian(x)[:, 0], jac_c=rows.jacobian,
+        hess_f=lambda x: objective.hessians(x)[0], hess_c=rows.hessians,
+        lb=lb, ub=ub, x0=x0, lambda0=lambda0, known_solution=known_solution)
 
 
 def to_standard_form(gp: GeneralProblem) -> NcoProblem:
     """Lower ranged constraints cl <= g(x) <= cu to equalities with slacks.
 
     Rows with cl == cu become g(x) - cl = 0 directly. Every other row gets a
-    slack s in [cl, cu] and the equality g(x) - s = 0. Slack starts are the
+    slack s in [cl, cu] and the equality g(x) - s = 0. Both are built on the
+    expression tree, so each lowered row is one tape. Slack starts are the
     constraint values at x0 clipped into their range.
     """
-    n, m = gp.n, len(gp.con_exprs)
-    is_eq = np.array([gp.cl[i] == gp.cu[i] for i in range(m)])
-    slack_rows = [i for i in range(m) if not is_eq[i]]
-    ns = len(slack_rows)
-    slack_of_row = {row: n + k for k, row in enumerate(slack_rows)}
-
-    lb = np.concatenate([gp.lb, gp.cl[slack_rows]]) if ns else gp.lb.copy()
-    ub = np.concatenate([gp.ub, gp.cu[slack_rows]]) if ns else gp.ub.copy()
-
-    def f_expr(y):
-        return gp.f_expr(y[:n])
-
-    def make_con(i):
-        if is_eq[i]:
-            shift = float(gp.cl[i])
-            return lambda y: gp.con_exprs[i](y[:n]) - shift
-        j = slack_of_row[i]
-        return lambda y: gp.con_exprs[i](y[:n]) - y[j]
-
-    cons = [make_con(i) for i in range(m)]
-
-    c0 = np.array([_plain(e, gp.x0) for e in gp.con_exprs]) if m else np.zeros(0)
-    s0 = np.clip(c0[slack_rows], gp.cl[slack_rows], gp.cu[slack_rows]) if ns \
-        else np.zeros(0)
-    x0 = np.concatenate([gp.x0, s0])
-
-    return from_expressions(gp.name, n + ns, f_expr, cons, lb=lb, ub=ub, x0=x0)
+    n = gp.n
+    cons = [_as_tape(e, n) for e in gp.con_exprs]
+    slack_rows = []
+    for i, (t, lo, hi) in enumerate(zip(cons, gp.cl.tolist(), gp.cu.tolist())):
+        if lo != hi:
+            # no model or traced variable has this name; ChainMap keeps
+            # the lowering linear in the number of rows
+            env = ChainMap({"$slack": n + len(slack_rows)}, t.env)
+            cons[i] = Tape(t.expr - Var("$slack"), env)
+            slack_rows.append(i)
+        elif lo != 0.0:
+            cons[i] = Tape(t.expr - lo, t.env)
+    cl, cu = gp.cl[slack_rows], gp.cu[slack_rows]
+    p = from_expressions(gp.name, n + len(slack_rows), _as_tape(gp.f_expr, n),
+                         cons, lb=np.concatenate([gp.lb, cl]),
+                         ub=np.concatenate([gp.ub, cu]),
+                         x0=np.concatenate([gp.x0, np.zeros(len(slack_rows))]))
+    if slack_rows:
+        # g(x) - s at s = 0 is g(x) exactly: the lowered rows give the start
+        p.x0[n:] = np.clip(p.c(p.x0)[slack_rows], cl, cu)
+    return p
 
 
 # ------------------ builtin registry ------------------

@@ -413,8 +413,11 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     b = np.asarray(qp.b, dtype=float)
     lb = np.asarray(qp.lb, dtype=float)
     ub = np.asarray(qp.ub, dtype=float)
-    if np.any(lb > ub):
-        raise DimensionMismatch("empty box: lb > ub")
+    # lb <= ub is false for NaN. A box without a real point must stop here:
+    # the core would walk x to inf or NaN, where every pass is a step that
+    # blocks on no bound and so counts no pivot, and never return.
+    if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
+        raise DimensionMismatch("empty box: no real x with lb <= x <= ub")
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 

@@ -1,6 +1,7 @@
 """End-to-end solves: frozen iteration traces, termination kinds, events."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import two_sig
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.driver import (complementarity, format_trace,
                                lagrangian_gradient, solve)
+from funnel_sqp.dsl import load_source
 from funnel_sqp.problems import NcoProblem, from_expressions, get_problem
 from funnel_sqp.strategies import LABEL_INFEASIBLE, LABEL_OPTIMAL
 
@@ -315,6 +317,27 @@ class TestErrorPaths:
         assert len(res.iterations) >= 2
 
 
+class TestDomainFaults:
+    """A fault in a model's domain ends the solve as an error result."""
+
+    @pytest.mark.parametrize("src", [
+        # sqrt is finite at 0 but its derivative is not
+        "var x in [0, 1] start 0; minimize sqrt(x) - x;",
+        # a negative base with a fractional exponent has no real value
+        "var x start -1; minimize x^0.5; subject_to x >= -2;",
+        "var x start 0; minimize log(x);",
+    ])
+    @pytest.mark.parametrize("strategy, mechanism", [
+        ("funnel", "trust-region"), ("funnel", "line-search"),
+        ("filter", "trust-region"), ("filter", "line-search")])
+    def test_fault_becomes_non_finite_value(self, src, strategy, mechanism):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(load_source(src), _config(strategy, mechanism))
+        assert res.status == "error"
+        assert res.error_kind == "non_finite_value"
+
+
 class TestFormatTrace:
     def test_trust_region_layout(self, maratos_tr):
         lines = format_trace(maratos_tr).splitlines()
@@ -353,6 +376,29 @@ class TestResidualHelpers:
         val = complementarity(x, np.array([-np.inf]), np.array([np.inf]),
                               np.array([2.0]))
         assert val == 2.0e10
+
+    def test_complementarity_matches_loop(self):
+        def loop(x, lb, ub, mu):
+            worst = 0.0
+            for i in range(x.shape[0]):
+                if lb[i] == ub[i] or mu[i] == 0.0:
+                    continue
+                gap = (x[i] - lb[i]) if mu[i] > 0.0 else (ub[i] - x[i])
+                worst = max(worst, abs(mu[i]) * min(gap, 1e10))
+            return worst
+
+        rng = np.random.default_rng(57)
+        for _ in range(300):
+            n = int(rng.integers(0, 7))
+            lb = np.where(rng.random(n) < 0.3, -np.inf,
+                          rng.uniform(-2.0, 0.0, n))
+            ub = np.where(rng.random(n) < 0.3, np.inf,
+                          rng.uniform(0.0, 2.0, n))
+            pinned = rng.random(n) < 0.2
+            ub[pinned] = lb[pinned] = rng.uniform(-1.0, 1.0, pinned.sum())
+            x = rng.uniform(-3.0, 3.0, n)
+            mu = rng.standard_normal(n) * (rng.random(n) < 0.7)
+            assert complementarity(x, lb, ub, mu) == loop(x, lb, ub, mu)
 
     def test_lagrangian_gradient(self):
         g = np.array([1.0, 2.0])

@@ -115,6 +115,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_model("var x in [3.0, 1.0];")
 
+    @pytest.mark.parametrize("box", ["[-inf, -inf]", "[inf, inf]",
+                                     "[inf, 1.0]", "[1.0, -inf]"])
+    def test_bound_interval_without_a_real_point(self, box):
+        with pytest.raises(ParseError):
+            parse_model(f"var x in {box};")
+
     def test_empty_constraint_range(self):
         with pytest.raises(ParseError):
             parse_model("var x; subject_to 4.0 <= x <= 2.0;")

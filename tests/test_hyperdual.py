@@ -60,8 +60,9 @@ class TestArithmetic:
         assert math.isclose(p.second, 6 * 1.5)
 
     def test_zero_base_high_power(self):
+        # d2/dx2 of x^2 is 2 at x = 0 too
         p = seeded(0.0) ** 2
-        assert p.value == 0.0 and p.second == 0.0
+        assert p.value == 0.0 and p.first1 == 0.0 and p.second == 2.0
 
     def test_negative_base_fractional_power_raises(self):
         with pytest.raises(NonFiniteValue):

@@ -1,5 +1,7 @@
 """Active-set QP solver against hand cases and brute-force oracles."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,25 @@ class TestHandCases:
         qp = box_qp(np.eye(1), [0.0], lb=[1.0], ub=[0.0])
         with pytest.raises(DimensionMismatch):
             solve_qp(qp)
+
+    @pytest.mark.parametrize("lb, ub", [
+        ([-1.0, np.nan], [1.0, 1.0]), ([-1.0, -1.0], [1.0, np.nan]),
+        ([-1.0, -np.inf], [1.0, -np.inf]), ([-1.0, np.inf], [1.0, np.inf])])
+    def test_box_without_a_real_point_rejected(self, lb, ub):
+        # these boxes used to send the active-set loop spinning for good
+        qp = box_qp(np.eye(2), [1.0, 1.0], lb=lb, ub=ub)
+
+        def hung(signum, frame):
+            raise TimeoutError("solve_qp did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(DimensionMismatch):
+                solve_qp(qp, max_pivots=150)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_objective_helper(self):
         qp = box_qp([[2.0]], [3.0])
