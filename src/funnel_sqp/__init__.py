@@ -14,8 +14,7 @@ from .dsl import (format_model, load_file, load_source, model_to_general,
 from .errors import (DimensionMismatch, DuplicateDeclaration, FunnelSqpError,
                      MaxPivots, NonFiniteValue, NotSymmetric, ParseError,
                      RegularizationFailed, RestorationStall,
-                     SingularBlock, SmallStepInfeasible, UndeclaredVariable,
-                     UnknownProblem)
+                     SmallStepInfeasible, UndeclaredVariable, UnknownProblem)
 from .problems import (EvalCounters, GeneralProblem, NcoProblem, get_problem,
                        infeasibility, problem_names, to_standard_form)
 from .qp import QpData, QpSolution, kkt_residual, solve_qp
@@ -28,7 +27,7 @@ __all__ = [
     "FilterParams", "FilterStrategy", "FunnelParams", "FunnelSqpError",
     "FunnelStrategy", "GeneralProblem", "LineSearchParams", "MaxPivots",
     "NcoProblem", "NonFiniteValue", "NotSymmetric", "ParseError", "QpData",
-    "QpSolution", "RegularizationFailed", "RestorationStall", "SingularBlock",
+    "QpSolution", "RegularizationFailed", "RestorationStall",
     "SmallStepInfeasible", "SolveResult", "SolverConfig", "SubproblemParams",
     "TrustRegionParams", "UndeclaredVariable", "UnknownProblem",
     "apply_overrides", "format_model", "format_trace", "get_problem",

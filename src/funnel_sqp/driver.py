@@ -10,24 +10,23 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .config import SolverConfig
 from .errors import FunnelSqpError
-from .mechanisms import (InnerOutcome, IterationRecord, LineSearchMechanism,
-                         OuterState, TrustRegionMechanism)
+from .mechanisms import (IterationRecord, LineSearchMechanism, OuterState,
+                         TrustRegionMechanism)
 from .problems import (EvalCounters, NcoProblem, evaluate_functions,
                        evaluate_gradients, infeasibility)
+from .qp import complementarity
 from .strategies import (LABEL_INFEASIBLE, LABEL_INITIAL, LABEL_OPTIMAL,
                          FilterStrategy, FunnelStrategy)
 from .subproblems import DirectionEngine, Phase
 
 log = logging.getLogger(__name__)
-
-GAP_CAP = 1e10      # stand-in gap for infinite bounds in complementarity
 
 
 @dataclass
@@ -54,20 +53,11 @@ class SolveResult:
         return self.status in ("kkt_point", "infeasible_stationary")
 
 
-def complementarity(x, lb, ub, mu) -> float:
-    """Worst |mu_i| * gap, the gap taken on the side mu_i pushes against."""
-    pushed = (lb != ub) & (mu != 0.0)
-    gap = np.where(mu > 0.0, x - lb, ub - x)[pushed]
-    return float(np.max(np.abs(mu[pushed]) * np.minimum(gap, GAP_CAP),
-                        initial=0.0))
-
-
 def lagrangian_gradient(grad_f, J, lam, mu, rho=1.0) -> np.ndarray:
     return rho * grad_f - J @ lam - mu
 
 
-def _check_termination(os: OuterState, engine: DirectionEngine,
-                       direction, problem: NcoProblem,
+def _check_termination(os: OuterState, direction, problem: NcoProblem,
                        config: SolverConfig) -> Optional[str]:
     tol = config.tol
     cmax = float(np.max(np.abs(os.c), initial=0.0))
@@ -78,23 +68,17 @@ def _check_termination(os: OuterState, engine: DirectionEngine,
     gl = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
     if float(np.linalg.norm(gl)) <= tol and cmax <= tol and comp <= tol:
         return "kkt_point"
-    if direction is not None and direction.phase is Phase.RESTORATION \
-            and engine.last_fqp is not None:
-        fq = engine.last_fqp
+    if direction.phase is Phase.RESTORATION:
+        u, v = direction.elastic_u, direction.elastic_v
         gl0 = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho=0.0)
         comp_r = comp
-        if fq["u"].size:
-            comp_r = max(comp_r,
-                         float(np.max(np.abs(fq["u"] * (1.0 + os.lam)))),
-                         float(np.max(np.abs(fq["v"] * (1.0 - os.lam)))))
+        if u.size:
+            comp_r = max(comp_r, float(np.max(np.abs(u * (1.0 + os.lam)))),
+                         float(np.max(np.abs(v * (1.0 - os.lam)))))
         if float(np.linalg.norm(gl0)) <= tol and cmax > tol \
                 and comp_r <= tol:
             return "infeasible_stationary"
     return None
-
-
-_COUNT_KEY = {"f-type": "f_type", "h-type": "h_type",
-              "restoration": "restoration", "kkt-zero": "kkt_zero"}
 
 
 def _drain_events(engine: DirectionEngine, events: list, k: int):
@@ -111,50 +95,43 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
     events: list[dict] = []
     step_counts = {"f_type": 0, "h_type": 0, "restoration": 0, "kkt_zero": 0}
 
-    x = problem.start_point()
-    lam = problem.start_multipliers()
-    mu = np.zeros(problem.n)
+    # f and h read NaN in an error result until the start is evaluated
+    os = OuterState(x=problem.start_point(), f=math.nan, c=None, h=math.nan,
+                    grad_f=None, J=None, lam=problem.start_multipliers(),
+                    mu=np.zeros(problem.n))
+    n_outer = 0
 
-    def failed(e: FunnelSqpError, os=None, n_outer=0):
+    def result(status: str, error: Optional[FunnelSqpError] = None):
         return SolveResult(
-            status="error",
-            x=(os.x if os else x).copy(), lam=(os.lam if os else lam).copy(),
-            mu=(os.mu if os else mu).copy(),
-            f=(os.f if os else math.nan), h=(os.h if os else math.nan),
-            n_outer=n_outer, iterations=records, counters=counters,
-            step_counts=step_counts, events=events,
+            status=status, x=os.x.copy(), lam=os.lam.copy(), mu=os.mu.copy(),
+            f=os.f, h=os.h, n_outer=n_outer, iterations=records,
+            counters=counters, step_counts=step_counts, events=events,
             problem_name=problem.name, strategy=config.strategy,
-            mechanism=config.mechanism, error_kind=e.kind, message=str(e))
+            mechanism=config.mechanism,
+            error_kind=error.kind if error else None,
+            message=str(error) if error else "")
 
     try:
-        f, c = evaluate_functions(problem, x, counters)
-        h = infeasibility(c)
-        grad_f, J = evaluate_gradients(problem, x, counters)
+        f, c = evaluate_functions(problem, os.x, counters)
+        os.grad_f, os.J = evaluate_gradients(problem, os.x, counters)
     except FunnelSqpError as e:
-        return failed(e)
+        return result("error", e)
+    os.f, os.c, os.h = f, c, infeasibility(c)
 
-    os = OuterState(x=x, f=f, c=c, h=h, grad_f=grad_f, J=J, lam=lam, mu=mu)
-
-    if config.strategy == "funnel":
-        strategy = FunnelStrategy(config.funnel,
-                                  config.subproblem.zero_step_tol)
-    else:
-        strategy = FilterStrategy(config.filter,
-                                  config.subproblem.zero_step_tol)
-    sstate = strategy.init_state(h)
+    zero_tol = config.subproblem.zero_step_tol
+    strategy = (FunnelStrategy(config.funnel, zero_tol)
+                if config.strategy == "funnel"
+                else FilterStrategy(config.filter, zero_tol))
+    sstate = strategy.init_state(os.h)
     engine = DirectionEngine(problem, config, counters)
-    if config.mechanism == "trust-region":
-        mech = TrustRegionMechanism(problem, config, engine, strategy,
-                                    counters)
-        init_delta = config.trust_region.delta_init
-    else:
-        mech = LineSearchMechanism(problem, config, engine, strategy,
-                                   counters)
-        init_delta = None
+    tr = config.mechanism == "trust-region"
+    mech = (TrustRegionMechanism if tr else LineSearchMechanism)(
+        problem, config, engine, strategy, counters)
 
     gl0 = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
     records.append(IterationRecord(
-        k=0, l=None, delta=init_delta, alpha=None, regularization=None,
+        k=0, l=None, delta=config.trust_region.delta_init if tr else None,
+        alpha=None, regularization=None,
         tau=strategy.trace_value(sstate), step_norm=None, f_trial=os.f,
         h_trial=os.h, grad_lag=float(np.linalg.norm(gl0)),
         label=LABEL_INITIAL, phase=engine.phase.value))
@@ -163,48 +140,33 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
              problem.n, problem.m)
 
     status = "max_iterations"
-    n_outer = 0
     for k in range(1, config.max_outer + 1):
         try:
             outcome = mech.run(os, sstate, k, records)
-        except FunnelSqpError as e:
-            _drain_events(engine, events, k)
-            log.info("solve %s stopped: %s", problem.name, e)
-            return failed(e, os=os, n_outer=n_outer)
-        if outcome.terminated:
-            _drain_events(engine, events, k)
-            status = outcome.status
-            break
-        os.x, os.f, os.c, os.h = outcome.x, outcome.f, outcome.c, outcome.h
-        os.lam = np.asarray(outcome.lam, dtype=float)
-        os.mu = np.asarray(outcome.mu, dtype=float)
-        try:
+            if outcome.terminated:
+                status = outcome.status
+                break
+            os.x, os.f, os.c, os.h = outcome.x, outcome.f, outcome.c, outcome.h
+            os.lam = np.asarray(outcome.lam, dtype=float)
+            os.mu = np.asarray(outcome.mu, dtype=float)
             os.grad_f, os.J = evaluate_gradients(problem, os.x, counters)
+            n_outer = k
+            verdict = outcome.verdict
+            sstate = strategy.commit(sstate, verdict)
+            engine.apply_verdict(verdict, outcome.record)
         except FunnelSqpError as e:
+            log.info("solve %s stopped: %s", problem.name, e)
+            return result("error", e)
+        finally:
+            # also after an error return: the result holds this same list
             _drain_events(engine, events, k)
-            return failed(e, os=os, n_outer=n_outer)
-        n_outer = k
-        verdict = outcome.verdict
-        if verdict.new_phase is Phase.OPTIMALITY and \
-                outcome.direction.phase is Phase.RESTORATION:
-            tau_before = outcome.record.tau
-            events.append({
-                "type": "restoration_exit", "k": k, "h_trial": os.h,
-                "tau_before": tau_before,
-                "tau_after": (verdict.new_tau if verdict.new_tau is not None
-                              else tau_before),
-                "h_resto": engine.h_resto})
-        sstate = strategy.commit(sstate, verdict)
-        engine.apply_verdict(verdict)
-        _drain_events(engine, events, k)
-        step_counts[_COUNT_KEY[verdict.step_type]] += 1
+        step_counts[verdict.step_type.replace("-", "_")] += 1
         gl = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
         outcome.record.grad_lag = float(np.linalg.norm(gl))
         log.debug("k=%d accepted %s: f=%.8e h=%.3e |gradL|=%.3e",
                   k, verdict.step_type, os.f, os.h,
                   outcome.record.grad_lag)
-        term = _check_termination(os, engine, outcome.direction, problem,
-                                  config)
+        term = _check_termination(os, outcome.direction, problem, config)
         if term is not None:
             status = term
             if term == "kkt_point":
@@ -215,12 +177,7 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
 
     log.info("solve %s finished: status=%s outer=%d f=%.8e h=%.3e",
              problem.name, status, n_outer, os.f, os.h)
-    return SolveResult(
-        status=status, x=os.x.copy(), lam=os.lam.copy(), mu=os.mu.copy(),
-        f=os.f, h=os.h, n_outer=n_outer, iterations=records,
-        counters=counters, step_counts=step_counts, events=events,
-        problem_name=problem.name, strategy=config.strategy,
-        mechanism=config.mechanism)
+    return result(status)
 
 
 def format_trace(result: SolveResult) -> str:

@@ -24,12 +24,6 @@ class NotSymmetric(FunnelSqpError):
     kind = "not_symmetric"
 
 
-class SingularBlock(FunnelSqpError):
-    """LDLT solve hit a numerically singular pivot block."""
-
-    kind = "singular_block"
-
-
 class MaxPivots(FunnelSqpError):
     """Active-set QP iteration cap reached; signals cycling."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotSymmetric, SingularBlock
+from .errors import DimensionMismatch, NotSymmetric
 
 # |eigenvalue| <= ZERO_EIG_REL * ||M||_inf counts as zero in the inertia
 ZERO_EIG_REL = 1e-12
@@ -33,56 +33,6 @@ class LdltFactors:
     d: np.ndarray           # block-diagonal factor
     perm: np.ndarray        # row permutation such that lu[perm] is lower triangular
     inertia: tuple[int, int, int]
-    zero_tol: float
-
-    @property
-    def n_pos(self) -> int:
-        return self.inertia[0]
-
-    @property
-    def n_neg(self) -> int:
-        return self.inertia[1]
-
-    @property
-    def n_zero(self) -> int:
-        return self.inertia[2]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve M x = b using the stored factors."""
-        b = np.asarray(b, dtype=float)
-        n = self.d.shape[0]
-        if b.shape[0] != n:
-            raise DimensionMismatch(f"rhs has length {b.shape[0]}, expected {n}")
-        if n == 0:
-            return np.zeros_like(b)
-        L = self.lu[self.perm]
-        y = scipy.linalg.solve_triangular(L, b[self.perm], lower=True,
-                                          unit_diagonal=True)
-        z = self._solve_blocks(y)
-        x_p = scipy.linalg.solve_triangular(L.T, z, lower=False,
-                                            unit_diagonal=True)
-        x = np.empty_like(x_p)
-        x[self.perm] = x_p
-        return x
-
-    def _solve_blocks(self, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        k, n = 0, self.d.shape[0]
-        while k < n:
-            if k + 1 < n and self.d[k, k + 1] != 0.0:
-                blk = self.d[k:k + 2, k:k + 2]
-                det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-                if abs(det) <= self.zero_tol ** 2:
-                    raise SingularBlock("singular 2x2 pivot block")
-                out[k] = (blk[1, 1] * y[k] - blk[0, 1] * y[k + 1]) / det
-                out[k + 1] = (blk[0, 0] * y[k + 1] - blk[1, 0] * y[k]) / det
-                k += 2
-            else:
-                if abs(self.d[k, k]) <= self.zero_tol:
-                    raise SingularBlock("singular 1x1 pivot block")
-                out[k] = y[k] / self.d[k, k]
-                k += 1
-        return out
 
 
 def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
@@ -96,8 +46,7 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
     n = M.shape[0]
     if n == 0:
         return LdltFactors(lu=np.zeros((0, 0)), d=np.zeros((0, 0)),
-                           perm=np.zeros(0, dtype=int), inertia=(0, 0, 0),
-                           zero_tol=0.0)
+                           perm=np.zeros(0, dtype=int), inertia=(0, 0, 0))
     skew = np.max(np.abs(M - M.T))
     if skew > sym_tol * (1.0 + np.max(np.abs(M))):
         raise NotSymmetric(f"matrix asymmetry {skew:.3e} above tolerance")
@@ -105,13 +54,12 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
     lu, d, perm = scipy.linalg.ldl(M, lower=True)
     norm = np.max(np.abs(M)) if n else 0.0
     zero_tol = ZERO_EIG_REL * max(norm, 1e-300)
-    inertia = _block_inertia(d, zero_tol)
-    return LdltFactors(lu=lu, d=d, perm=np.asarray(perm), inertia=inertia,
-                       zero_tol=zero_tol)
+    return LdltFactors(lu=lu, d=d, perm=np.asarray(perm),
+                       inertia=_block_inertia(d, zero_tol))
 
 
 def _block_inertia(d: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
-    n_pos = n_neg = n_zero = 0
+    eigs = []
     k, n = 0, d.shape[0]
     while k < n:
         if k + 1 < n and d[k, k + 1] != 0.0:
@@ -120,25 +68,14 @@ def _block_inertia(d: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
             tr = blk[0, 0] + blk[1, 1]
             disc = np.sqrt(max((blk[0, 0] - blk[1, 1]) ** 2 / 4.0
                                + blk[0, 1] * blk[1, 0], 0.0))
-            eigs = (tr / 2.0 - disc, tr / 2.0 + disc)
-            for e in eigs:
-                if abs(e) <= zero_tol:
-                    n_zero += 1
-                elif e > 0:
-                    n_pos += 1
-                else:
-                    n_neg += 1
+            eigs += (tr / 2.0 - disc, tr / 2.0 + disc)
             k += 2
         else:
-            e = d[k, k]
-            if abs(e) <= zero_tol:
-                n_zero += 1
-            elif e > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
+            eigs.append(d[k, k])
             k += 1
-    return (n_pos, n_neg, n_zero)
+    n_pos = sum(1 for e in eigs if e > zero_tol)
+    n_neg = sum(1 for e in eigs if e < -zero_tol)
+    return (n_pos, n_neg, n - n_pos - n_neg)
 
 
 def nullspace_basis(A: np.ndarray) -> np.ndarray:
@@ -154,12 +91,15 @@ def nullspace_basis(A: np.ndarray) -> np.ndarray:
     if m == 0 or not np.any(A):
         return np.eye(n)
     Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
+    return Q[:, r_rank(R):]
+
+
+def r_rank(R: np.ndarray) -> int:
+    """Numerical rank from the R factor of a column-pivoted QR."""
     rdiag = np.abs(np.diag(R))
     if rdiag.size == 0 or rdiag[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(rdiag > RANK_REL * rdiag[0]))
-    return Q[:, rank:]
+        return 0
+    return int(np.sum(rdiag > RANK_REL * rdiag[0]))
 
 
 def qr_rank(A: np.ndarray) -> int:
@@ -168,8 +108,4 @@ def qr_rank(A: np.ndarray) -> int:
     n, m = A.shape
     if m == 0 or n == 0 or not np.any(A):
         return 0
-    R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
-    rdiag = np.abs(np.diag(R))
-    if rdiag.size == 0 or rdiag[0] == 0.0:
-        return 0
-    return int(np.sum(rdiag > RANK_REL * rdiag[0]))
+    return r_rank(scipy.linalg.qr(A, mode="r", pivoting=True)[0])

@@ -8,7 +8,6 @@ consecutive-restoration-entry counter.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,10 +17,8 @@ import numpy as np
 from .config import SolverConfig
 from .errors import NonFiniteValue, RestorationStall, SmallStepInfeasible
 from .problems import EvalCounters, NcoProblem, evaluate_functions, infeasibility
-from .strategies import (LABEL_REJ_EVAL, TrialData, progress_models)
-from .subproblems import DirectionEngine, Phase
-
-log = logging.getLogger(__name__)
+from .strategies import LABEL_REJ_EVAL, TrialData, progress_models
+from .subproblems import DirectionEngine
 
 
 @dataclass
@@ -69,8 +66,8 @@ class InnerOutcome:
     direction: object = None
 
 
-class TrustRegionMechanism:
-    """Fixed full steps clipped by an adaptive radius."""
+class _Mechanism:
+    """What both mechanisms share: the trial of one step x + alpha d."""
 
     def __init__(self, problem: NcoProblem, config: SolverConfig,
                  engine: DirectionEngine, strategy, counters: EvalCounters):
@@ -79,10 +76,48 @@ class TrustRegionMechanism:
         self.engine = engine
         self.strategy = strategy
         self.counters = counters
-        self.delta = config.trust_region.delta_init
 
-    def initial_control(self) -> dict:
-        return {"delta": self.delta}
+    def _trial(self, os: OuterState, sstate, dres, alpha: float, k: int,
+               l: int, records: list, reg: Optional[float],
+               delta: Optional[float] = None):
+        """Evaluate x + alpha d, append its trace row (a row with a radius
+        shows no alpha) and let the strategy judge it. Returns (outcome,
+        |d|_inf): outcome is None unless accepted, and then lacks lam, mu."""
+        d = dres.d
+        dn = float(np.max(np.abs(d), initial=0.0))
+        x_t = os.x + alpha * d
+        rec = IterationRecord(
+            k=k if l == 1 else None, l=l, delta=delta,
+            alpha=alpha if delta is None else None, regularization=reg,
+            tau=self.strategy.trace_value(sstate), step_norm=alpha * dn,
+            f_trial=math.nan, h_trial=math.nan, grad_lag=None,
+            label=LABEL_REJ_EVAL, phase=dres.phase.value)
+        records.append(rec)
+        try:
+            f_t, c_t = evaluate_functions(self.problem, x_t, self.counters)
+        except NonFiniteValue:
+            return None, dn
+        h_t = infeasibility(c_t)
+        models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
+        trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
+                          f_t=f_t, h_t=h_t, models=models, alpha=alpha,
+                          full_step_norm=dn, step_norm=rec.step_norm,
+                          subproblem_feasible=dres.subproblem_feasible,
+                          h_resto=self.engine.h_resto)
+        verdict = self.strategy.decide(sstate, trial)
+        rec.f_trial, rec.h_trial, rec.label = f_t, h_t, verdict.label
+        if not verdict.accepted:
+            return None, dn
+        return InnerOutcome(x=x_t, f=f_t, c=c_t, h=h_t, verdict=verdict,
+                            record=rec, direction=dres), dn
+
+
+class TrustRegionMechanism(_Mechanism):
+    """Fixed full steps clipped by an adaptive radius."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.delta = self.config.trust_region.delta_init
 
     def run(self, os: OuterState, sstate, k: int,
             records: list) -> InnerOutcome:
@@ -97,63 +132,24 @@ class TrustRegionMechanism:
                     f"radius collapsed to {self.delta:.2e} at violation "
                     f"{os.h:.2e}")
             l += 1
-            delta_pre = self.delta
             dres = self.engine.compute(os.x, os.f, os.c, os.h, os.grad_f,
                                        os.J, os.lam, delta=self.delta)
             if dres.entered_restoration:
                 os.lam[:] = 0.0
-            d = dres.d
-            dn = float(np.max(np.abs(d), initial=0.0))
-            tau_pre = self.strategy.trace_value(sstate)
-            try:
-                f_t, c_t = evaluate_functions(self.problem, os.x + d,
-                                              self.counters)
-            except NonFiniteValue:
-                records.append(IterationRecord(
-                    k=k if l == 1 else None, l=l, delta=delta_pre, alpha=None,
-                    regularization=dres.eta, tau=tau_pre, step_norm=dn,
-                    f_trial=math.nan, h_trial=math.nan, grad_lag=None,
-                    label=LABEL_REJ_EVAL, phase=dres.phase.value))
-                self.delta = tr.shrink * min(self.delta, dn)
-                continue
-            h_t = infeasibility(c_t)
-            models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
-            trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
-                              f_t=f_t, h_t=h_t, models=models, alpha=1.0,
-                              full_step_norm=dn, step_norm=dn,
-                              subproblem_feasible=dres.subproblem_feasible,
-                              h_resto=self.engine.h_resto)
-            verdict = self.strategy.decide(sstate, trial)
-            rec = IterationRecord(
-                k=k if l == 1 else None, l=l, delta=delta_pre, alpha=None,
-                regularization=dres.eta, tau=tau_pre, step_norm=dn,
-                f_trial=f_t, h_trial=h_t, grad_lag=None,
-                label=verdict.label, phase=dres.phase.value)
-            records.append(rec)
-            if verdict.accepted:
+            out, dn = self._trial(os, sstate, dres, 1.0, k, l, records,
+                                  dres.eta, delta=self.delta)
+            if out is not None:
                 if dn >= self.delta * (1.0 - tr.activity_tol):
                     self.delta = min(tr.grow * self.delta, tr.delta_max)
-                return InnerOutcome(x=os.x + d, f=f_t, c=c_t, h=h_t,
-                                    lam=dres.lam.copy(), mu=dres.mu.copy(),
-                                    verdict=verdict, record=rec,
-                                    direction=dres)
+                out.lam, out.mu = dres.lam.copy(), dres.mu.copy()
+                return out
             self.delta = tr.shrink * min(self.delta, dn)
 
 
-class LineSearchMechanism:
+class LineSearchMechanism(_Mechanism):
     """Backtracking on a fixed direction with interpolated multipliers."""
 
-    def __init__(self, problem: NcoProblem, config: SolverConfig,
-                 engine: DirectionEngine, strategy, counters: EvalCounters):
-        self.problem = problem
-        self.config = config
-        self.engine = engine
-        self.strategy = strategy
-        self.counters = counters
-        self.consecutive_entries = 0
-
-    def initial_control(self) -> dict:
-        return {"alpha": None}
+    consecutive_entries = 0     # becomes per instance at the first entry
 
     def _note_entry(self):
         self.consecutive_entries += 1
@@ -184,42 +180,12 @@ class LineSearchMechanism:
                 alpha = 1.0
                 continue
             l += 1
-            d = dres.d
-            dn = float(np.max(np.abs(d), initial=0.0))
-            step_norm = alpha * dn
-            tau_pre = self.strategy.trace_value(sstate)
-            reg = dres.eta if fresh else None
+            out, _ = self._trial(os, sstate, dres, alpha, k, l, records,
+                                 dres.eta if fresh else None)
             fresh = False
-            try:
-                f_t, c_t = evaluate_functions(self.problem, os.x + alpha * d,
-                                              self.counters)
-            except NonFiniteValue:
-                records.append(IterationRecord(
-                    k=k if l == 1 else None, l=l, delta=None, alpha=alpha,
-                    regularization=reg, tau=tau_pre, step_norm=step_norm,
-                    f_trial=math.nan, h_trial=math.nan, grad_lag=None,
-                    label=LABEL_REJ_EVAL, phase=dres.phase.value))
-                alpha *= ls.backtrack
-                continue
-            h_t = infeasibility(c_t)
-            models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
-            trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
-                              f_t=f_t, h_t=h_t, models=models, alpha=alpha,
-                              full_step_norm=dn, step_norm=step_norm,
-                              subproblem_feasible=dres.subproblem_feasible,
-                              h_resto=self.engine.h_resto)
-            verdict = self.strategy.decide(sstate, trial)
-            rec = IterationRecord(
-                k=k if l == 1 else None, l=l, delta=None, alpha=alpha,
-                regularization=reg, tau=tau_pre, step_norm=step_norm,
-                f_trial=f_t, h_trial=h_t, grad_lag=None,
-                label=verdict.label, phase=dres.phase.value)
-            records.append(rec)
-            if verdict.accepted:
-                lam_new = os.lam + alpha * (dres.lam - os.lam)
-                mu_new = os.mu + alpha * (dres.mu - os.mu)
+            if out is not None:
+                out.lam = os.lam + alpha * (dres.lam - os.lam)
+                out.mu = os.mu + alpha * (dres.mu - os.mu)
                 self.consecutive_entries = 0
-                return InnerOutcome(x=os.x + alpha * d, f=f_t, c=c_t, h=h_t,
-                                    lam=lam_new, mu=mu_new, verdict=verdict,
-                                    record=rec, direction=dres)
+                return out
             alpha *= ls.backtrack

@@ -25,9 +25,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, MaxPivots
-from .linalg import nullspace_basis
+from .linalg import nullspace_basis, r_rank
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
+GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
 EIG_ZERO_REL = 1e-12         # reduced-Hessian eigenvalue zero band
 STATIONARY_REL = 1e-10       # reduced-gradient zero test
 MU_SIGN_REL = 1e-9           # bound-multiplier sign tolerance
@@ -70,6 +71,14 @@ def qp_objective(qp: QpData, x: np.ndarray) -> float:
     return float(0.5 * x @ qp.W @ x + qp.g @ x)
 
 
+def complementarity(x, lb, ub, mu) -> float:
+    """Worst |mu_i| * gap, the gap taken on the side mu_i pushes against;
+    pinned variables are skipped."""
+    gap = np.where(mu > 0.0, x - lb, ub - x)
+    return float((np.abs(mu) * np.minimum(gap, GAP_CAP)).max(
+        initial=0.0, where=lb != ub))
+
+
 def kkt_residual(qp: QpData, sol: QpSolution) -> float:
     """Max violation over stationarity, primal, bounds, sign, complementarity."""
     x, lam, mu = sol.x, sol.lam, sol.mu
@@ -77,17 +86,30 @@ def kkt_residual(qp: QpData, sol: QpSolution) -> float:
     r_eq = np.max(np.abs(qp.A.T @ x - qp.b), initial=0.0)
     r_lb = np.max(qp.lb - x, initial=0.0)
     r_ub = np.max(x - qp.ub, initial=0.0)
-    loose = qp.lb != qp.ub
-    lower = loose & (mu > 0.0)      # mu > 0 claims the lower bound
-    upper = loose & (mu < 0.0)      # mu < 0 claims the upper bound
-    unbacked = (lower & (qp.lb == -np.inf)) | (upper & (qp.ub == np.inf))
+    # mu > 0 claims the lower bound, mu < 0 the upper one
+    unbacked = (qp.lb != qp.ub) & (((mu > 0.0) & (qp.lb == -np.inf))
+                                   | ((mu < 0.0) & (qp.ub == np.inf)))
     r_sign = np.max(np.abs(mu[unbacked]), initial=0.0)
-    r_comp = max(
-        np.max(mu[lower] * np.minimum(x[lower] - qp.lb[lower], 1e10),
-               initial=0.0),
-        np.max(-mu[upper] * np.minimum(qp.ub[upper] - x[upper], 1e10),
-               initial=0.0))
-    return max(r_st, r_eq, r_lb, r_ub, r_sign, r_comp)
+    return max(r_st, r_eq, r_lb, r_ub, r_sign,
+               complementarity(x, qp.lb, qp.ub, mu))
+
+
+def elastic_problem(A, b, lb, ub, W=None):
+    """min 1/2 x^T W x + sum(u + v)  s.t.  A^T x - u + v = b, lb <= x <= ub,
+    u, v >= 0, over z = (x, u, v); W = None is the l1 LP. Returns (QpData,
+    z0): z0 is the clipped origin with its residual loaded on u and v."""
+    n, m = A.shape
+    N = n + 2 * m
+    We = np.zeros((N, N))
+    if W is not None:
+        We[:n, :n] = W
+    x0 = np.clip(np.zeros(n), lb, ub)
+    r = A.T @ x0 - b
+    data = QpData(W=We, g=np.concatenate([np.zeros(n), np.ones(2 * m)]),
+                  A=np.vstack([A, -np.eye(m), np.eye(m)]), b=b,
+                  lb=np.concatenate([lb, np.zeros(2 * m)]),
+                  ub=np.concatenate([ub, np.full(2 * m, np.inf)]))
+    return data, np.concatenate([x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)])
 
 
 class _Core:
@@ -289,27 +311,15 @@ def _phase1(A, b, lb, ub, max_pivots):
 
 
 def _elastic_lp(A, b, lb, ub, max_pivots):
-    """min sum(u + v) s.t. A^T x - u + v = b, lb <= x <= ub, u, v >= 0.
-
-    Starts from the clipped origin with the violation loaded on u and v.
-    Returns (x, sum(u + v), pivots); the sum is inf when the LP ends
-    unsolved.
-    """
-    n, m = A.shape
-    x0 = np.clip(np.zeros(n), lb, ub)
-    r = A.T @ x0 - b
-    N = n + 2 * m
-    We = np.zeros((N, N))
-    ge = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    Ae = np.vstack([A, -np.eye(m), np.eye(m)])
-    lbe = np.concatenate([lb, np.zeros(2 * m)])
-    ube = np.concatenate([ub, np.full(2 * m, np.inf)])
-    xe = np.concatenate([x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)])
-    core = _Core(We, ge, Ae, b, lbe, ube, max_pivots)
-    status, xe, _, _, _ = core.run(xe, _initial_work(xe, lbe, ube))
+    """The l1 LP of elastic_problem from its z0. Returns (x, sum(u + v),
+    pivots); the sum is inf when the LP ends unsolved."""
+    n = A.shape[0]
+    lp, z0 = elastic_problem(A, b, lb, ub)
+    core = _Core(lp.W, lp.g, lp.A, lp.b, lp.lb, lp.ub, max_pivots)
+    status, z, _, _, _ = core.run(z0, _initial_work(z0, lp.lb, lp.ub))
     if status != "optimal":
         return None, np.inf, core.pivots
-    return xe[:n], float(np.sum(xe[n:])), core.pivots
+    return z[:n], float(np.sum(z[n:])), core.pivots
 
 
 def _face_enumeration(W, g, lb, ub):
@@ -418,6 +428,9 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # blocks on no bound and so counts no pivot, and never return.
     if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
         raise DimensionMismatch("empty box: no real x with lb <= x <= ub")
+    # a NaN or inf in the data hangs the core the same way
+    if not np.isfinite(np.concatenate((W.ravel(), g, A.ravel(), b))).all():
+        raise DimensionMismatch("NaN or inf in W, g, A or b")
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
@@ -426,11 +439,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     drop = np.zeros(0, dtype=int)
     if m > 1:
         R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-        rdiag = np.abs(np.diag(R))
-        if rdiag.size and rdiag[0] > 0.0:
-            rank = int(np.sum(rdiag > 1e-10 * rdiag[0]))
-        else:
-            rank = 0
+        rank = r_rank(R)
         if rank < m:
             keep = np.sort(piv[:rank])
             drop = np.sort(piv[rank:])

@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import FilterParams, FunnelParams
 from .subproblems import Phase
 
 LABEL_INITIAL = "initial point"
@@ -74,6 +73,45 @@ class StepVerdict:
     filter_add: Optional[tuple] = None   # filter only: entry (h_k, f_k)
 
 
+class _Globalization:
+    """The decision both strategies share. Each supplies reject_label, the
+    tests _exits (may a clean restoration trial leave restoration) and
+    _admissible, and _h_type (the verdict on an admissible non-f-type trial)."""
+
+    def __init__(self, params, zero_step_tol: float = 1e-14):
+        self.params = params
+        self.zero_step_tol = zero_step_tol
+
+    def decide(self, state, trial: TrialData) -> StepVerdict:
+        p = self.params
+        restoring = trial.phase is Phase.RESTORATION
+        if trial.full_step_norm <= self.zero_step_tol:
+            # a zero step on a clean elastic subproblem sits on a feasible
+            # point: leave restoration, or the outer loop never ends
+            done = restoring and trial.subproblem_feasible
+            return StepVerdict(True, LABEL_F_TYPE, step_type="kkt-zero",
+                               new_phase=Phase.OPTIMALITY if done else None)
+        exiting = (restoring and trial.subproblem_feasible
+                   and self._exits(state, trial))
+        if restoring and not exiting:
+            # pure restoration progress: Armijo on the violation model
+            if trial.h_k - trial.h_t >= \
+                    p.sigma * trial.alpha * trial.models.pred_h:
+                return StepVerdict(True, LABEL_RESTORATION,
+                                   step_type="restoration")
+            return StepVerdict(False, LABEL_REJ_ARMIJO)
+        new_phase = Phase.OPTIMALITY if exiting else None
+        if not self._admissible(state, trial):
+            return StepVerdict(False, self.reject_label)
+        if trial.models.pred_f >= p.delta * trial.h_k ** 2:
+            if trial.f_k - trial.f_t >= \
+                    p.sigma * trial.alpha * trial.models.pred_f:
+                return StepVerdict(True, LABEL_F_TYPE, step_type="f-type",
+                                   new_phase=new_phase)
+            return StepVerdict(False, LABEL_REJ_ARMIJO)
+        return self._h_type(state, trial, new_phase)
+
+
 # ------------------ funnel ------------------
 
 @dataclass
@@ -81,14 +119,13 @@ class FunnelState:
     tau: float
 
 
-class FunnelStrategy:
+class FunnelStrategy(_Globalization):
     """Admissible infeasibility shrinks along a funnel tau."""
 
     name = "funnel"
-
-    def __init__(self, params: FunnelParams, zero_step_tol: float = 1e-14):
-        self.params = params
-        self.zero_step_tol = zero_step_tol
+    reject_label = LABEL_REJ_FUNNEL
+    # on each class itself: the benchmark tracer patches vars(cls)["decide"]
+    decide = _Globalization.decide
 
     def init_state(self, h0: float) -> FunnelState:
         p = self.params
@@ -97,30 +134,15 @@ class FunnelStrategy:
     def trace_value(self, state: FunnelState) -> float:
         return state.tau
 
-    def decide(self, state: FunnelState, trial: TrialData) -> StepVerdict:
+    def _exits(self, state: FunnelState, trial: TrialData) -> bool:
+        return trial.h_resto is not None and \
+            trial.h_t <= self.params.beta * min(state.tau, trial.h_resto)
+
+    def _admissible(self, state: FunnelState, trial: TrialData) -> bool:
+        return trial.h_t <= state.tau
+
+    def _h_type(self, state: FunnelState, trial: TrialData, new_phase):
         p = self.params
-        if trial.full_step_norm <= self.zero_step_tol:
-            return StepVerdict(True, LABEL_F_TYPE, step_type="kkt-zero")
-        exiting = (trial.phase is Phase.RESTORATION
-                   and trial.subproblem_feasible
-                   and trial.h_resto is not None
-                   and trial.h_t <= p.beta * min(state.tau, trial.h_resto))
-        if trial.phase is Phase.RESTORATION and not exiting:
-            # pure restoration progress: Armijo on the violation model
-            if trial.h_k - trial.h_t >= \
-                    p.sigma * trial.alpha * trial.models.pred_h:
-                return StepVerdict(True, LABEL_RESTORATION,
-                                   step_type="restoration")
-            return StepVerdict(False, LABEL_REJ_ARMIJO)
-        new_phase = Phase.OPTIMALITY if exiting else None
-        if trial.h_t > state.tau:
-            return StepVerdict(False, LABEL_REJ_FUNNEL)
-        if trial.models.pred_f >= p.delta * trial.h_k ** 2:
-            if trial.f_k - trial.f_t >= \
-                    p.sigma * trial.alpha * trial.models.pred_f:
-                return StepVerdict(True, LABEL_F_TYPE, step_type="f-type",
-                                   new_phase=new_phase)
-            return StepVerdict(False, LABEL_REJ_ARMIJO)
         if trial.h_t <= p.beta * state.tau:
             if p.gould_update:
                 new_tau = max(p.beta * state.tau,
@@ -146,14 +168,12 @@ class FilterState:
     h_max: float = np.inf
 
 
-class FilterStrategy:
+class FilterStrategy(_Globalization):
     """Classic (h, f) filter with a hard infeasibility cap."""
 
     name = "filter"
-
-    def __init__(self, params: FilterParams, zero_step_tol: float = 1e-14):
-        self.params = params
-        self.zero_step_tol = zero_step_tol
+    reject_label = LABEL_REJ_FILTER
+    decide = _Globalization.decide
 
     def init_state(self, h0: float) -> FilterState:
         p = self.params
@@ -171,29 +191,15 @@ class FilterStrategy:
                 return False
         return True
 
-    def decide(self, state: FilterState, trial: TrialData) -> StepVerdict:
-        p = self.params
-        if trial.full_step_norm <= self.zero_step_tol:
-            return StepVerdict(True, LABEL_F_TYPE, step_type="kkt-zero")
-        exiting = (trial.phase is Phase.RESTORATION
-                   and trial.subproblem_feasible
-                   and self.acceptable(state, trial.h_t, trial.f_t))
-        if trial.phase is Phase.RESTORATION and not exiting:
-            if trial.h_k - trial.h_t >= \
-                    p.sigma * trial.alpha * trial.models.pred_h:
-                return StepVerdict(True, LABEL_RESTORATION,
-                                   step_type="restoration")
-            return StepVerdict(False, LABEL_REJ_ARMIJO)
-        new_phase = Phase.OPTIMALITY if exiting else None
-        if not self.acceptable(state, trial.h_t, trial.f_t):
-            return StepVerdict(False, LABEL_REJ_FILTER)
-        if trial.models.pred_f >= p.delta * trial.h_k ** 2:
-            if trial.f_k - trial.f_t >= \
-                    p.sigma * trial.alpha * trial.models.pred_f:
-                return StepVerdict(True, LABEL_F_TYPE, step_type="f-type",
-                                   new_phase=new_phase)
-            return StepVerdict(False, LABEL_REJ_ARMIJO)
+    def _admissible(self, state: FilterState, trial: TrialData) -> bool:
+        return self.acceptable(state, trial.h_t, trial.f_t)
+
+    # a clean restoration trial leaves restoration when the filter takes it
+    _exits = _admissible
+
+    def _h_type(self, state: FilterState, trial: TrialData, new_phase):
         # h-type: must also be acceptable to the current pair (h_k, f_k)
+        p = self.params
         if trial.h_t <= p.beta * trial.h_k or \
                 trial.f_t <= trial.f_k - p.gamma * trial.h_t:
             return StepVerdict(True, LABEL_H_TYPE, step_type="h-type",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .config import SolverConfig
 from .errors import RegularizationFailed
 from .linalg import ldlt_factorize, qr_rank
 from .problems import EvalCounters, NcoProblem, evaluate_lagrangian_hessian
-from .qp import QpData, QpSolution, solve_qp
+from .qp import QpData, elastic_problem, solve_qp
 
 log = logging.getLogger(__name__)
 
@@ -76,39 +76,29 @@ def convexify(W: np.ndarray, A: np.ndarray, eta0: float = 1e-4,
         f"no diagonal shift up to {eta_max:g} gives the required inertia")
 
 
-def build_optimality_qp(x, grad_f, J, c, lb, ub, W,
-                        delta: Optional[float]) -> QpData:
-    """min 1/2 d^T W d + grad_f^T d  s.t.  c + J^T d = 0, step bounds."""
+def step_box(x, lb, ub, delta: Optional[float]):
+    """Bounds on the step d: the bound gaps, capped by the trust radius."""
     lo = lb - x
     hi = ub - x
     if delta is not None:
         lo = np.maximum(lo, -delta)
         hi = np.minimum(hi, delta)
+    return lo, hi
+
+
+def build_optimality_qp(x, grad_f, J, c, lb, ub, W,
+                        delta: Optional[float]) -> QpData:
+    """min 1/2 d^T W d + grad_f^T d  s.t.  c + J^T d = 0, step bounds."""
+    lo, hi = step_box(x, lb, ub, delta)
     return QpData(W=W, g=grad_f.copy(), A=J.copy(), b=-c, lb=lo, ub=hi)
 
 
 def build_feasibility_qp(x, J, c, lb, ub, W0, delta: Optional[float]):
     """Elastic QP over (d, u, v): min 1/2 d^T W0 d + sum(u) + sum(v)
-    s.t. c + J^T d - u + v = 0, u, v >= 0; the trust region caps d only.
-
-    Returns (QpData, feasible_start) with the start at d = 0 and the
-    elastics absorbing the current violation.
-    """
-    n, m = J.shape
-    N = n + 2 * m
-    W = np.zeros((N, N))
-    W[:n, :n] = W0
-    g = np.concatenate([np.zeros(n), np.ones(2 * m)])
-    A = np.vstack([J, -np.eye(m), np.eye(m)])
-    lo = lb - x
-    hi = ub - x
-    if delta is not None:
-        lo = np.maximum(lo, -delta)
-        hi = np.minimum(hi, delta)
-    lbe = np.concatenate([lo, np.zeros(2 * m)])
-    ube = np.concatenate([hi, np.full(2 * m, np.inf)])
-    z0 = np.concatenate([np.zeros(n), np.maximum(c, 0.0), np.maximum(-c, 0.0)])
-    return QpData(W=W, g=g, A=A, b=-c, lb=lbe, ub=ube), z0
+    s.t. c + J^T d - u + v = 0, u, v >= 0 and the step box on d. Returns
+    (QpData, feasible_start), the start at d = 0 when the box holds 0."""
+    lo, hi = step_box(x, lb, ub, delta)
+    return elastic_problem(J, -c, lo, hi, W0)
 
 
 @dataclass
@@ -139,7 +129,6 @@ class DirectionEngine:
         self.x_resto: Optional[np.ndarray] = None
         self.h_resto: Optional[float] = None
         self.resto_lam = np.zeros(problem.m)
-        self.last_fqp: Optional[dict] = None
         self.warm_codes: Optional[np.ndarray] = None
         self.pending_events: list[dict] = []
         self.convexify_directions = config.mechanism == "line-search"
@@ -165,9 +154,16 @@ class DirectionEngine:
         self.resto_lam = np.zeros(self.problem.m)
         self.warm_codes = None
 
-    def apply_verdict(self, verdict):
+    def apply_verdict(self, verdict, record):
+        """Leave restoration if the verdict of the accepted record says so."""
         if verdict.new_phase is Phase.OPTIMALITY and \
                 self.phase is Phase.RESTORATION:
+            self.pending_events.append({
+                "type": "restoration_exit", "h_trial": record.h_trial,
+                "tau_before": record.tau,
+                "tau_after": (record.tau if verdict.new_tau is None
+                              else verdict.new_tau),
+                "h_resto": self.h_resto})
             self.exit_restoration()
 
     # -- direction computation --
@@ -202,26 +198,12 @@ class DirectionEngine:
             qp.W, eta = convexify(W, J, eta0=sp.eta0,
                                   eta_growth=sp.eta_growth,
                                   eta_max=sp.eta_max, min_eta=sp.eta0)
-        sol = solve_qp(qp, warm_start=self.warm_codes,
-                       feasible_start=feas_point)
+        sol, eta = self._solve(qp, W, eta, delta, feas_point,
+                               warm_start=self.warm_codes)
         if sol.status == "infeasible":
             return None
-        retries = 0
-        while sol.status == "unbounded":
-            # only reachable with unbounded step boxes; push the shift until
-            # the Hessian is convex along every feasible ray
-            if delta is not None or retries >= 10:
-                raise RegularizationFailed(
-                    "subproblem stayed unbounded under regularization")
-            retries += 1
-            eta = (eta or sp.eta0) * sp.eta_growth
-            if eta > sp.eta_max:
-                raise RegularizationFailed(
-                    f"no diagonal shift up to {sp.eta_max:g} bounds the subproblem")
-            qp.W = W + eta * np.eye(prob.n)
-            sol = solve_qp(qp, feasible_start=feas_point)
         self.warm_codes = sol.active
-        mu = self._strip_trust_region_multipliers(sol.x, sol.mu, qp, x, delta)
+        mu = self._strip_trust_region_multipliers(sol.x, sol.mu, x, delta)
         return DirectionResult(d=sol.x, lam=sol.lam, mu=mu, W_used=qp.W,
                                phase=Phase.OPTIMALITY, eta=eta,
                                n_pivots=sol.n_pivots)
@@ -229,30 +211,15 @@ class DirectionEngine:
     def _restoration_direction(self, x, c, grad_f, J, delta):
         prob = self.problem
         sp = self.config.subproblem
-        W0 = evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
-                                         self.counters)
-        eta = None
+        W = evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
+                                        self.counters)
+        W0, eta = W, None
         if self.convexify_directions:
-            W0, eta = convexify(W0, J, eta0=sp.eta0,
+            W0, eta = convexify(W, J, eta0=sp.eta0,
                                 eta_growth=sp.eta_growth,
                                 eta_max=sp.eta_max, min_eta=sp.eta0)
         fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
-        sol = solve_qp(fqp, feasible_start=z0)
-        retries = 0
-        while sol.status == "unbounded":
-            if delta is not None or retries >= 10:
-                raise RegularizationFailed(
-                    "elastic subproblem stayed unbounded under regularization")
-            retries += 1
-            eta = (eta or sp.eta0) * sp.eta_growth
-            if eta > sp.eta_max:
-                raise RegularizationFailed(
-                    f"no diagonal shift up to {sp.eta_max:g} bounds the subproblem")
-            fqp.W[:prob.n, :prob.n] = \
-                evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
-                                            self.counters) \
-                + eta * np.eye(prob.n)
-            sol = solve_qp(fqp, feasible_start=z0)
+        sol, eta = self._solve(fqp, W, eta, delta, z0)
         if sol.status != "optimal":
             raise RegularizationFailed("elastic subproblem unsolvable")
         n, m = prob.n, prob.m
@@ -260,9 +227,7 @@ class DirectionEngine:
         u = sol.x[n:n + m]
         v = sol.x[n + m:]
         self.resto_lam = sol.lam.copy()
-        self.last_fqp = {"u": u.copy(), "v": v.copy(), "lam": sol.lam.copy()}
-        mu = self._strip_trust_region_multipliers(
-            d, sol.mu[:n], fqp, x, delta)
+        mu = self._strip_trust_region_multipliers(d, sol.mu[:n], x, delta)
         feasible = float(np.sum(u) + np.sum(v)) <= sp.elastic_tol
         return DirectionResult(d=d, lam=sol.lam, mu=mu,
                                W_used=fqp.W[:n, :n],
@@ -271,17 +236,35 @@ class DirectionEngine:
                                elastic_u=u, elastic_v=v,
                                n_pivots=sol.n_pivots)
 
-    def _strip_trust_region_multipliers(self, d, mu, qp, x, delta):
+    def _solve(self, qp, W, eta, delta, start, warm_start=None):
+        """Solve qp; while it is unbounded (only an unbounded step box
+        allows that) set its d block to W plus a growing diagonal shift.
+        Returns (solution, shift)."""
+        sp = self.config.subproblem
+        n = self.problem.n
+        sol = solve_qp(qp, warm_start=warm_start, feasible_start=start)
+        retries = 0
+        while sol.status == "unbounded":
+            if delta is not None or retries >= 10:
+                raise RegularizationFailed(
+                    "subproblem stayed unbounded under regularization")
+            retries += 1
+            eta = (eta or sp.eta0) * sp.eta_growth
+            if eta > sp.eta_max:
+                raise RegularizationFailed(
+                    f"no diagonal shift up to {sp.eta_max:g} bounds the subproblem")
+            qp.W = qp.W.copy()      # the optimality QP's W is W itself
+            qp.W[:n, :n] = W + eta * np.eye(n)
+            sol = solve_qp(qp, feasible_start=start)
+        return sol, eta
+
+    def _strip_trust_region_multipliers(self, d, mu, x, delta):
         """Zero bound multipliers created by the trust region itself: the
         trust bound must be strictly inside the problem bound and binding."""
         mu = mu.copy()
-        if delta is None:
-            return mu
-        prob = self.problem
-        tol = self.config.trust_region.activity_tol * max(1.0, delta)
-        for i in range(prob.n):
-            if -delta > prob.lb[i] - x[i] and abs(d[i] + delta) <= tol:
-                mu[i] = 0.0
-            elif delta < prob.ub[i] - x[i] and abs(d[i] - delta) <= tol:
-                mu[i] = 0.0
+        if delta is not None:
+            prob = self.problem
+            tol = self.config.trust_region.activity_tol * max(1.0, delta)
+            mu[((-delta > prob.lb - x) & (np.abs(d + delta) <= tol))
+               | ((delta < prob.ub - x) & (np.abs(d - delta) <= tol))] = 0.0
         return mu

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import two_sig
+import funnel_sqp.driver as driver_mod
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.driver import (complementarity, format_trace,
                                lagrangian_gradient, solve)
 from funnel_sqp.dsl import load_source
 from funnel_sqp.problems import NcoProblem, from_expressions, get_problem
-from funnel_sqp.strategies import LABEL_INFEASIBLE, LABEL_OPTIMAL
+from funnel_sqp.strategies import (LABEL_H_TYPE, LABEL_INFEASIBLE,
+                                   LABEL_OPTIMAL, FunnelStrategy, StepVerdict)
+from funnel_sqp.subproblems import Phase
 
 
 def _config(strategy="funnel", mechanism="trust-region", **extra):
@@ -220,6 +223,31 @@ class TestRestorationEvents:
         assert ev["h_resto"] == pytest.approx(4.0, rel=1e-12)
         # the gate that let the solver leave restoration
         assert ev["h_trial"] <= 0.99 * min(ev["tau_before"], ev["h_resto"])
+
+    def test_entry_precedes_exit_in_one_iteration(self, monkeypatch):
+        class ExitAtOnce(FunnelStrategy):
+            def decide(self, state, trial):
+                if trial.phase is Phase.RESTORATION:
+                    return StepVerdict(True, LABEL_H_TYPE, step_type="h-type",
+                                       new_phase=Phase.OPTIMALITY)
+                return super().decide(state, trial)
+
+        monkeypatch.setattr(driver_mod, "FunnelStrategy", ExitAtOnce)
+        res = _solve("line-circle")
+        assert [(e["type"], e["k"]) for e in res.events][:2] == \
+            [("restoration_entry", 1), ("restoration_exit", 1)]
+
+    @pytest.mark.parametrize("strategy, mechanism", [
+        ("funnel", "trust-region"), ("funnel", "line-search"),
+        ("filter", "trust-region"), ("filter", "line-search")])
+    def test_zero_step_leaves_restoration(self, strategy, mechanism):
+        # restoration reaches the feasible x = 1, where the elastic
+        # subproblem is clean and its step zero; that step must exit
+        src = ("var x start 0; minimize x^2; subject_to x^2 == 1; "
+               "subject_to x == 1;")
+        res = solve(load_source(src), _config(strategy, mechanism))
+        assert res.status == "kkt_point"
+        assert res.x == pytest.approx([1.0])
 
     def test_outcome(self, line_circle_tr):
         res = line_circle_tr

@@ -75,10 +75,6 @@ def _log_wall_problem():
 
 
 class TestTrustRegion:
-    def test_initial_control(self):
-        mech, _, _ = _setup("circle")
-        assert mech.initial_control() == {"delta": 10.0}
-
     def test_golden_first_iteration_radii(self):
         mech, os, sstate = _setup("maratos-fletcher")
         records = []
@@ -167,17 +163,13 @@ class TestTrustRegion:
         os.lam, os.mu = out.lam, out.mu
         os.grad_f, os.J = evaluate_gradients(mech.problem, os.x)
         sstate = mech.strategy.commit(sstate, out.verdict)
-        mech.engine.apply_verdict(out.verdict)
+        mech.engine.apply_verdict(out.verdict, out.record)
         records2 = []
         mech.run(os, sstate, k=2, records=records2)
         assert records2[0].delta == pytest.approx(0.25, rel=1e-8)
 
 
 class TestLineSearch:
-    def test_initial_control(self):
-        mech, _, _ = _setup("circle", mechanism="line-search")
-        assert mech.initial_control() == {"alpha": None}
-
     def test_golden_first_iteration_backtrack(self):
         mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
         records = []

@@ -133,6 +133,27 @@ class TestHandCases:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("g", 0, np.nan), ("g", 0, np.inf), ("W", (0, 0), np.nan),
+        ("A", (1, 0), np.inf), ("b", 0, np.nan)])
+    def test_non_finite_data_rejected(self, field, index, value):
+        # NaN or inf in the data used to keep the active-set loop spinning
+        qp = box_qp(np.eye(2), [1.0, 1.0], lb=[-1.0, -1.0], ub=[1.0, 1.0],
+                    A=[1.0, 1.0], b=[0.5])
+        getattr(qp, field)[index] = value
+
+        def hung(signum, frame):
+            raise TimeoutError("solve_qp did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(DimensionMismatch):
+                solve_qp(qp, max_pivots=150)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_objective_helper(self):
         qp = box_qp([[2.0]], [3.0])
         assert qp_objective(qp, np.array([2.0])) == 0.5 * 2 * 4 + 6.0

@@ -11,16 +11,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from funnel_sqp import hyperdual
+from funnel_sqp.config import SolverConfig
+from funnel_sqp.driver import solve
 from funnel_sqp.dsl import (compile_expr, format_expr, load_source,
                             model_to_general, parse_model)
 from funnel_sqp.errors import NonFiniteValue
 from funnel_sqp.hyperdual import (HyperDual, hd_cos, hd_exp, hd_log, hd_sin,
                                   hd_sqrt)
-from funnel_sqp.problems import from_expressions
+from funnel_sqp.problems import from_expressions, get_problem
 from funnel_sqp.tape import (SIN, Binary, Call, Num, Tape, TapeSet, Unary,
                              Var, trace)
 
 NAMES = ["x0", "x1", "x2", "x3"]
+VARIANTS = [("funnel", "trust-region"), ("funnel", "line-search"),
+            ("filter", "trust-region"), ("filter", "line-search")]
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "^": operator.pow}
 _FNS = {"exp": hd_exp, "log": hd_log, "sin": hd_sin, "cos": hd_cos,
@@ -305,7 +309,8 @@ class TestDomainFaults:
 
 
 def test_benchmark_tracer_patches_existing_names():
-    """The benchmark tracer patches these names; fail here if one goes."""
+    """The benchmark tracer patches these names; fail here if one goes, or
+    if a solve of any variant no longer passes through a traced layer."""
     bench = str(Path(__file__).resolve().parents[1] / "solverbench")
     sys.path.insert(0, bench)
     try:
@@ -315,9 +320,18 @@ def test_benchmark_tracer_patches_existing_names():
         tracer.install()
         try:
             assert hyperdual.hessian is not originals[1]
+            for i, (strategy, mechanism) in enumerate(VARIANTS):
+                config = SolverConfig(strategy=strategy, mechanism=mechanism)
+                tracer.solve(i, solve, get_problem("line-circle"), config,
+                             mechanism)
         finally:
             tracer.uninstall()
         assert (hyperdual.gradient, hyperdual.hessian) == originals
+        for i in range(len(VARIANTS)):
+            names = {span[layers.NAME] for span in tracer.spans
+                     if span[layers.SOLVE] == i}
+            assert {"mechanisms.run", "strategies.decide",
+                    "subproblems.compute", "qp.solve"} <= names
     finally:
         sys.path.remove(bench)
 
