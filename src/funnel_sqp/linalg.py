@@ -22,16 +22,13 @@ RANK_REL = 1e-10
 
 @dataclass
 class LdltFactors:
-    """LDL^T factors of a symmetric matrix with signed-pivot inertia.
+    """Inertia of a symmetric matrix from its LDL^T factorization.
 
     M is factored as P^T L D L^T P with D block diagonal (1x1 and 2x2 blocks).
     ``inertia`` is (n_pos, n_neg, n_zero) over D's eigenvalues, which by
     Sylvester's law equals the inertia of M.
     """
 
-    lu: np.ndarray          # scipy ldl "lu" output (permuted unit lower triangle)
-    d: np.ndarray           # block-diagonal factor
-    perm: np.ndarray        # row permutation such that lu[perm] is lower triangular
     inertia: tuple[int, int, int]
 
 
@@ -45,17 +42,15 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
     if n == 0:
-        return LdltFactors(lu=np.zeros((0, 0)), d=np.zeros((0, 0)),
-                           perm=np.zeros(0, dtype=int), inertia=(0, 0, 0))
+        return LdltFactors(inertia=(0, 0, 0))
     skew = np.max(np.abs(M - M.T))
     if skew > sym_tol * (1.0 + np.max(np.abs(M))):
         raise NotSymmetric(f"matrix asymmetry {skew:.3e} above tolerance")
     M = 0.5 * (M + M.T)
-    lu, d, perm = scipy.linalg.ldl(M, lower=True)
+    d = scipy.linalg.ldl(M, lower=True)[1]
     norm = np.max(np.abs(M)) if n else 0.0
     zero_tol = ZERO_EIG_REL * max(norm, 1e-300)
-    return LdltFactors(lu=lu, d=d, perm=np.asarray(perm),
-                       inertia=_block_inertia(d, zero_tol))
+    return LdltFactors(inertia=_block_inertia(d, zero_tol))
 
 
 def _block_inertia(d: np.ndarray, zero_tol: float) -> tuple[int, int, int]:

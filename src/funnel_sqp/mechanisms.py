@@ -132,7 +132,7 @@ class TrustRegionMechanism(_Mechanism):
                     f"radius collapsed to {self.delta:.2e} at violation "
                     f"{os.h:.2e}")
             l += 1
-            dres = self.engine.compute(os.x, os.f, os.c, os.h, os.grad_f,
+            dres = self.engine.compute(os.x, os.c, os.h, os.grad_f,
                                        os.J, os.lam, delta=self.delta)
             if dres.entered_restoration:
                 os.lam[:] = 0.0
@@ -160,7 +160,7 @@ class LineSearchMechanism(_Mechanism):
     def run(self, os: OuterState, sstate, k: int,
             records: list) -> InnerOutcome:
         ls = self.config.line_search
-        dres = self.engine.compute(os.x, os.f, os.c, os.h, os.grad_f, os.J,
+        dres = self.engine.compute(os.x, os.c, os.h, os.grad_f, os.J,
                                    os.lam, delta=None)
         if dres.entered_restoration:
             self._note_entry()
@@ -174,7 +174,7 @@ class LineSearchMechanism(_Mechanism):
                 self._note_entry()
                 self.engine.enter_restoration(os.x, os.h, source="alpha_min")
                 os.lam[:] = 0.0
-                dres = self.engine.compute(os.x, os.f, os.c, os.h, os.grad_f,
+                dres = self.engine.compute(os.x, os.c, os.h, os.grad_f,
                                            os.J, os.lam, delta=None)
                 fresh = True
                 alpha = 1.0

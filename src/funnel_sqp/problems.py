@@ -7,7 +7,9 @@ Standard form is
 with c mapping R^n -> R^m. Jacobians are stored column-wise: jac_c(x) has
 shape (n, m) and column j is the gradient of c_j. General problems with
 ranged constraints lower to this form through slack variables, and problems
-given as expressions get their derivatives from the tape (tape.py).
+given as expressions get their derivatives from the tape (tape.py). The
+builtin registry problems are such expressions too: each is written as its
+objective and constraint callables, and the same tape differentiates them.
 """
 
 from __future__ import annotations
@@ -209,372 +211,80 @@ def to_standard_form(gp: GeneralProblem) -> NcoProblem:
 
 # ------------------ builtin registry ------------------
 
-def _maratos_fletcher() -> NcoProblem:
+def _traced(n: int, f, cons: list, **arrays) -> tuple:
+    """Registry entry: f and each c_j traced once, and the box and start
+    data as arrays for get_problem to copy (an unset box is unbounded)."""
+    arrays = {"lb": np.full(n, -np.inf), "ub": np.full(n, np.inf),
+              **{k: np.array(v, dtype=float) for k, v in arrays.items()}}
+    return n, trace(f, n), [trace(c, n) for c in cons], arrays
+
+
+# name -> (n, f, [c_j], {lb, ub, x0, lambda0, known_solution}); each
+# constraint is c_j(x) = 0
+_REGISTRY = {
     # unit-circle problem whose full steps overshoot the constraint curve
-    def f(x):
-        return 2.0 * (x[0] ** 2 + x[1] ** 2 - 1.0) - x[0]
-
-    def c(x):
-        return np.array([x[0] ** 2 + x[1] ** 2 - 1.0])
-
-    def grad_f(x):
-        return np.array([4.0 * x[0] - 1.0, 4.0 * x[1]])
-
-    def jac_c(x):
-        return np.array([[2.0 * x[0]], [2.0 * x[1]]])
-
-    def hess_f(x):
-        return 4.0 * np.eye(2)
-
-    def hess_c(x):
-        return 2.0 * np.eye(2)[None, :, :]
-
-    inf = np.inf
-    return NcoProblem(
-        name="maratos-fletcher", n=2, m=1, f=f, c=c, grad_f=grad_f,
-        jac_c=jac_c, hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([0.707106781, 0.707106781]),
-        lambda0=np.array([1.5]),
-        known_solution=np.array([1.0, 0.0]))
-
-
-def _powellbs() -> NcoProblem:
+    "maratos-fletcher": _traced(
+        2, lambda x: 2.0 * (x[0] ** 2 + x[1] ** 2 - 1.0) - x[0],
+        [lambda x: x[0] ** 2 + x[1] ** 2 - 1.0],
+        x0=[0.707106781, 0.707106781], lambda0=[1.5],
+        known_solution=[1.0, 0.0]),
     # badly scaled root-finding pair posed with a zero objective
-    def f(x):
-        return 0.0
-
-    def c(x):
-        return np.array([1e4 * x[0] * x[1] - 1.0,
-                         np.exp(-x[0]) + np.exp(-x[1]) - 1.0001])
-
-    def grad_f(x):
-        return np.zeros(2)
-
-    def jac_c(x):
-        return np.array([[1e4 * x[1], -np.exp(-x[0])],
-                         [1e4 * x[0], -np.exp(-x[1])]])
-
-    def hess_f(x):
-        return np.zeros((2, 2))
-
-    def hess_c(x):
-        H = np.zeros((2, 2, 2))
-        H[0] = np.array([[0.0, 1e4], [1e4, 0.0]])
-        H[1] = np.diag([np.exp(-x[0]), np.exp(-x[1])])
-        return H
-
-    inf = np.inf
-    return NcoProblem(
-        name="powellbs", n=2, m=2, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([0.0, 1.0]),
-        known_solution=np.array([1.0981593e-5, 9.1061467]))
-
-
-def _circle() -> NcoProblem:
+    "powellbs": _traced(
+        2, lambda x: 0.0,
+        [lambda x: 1e4 * x[0] * x[1] - 1.0,
+         lambda x: np.exp(-x[0]) + np.exp(-x[1]) - 1.0001],
+        x0=[0.0, 1.0], known_solution=[1.0981593e-5, 9.1061467]),
     # convex QP with one linear equality; unique optimum (0.5, 0.5)
-    def f(x):
-        return x[0] ** 2 + x[1] ** 2
-
-    def c(x):
-        return np.array([x[0] + x[1] - 1.0])
-
-    def grad_f(x):
-        return np.array([2.0 * x[0], 2.0 * x[1]])
-
-    def jac_c(x):
-        return np.array([[1.0], [1.0]])
-
-    def hess_f(x):
-        return 2.0 * np.eye(2)
-
-    def hess_c(x):
-        return np.zeros((1, 2, 2))
-
-    inf = np.inf
-    return NcoProblem(
-        name="circle", n=2, m=1, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([0.0, 0.0]),
-        known_solution=np.array([0.5, 0.5]))
-
-
-def _bounded_lp() -> NcoProblem:
+    "circle": _traced(
+        2, lambda x: x[0] ** 2 + x[1] ** 2, [lambda x: x[0] + x[1] - 1.0],
+        x0=[0.0, 0.0], known_solution=[0.5, 0.5]),
     # linear program; optimum sits on the x2 >= 0 bound
-    def f(x):
-        return x[0] + 2.0 * x[1]
-
-    def c(x):
-        return np.array([x[0] + x[1] - 1.0])
-
-    def grad_f(x):
-        return np.array([1.0, 2.0])
-
-    def jac_c(x):
-        return np.array([[1.0], [1.0]])
-
-    def hess_f(x):
-        return np.zeros((2, 2))
-
-    def hess_c(x):
-        return np.zeros((1, 2, 2))
-
-    inf = np.inf
-    return NcoProblem(
-        name="bounded-lp", n=2, m=1, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([0.0, 0.0]), ub=np.array([inf, inf]),
-        x0=np.array([0.5, 0.5]),
-        known_solution=np.array([1.0, 0.0]))
-
-
-def _line_circle() -> NcoProblem:
+    "bounded-lp": _traced(
+        2, lambda x: x[0] + 2.0 * x[1], [lambda x: x[0] + x[1] - 1.0],
+        lb=[0.0, 0.0], x0=[0.5, 0.5],
+        known_solution=[1.0, 0.0]),
     # linearized rows are parallel and inconsistent along x1 == x2, so the
     # first subproblem is infeasible and the solver must restore
-    def f(x):
-        return x[0]
-
-    def c(x):
-        return np.array([x[0] + x[1] - 1.0,
-                         x[0] ** 2 + x[1] ** 2 - 5.0])
-
-    def grad_f(x):
-        return np.array([1.0, 0.0])
-
-    def jac_c(x):
-        return np.array([[1.0, 2.0 * x[0]],
-                         [1.0, 2.0 * x[1]]])
-
-    def hess_f(x):
-        return np.zeros((2, 2))
-
-    def hess_c(x):
-        H = np.zeros((2, 2, 2))
-        H[1] = 2.0 * np.eye(2)
-        return H
-
-    inf = np.inf
-    return NcoProblem(
-        name="line-circle", n=2, m=2, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([1.0, 1.0]),
-        known_solution=np.array([-1.0, 2.0]))
-
-
-def _infeasible_quadratic() -> NcoProblem:
+    "line-circle": _traced(
+        2, lambda x: x[0],
+        [lambda x: x[0] + x[1] - 1.0, lambda x: x[0] ** 2 + x[1] ** 2 - 5.0],
+        x0=[1.0, 1.0], known_solution=[-1.0, 2.0]),
     # c(x) = x^2 + 1 has no root; x = 0 minimizes ||c||_1
-    def f(x):
-        return 0.0
-
-    def c(x):
-        return np.array([x[0] ** 2 + 1.0])
-
-    def grad_f(x):
-        return np.zeros(1)
-
-    def jac_c(x):
-        return np.array([[2.0 * x[0]]])
-
-    def hess_f(x):
-        return np.zeros((1, 1))
-
-    def hess_c(x):
-        return 2.0 * np.ones((1, 1, 1))
-
-    inf = np.inf
-    return NcoProblem(
-        name="infeasible-quadratic", n=1, m=1, f=f, c=c, grad_f=grad_f,
-        jac_c=jac_c, hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf]), ub=np.array([inf]),
-        x0=np.array([1.0]))
-
-
-def _unbounded_cubic() -> NcoProblem:
+    "infeasible-quadratic": _traced(
+        1, lambda x: 0.0, [lambda x: x[0] ** 2 + 1.0], x0=[1.0]),
     # objective decreases without bound along the feasible ray x1 = x2 -> inf
-    def f(x):
-        return -x[0] ** 3
-
-    def c(x):
-        return np.array([x[0] - x[1]])
-
-    def grad_f(x):
-        return np.array([-3.0 * x[0] ** 2, 0.0])
-
-    def jac_c(x):
-        return np.array([[1.0], [-1.0]])
-
-    def hess_f(x):
-        return np.array([[-6.0 * x[0], 0.0], [0.0, 0.0]])
-
-    def hess_c(x):
-        return np.zeros((1, 2, 2))
-
-    inf = np.inf
-    return NcoProblem(
-        name="unbounded-cubic", n=2, m=1, f=f, c=c, grad_f=grad_f,
-        jac_c=jac_c, hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([1.0, 1.0]))
-
-
-def _hs6() -> NcoProblem:
-    def f(x):
-        return (1.0 - x[0]) ** 2
-
-    def c(x):
-        return np.array([10.0 * (x[1] - x[0] ** 2)])
-
-    def grad_f(x):
-        return np.array([-2.0 * (1.0 - x[0]), 0.0])
-
-    def jac_c(x):
-        return np.array([[-20.0 * x[0]], [10.0]])
-
-    def hess_f(x):
-        return np.array([[2.0, 0.0], [0.0, 0.0]])
-
-    def hess_c(x):
-        H = np.zeros((1, 2, 2))
-        H[0, 0, 0] = -20.0
-        return H
-
-    inf = np.inf
-    return NcoProblem(
-        name="hs6", n=2, m=1, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([-1.2, 1.0]),
-        known_solution=np.array([1.0, 1.0]))
-
-
-def _hs7() -> NcoProblem:
-    def f(x):
-        return np.log(1.0 + x[0] ** 2) - x[1]
-
-    def c(x):
-        return np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0])
-
-    def grad_f(x):
-        return np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0])
-
-    def jac_c(x):
-        return np.array([[4.0 * x[0] * (1.0 + x[0] ** 2)], [2.0 * x[1]]])
-
-    def hess_f(x):
-        t = 1.0 + x[0] ** 2
-        return np.array([[2.0 * (1.0 - x[0] ** 2) / t ** 2, 0.0],
-                         [0.0, 0.0]])
-
-    def hess_c(x):
-        H = np.zeros((1, 2, 2))
-        H[0, 0, 0] = 4.0 + 12.0 * x[0] ** 2
-        H[0, 1, 1] = 2.0
-        return H
-
-    inf = np.inf
-    return NcoProblem(
-        name="hs7", n=2, m=1, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.array([-inf, -inf]), ub=np.array([inf, inf]),
-        x0=np.array([2.0, 2.0]),
-        known_solution=np.array([0.0, np.sqrt(3.0)]))
-
-
-def _hs26() -> NcoProblem:
-    def f(x):
-        return (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 4
-
-    def c(x):
-        return np.array([(1.0 + x[1] ** 2) * x[0] + x[2] ** 4 - 3.0])
-
-    def grad_f(x):
-        d1 = 2.0 * (x[0] - x[1])
-        d2 = 4.0 * (x[1] - x[2]) ** 3
-        return np.array([d1, -d1 + d2, -d2])
-
-    def jac_c(x):
-        return np.array([[1.0 + x[1] ** 2],
-                         [2.0 * x[0] * x[1]],
-                         [4.0 * x[2] ** 3]])
-
-    def hess_f(x):
-        q = 12.0 * (x[1] - x[2]) ** 2
-        return np.array([[2.0, -2.0, 0.0],
-                         [-2.0, 2.0 + q, -q],
-                         [0.0, -q, q]])
-
-    def hess_c(x):
-        H = np.zeros((1, 3, 3))
-        H[0, 0, 1] = H[0, 1, 0] = 2.0 * x[1]
-        H[0, 1, 1] = 2.0 * x[0]
-        H[0, 2, 2] = 12.0 * x[2] ** 2
-        return H
-
-    inf = np.inf
-    return NcoProblem(
-        name="hs26", n=3, m=1, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.full(3, -inf), ub=np.full(3, inf),
-        x0=np.array([-2.6, 2.0, 2.0]),
-        known_solution=np.array([1.0, 1.0, 1.0]))
-
-
-def _box_qp() -> NcoProblem:
+    "unbounded-cubic": _traced(
+        2, lambda x: -x[0] ** 3, [lambda x: x[0] - x[1]], x0=[1.0, 1.0]),
+    "hs6": _traced(
+        2, lambda x: (1.0 - x[0]) ** 2, [lambda x: 10.0 * (x[1] - x[0] ** 2)],
+        x0=[-1.2, 1.0], known_solution=[1.0, 1.0]),
+    "hs7": _traced(
+        2, lambda x: np.log(1.0 + x[0] ** 2) - x[1],
+        [lambda x: (1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0],
+        x0=[2.0, 2.0], known_solution=[0.0, np.sqrt(3.0)]),
+    "hs26": _traced(
+        3, lambda x: (x[0] - x[1]) ** 2 + (x[1] - x[2]) ** 4,
+        [lambda x: (1.0 + x[1] ** 2) * x[0] + x[2] ** 4 - 3.0],
+        x0=[-2.6, 2.0, 2.0], known_solution=[1.0, 1.0, 1.0]),
     # unconstrained minimum (2, -3) lies outside the unit box
-    def f(x):
-        return (x[0] - 2.0) ** 2 + (x[1] + 3.0) ** 2
-
-    def c(x):
-        return np.zeros(0)
-
-    def grad_f(x):
-        return np.array([2.0 * (x[0] - 2.0), 2.0 * (x[1] + 3.0)])
-
-    def jac_c(x):
-        return np.zeros((2, 0))
-
-    def hess_f(x):
-        return 2.0 * np.eye(2)
-
-    def hess_c(x):
-        return np.zeros((0, 2, 2))
-
-    return NcoProblem(
-        name="box-qp", n=2, m=0, f=f, c=c, grad_f=grad_f, jac_c=jac_c,
-        hess_f=hess_f, hess_c=hess_c,
-        lb=np.zeros(2), ub=np.ones(2),
-        x0=np.array([0.5, 0.5]),
-        known_solution=np.array([1.0, 0.0]))
-
-
-_BUILDERS = {
-    "maratos-fletcher": _maratos_fletcher,
-    "powellbs": _powellbs,
-    "circle": _circle,
-    "bounded-lp": _bounded_lp,
-    "line-circle": _line_circle,
-    "infeasible-quadratic": _infeasible_quadratic,
-    "unbounded-cubic": _unbounded_cubic,
-    "hs6": _hs6,
-    "hs7": _hs7,
-    "hs26": _hs26,
-    "box-qp": _box_qp,
+    "box-qp": _traced(
+        2, lambda x: (x[0] - 2.0) ** 2 + (x[1] + 3.0) ** 2, [],
+        lb=[0.0, 0.0], ub=[1.0, 1.0], x0=[0.5, 0.5],
+        known_solution=[1.0, 0.0]),
 }
 
 
 def problem_names() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_REGISTRY)
 
 
 def get_problem(name: str) -> NcoProblem:
+    """A fresh problem: new arrays and TapeSets over the traced expressions."""
     try:
-        builder = _BUILDERS[name]
+        n, f, cons, arrays = _REGISTRY[name]
     except KeyError:
         raise UnknownProblem(
             f"unknown problem {name!r}; available: {', '.join(problem_names())}"
         ) from None
-    return builder()
+    return from_expressions(name, n, f, cons,
+                            **{k: v.copy() for k, v in arrays.items()})

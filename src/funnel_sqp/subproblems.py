@@ -168,7 +168,7 @@ class DirectionEngine:
 
     # -- direction computation --
 
-    def compute(self, x, f, c, h, grad_f, J, lam,
+    def compute(self, x, c, h, grad_f, J, lam,
                 delta: Optional[float]) -> DirectionResult:
         entered = False
         if self.phase is Phase.OPTIMALITY:

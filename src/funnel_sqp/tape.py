@@ -27,6 +27,7 @@ non-finite derivative and returns non-finite values for the caller.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -587,10 +588,10 @@ class TapeSet:
         with np.errstate(all="ignore"):
             for grp in groups:
                 v = forward(grp.ops, x[grp.index], 0)[0]
-                np.put(M, grp.slots, grp.sign * v)
+                M.put(grp.slots, grp.sign * v)
             if not M.size:
                 return np.zeros(self.size)
-            return np.cumsum(M, axis=1)[:, -1].copy()   # not a view of M
+            return M.cumsum(axis=1)[:, -1].copy()   # not a view of M
 
     def jacobian(self, x) -> np.ndarray:
         """(n, size) gradients at x, one column per expression."""
@@ -621,7 +622,7 @@ class TapeSet:
             raise NonFiniteValue(
                 f"{self.name} {what} evaluated to a non-finite value")
         return np.bincount(index, weights=w,
-                           minlength=int(np.prod(shape))).reshape(shape)
+                           minlength=math.prod(shape)).reshape(shape)
 
 
 def _concat(arrays: list) -> np.ndarray:

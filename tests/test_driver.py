@@ -366,6 +366,30 @@ class TestDomainFaults:
         assert res.error_kind == "non_finite_value"
 
 
+class TestKnownLimits:
+    """Current outcomes where a constraint qualification fails.
+
+    x^2 + y^2 == 0 holds only at the origin, where its gradient vanishes, so
+    LICQ fails at the solution. Trust region reports a KKT point only after
+    783 outer iterations (711 of them KKT zero steps); line search ends in
+    a regularization failure. A fix that changes either outcome updates
+    this table.
+    """
+
+    LICQ = ("var x start 1; var y start 1; minimize x + y; "
+            "subject_to x^2 + y^2 == 0;")
+
+    @pytest.mark.parametrize("strategy, mechanism, status, kind, n_outer", [
+        ("funnel", "trust-region", "kkt_point", None, 783),
+        ("filter", "trust-region", "kkt_point", None, 783),
+        ("funnel", "line-search", "error", "regularization_failed", 55),
+        ("filter", "line-search", "error", "regularization_failed", 55)])
+    def test_licq_failure(self, strategy, mechanism, status, kind, n_outer):
+        res = solve(load_source(self.LICQ), _config(strategy, mechanism))
+        assert (res.status, res.error_kind, res.n_outer) == \
+            (status, kind, n_outer)
+
+
 class TestFormatTrace:
     def test_trust_region_layout(self, maratos_tr):
         lines = format_trace(maratos_tr).splitlines()

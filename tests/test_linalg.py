@@ -68,19 +68,6 @@ class TestLdlt:
         f = ldlt_factorize(np.zeros((0, 0)))
         assert f.inertia == (0, 0, 0)
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        M = random_symmetric(rng, n)
-        f = ldlt_factorize(M)
-        L = f.lu[f.perm]
-        R = L @ f.d @ L.T
-        back = np.empty_like(R)
-        back[np.ix_(f.perm, f.perm)] = R
-        assert np.max(np.abs(back - M)) <= 1e-10 * max(
-            1.0, np.max(np.abs(M)))
-
 
 class TestNullspace:
     def test_single_column(self):

@@ -1,5 +1,7 @@
 """Registry consistency, evaluator contracts, and ranged-form lowering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", problem_names())
     def test_registry_derivatives_vs_fd(self, name):
-        # hand-coded derivative callables checked against central differences
+        # tape derivatives of the registry's f and c checked against
+        # central differences
         p = get_problem(name)
         rng = np.random.default_rng(hash(name) % 2**32)
         for _ in range(5):
@@ -120,12 +123,23 @@ class TestEvaluators:
         W = evaluate_lagrangian_hessian(p, x, 0.0, np.zeros(1))
         assert np.allclose(W, np.zeros((2, 2)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_objective_raises(self):
         p = get_problem("powellbs")
         # exp(-x0) overflows for very negative x0
         with pytest.raises(NonFiniteValue):
             evaluate_functions(p, np.array([-1e6, 0.0]))
+
+    @pytest.mark.parametrize("name, x", [
+        ("powellbs", [-1e6, 0.0]),       # exp(-x0) overflows
+        ("hs7", [1e200, 0.0]),           # x0^2 overflows
+        ("hs26", [0.0, 1e200, 1e100]),   # (x0 - x1)^2 overflows
+    ])
+    def test_domain_fault_is_nonfinite_value_not_warning(self, name, x):
+        p = get_problem(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                evaluate_functions(p, np.array(x))
 
     def test_wrong_constraint_count_raises(self):
         p = get_problem("circle")

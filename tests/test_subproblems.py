@@ -141,15 +141,15 @@ def _engine(name, mechanism="trust-region"):
     counters = EvalCounters()
     engine = DirectionEngine(problem, config, counters)
     x = problem.start_point()
-    f, c = evaluate_functions(problem, x, counters)
+    c = evaluate_functions(problem, x, counters)[1]
     g, J = evaluate_gradients(problem, x, counters)
-    return engine, problem, x, f, c, g, J
+    return engine, problem, x, c, g, J
 
 
 class TestDirectionEngine:
     def test_optimality_direction_solves_linearization(self):
-        engine, prob, x, f, c, g, J = _engine("circle")
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        engine, prob, x, c, g, J = _engine("circle")
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=10.0)
         assert res.phase is Phase.OPTIMALITY
         assert not res.entered_restoration
@@ -167,16 +167,16 @@ class TestDirectionEngine:
             x0=np.zeros(2))
         engine = DirectionEngine(prob, _config(), EvalCounters())
         x = prob.start_point()
-        f, c = evaluate_functions(prob, x)
+        c = evaluate_functions(prob, x)[1]
         g, J = evaluate_gradients(prob, x)
-        res = engine.compute(x, f, c, 0.0, g, J, np.zeros(0), delta=0.5)
+        res = engine.compute(x, c, 0.0, g, J, np.zeros(0), delta=0.5)
         assert np.allclose(res.d, [-0.2, -0.5])
         assert res.mu[0] != 0.0     # problem bound keeps its multiplier
         assert res.mu[1] == 0.0     # trust-region bound is synthetic
 
     def test_infeasible_linearization_enters_restoration(self):
-        engine, prob, x, f, c, g, J = _engine("line-circle")
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        engine, prob, x, c, g, J = _engine("line-circle")
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=10.0)
         assert res.entered_restoration
         assert res.phase is Phase.RESTORATION
@@ -191,12 +191,12 @@ class TestDirectionEngine:
         assert res.elastic_u is not None and res.elastic_v is not None
 
     def test_restoration_keeps_multiplier_memory(self):
-        engine, prob, x, f, c, g, J = _engine("line-circle")
-        engine.compute(x, f, c, infeasibility(c), g, J,
+        engine, prob, x, c, g, J = _engine("line-circle")
+        engine.compute(x, c, infeasibility(c), g, J,
                        prob.start_multipliers(), delta=10.0)
         lam_first = engine.resto_lam.copy()
         # second call reuses the updated multipliers for the curvature term
-        engine.compute(x, f, c, infeasibility(c), g, J,
+        engine.compute(x, c, infeasibility(c), g, J,
                        prob.start_multipliers(), delta=10.0)
         assert engine.resto_lam.shape == lam_first.shape
 
@@ -206,18 +206,18 @@ class TestDirectionEngine:
         prob = get_problem("infeasible-quadratic")
         engine = DirectionEngine(prob, _config(), EvalCounters())
         x = np.array([0.0])
-        f, c = evaluate_functions(prob, x)
+        c = evaluate_functions(prob, x)[1]
         g, J = evaluate_gradients(prob, x)
         engine.enter_restoration(x, infeasibility(c), source="test")
         engine.pending_events.clear()
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              np.zeros(1), delta=10.0)
         assert res.phase is Phase.RESTORATION
         assert not res.subproblem_feasible
         assert np.isclose(res.elastic_u[0] + res.elastic_v[0], 1.0)
 
     def test_exit_restores_optimality_state(self):
-        engine, prob, x, f, c, g, J = _engine("line-circle")
+        engine, prob, x, c, g, J = _engine("line-circle")
         engine.enter_restoration(x, 4.0, source="test")
         assert engine.phase is Phase.RESTORATION
         engine.exit_restoration()
@@ -226,7 +226,7 @@ class TestDirectionEngine:
         assert np.array_equal(engine.resto_lam, np.zeros(prob.m))
 
     def test_apply_verdict_exits_on_phase_change(self):
-        engine, prob, x, f, c, g, J = _engine("line-circle")
+        engine, prob, x, c, g, J = _engine("line-circle")
         engine.enter_restoration(x, 4.0, source="test")
         verdict = types.SimpleNamespace(new_phase=Phase.OPTIMALITY,
                                         new_tau=None)
@@ -239,32 +239,32 @@ class TestDirectionEngine:
         assert engine.phase is Phase.RESTORATION
 
     def test_line_search_directions_regularized(self):
-        engine, prob, x, f, c, g, J = _engine("maratos-fletcher",
+        engine, prob, x, c, g, J = _engine("maratos-fletcher",
                                               mechanism="line-search")
         assert engine.convexify_directions
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=None)
         assert res.eta == 1e-4
 
     def test_trust_region_directions_unregularized(self):
-        engine, prob, x, f, c, g, J = _engine("maratos-fletcher")
+        engine, prob, x, c, g, J = _engine("maratos-fletcher")
         assert not engine.convexify_directions
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=10.0)
         assert res.eta is None
 
     def test_line_search_probe_routes_to_restoration(self):
-        engine, prob, x, f, c, g, J = _engine("line-circle",
+        engine, prob, x, c, g, J = _engine("line-circle",
                                               mechanism="line-search")
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=None)
         assert res.entered_restoration
         assert res.phase is Phase.RESTORATION
 
     def test_counters_track_hessians(self):
-        engine, prob, x, f, c, g, J = _engine("circle")
+        engine, prob, x, c, g, J = _engine("circle")
         before = engine.counters.n_hess
-        engine.compute(x, f, c, infeasibility(c), g, J,
+        engine.compute(x, c, infeasibility(c), g, J,
                        prob.start_multipliers(), delta=10.0)
         assert engine.counters.n_hess == before + 1
 
@@ -284,12 +284,12 @@ class TestDirectionEngine:
                                   n_pivots=0)
             return real(qp, **kwargs)
 
-        engine, prob, x, f, c, g, J = _engine("line-circle",
+        engine, prob, x, c, g, J = _engine("line-circle",
                                               mechanism="line-search")
         engine.enter_restoration(x, infeasibility(c), source="test")
         monkeypatch.setattr(sp, "solve_qp", flaky)
         before = engine.counters.n_hess
-        res = engine.compute(x, f, c, infeasibility(c), g, J,
+        res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=None)
         assert res.phase is Phase.RESTORATION
         assert len(calls) == unbounded_calls + 1
