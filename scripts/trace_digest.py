@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print one sha256 per solve, so two versions of the solver can be shown to
+behave the same with one diff of this script's output.
+
+Each digest covers the solve's iteration trace (format_trace), status,
+error_kind, evaluation counters, step counts, events, repr(f) and the
+repr of every entry of x.
+The 124 solves, each under all four strategy/mechanism variants:
+
+  - every registry problem and every models/*.nco model (56);
+  - the chained Rosenbrock of solverbench/chain.py from the starts of seeds
+    0-3 and 4099: the .nco form and the numpy form at n=24, and the numpy
+    form at n=200 (60);
+  - the n=24 .nco chain from the Armijo-rounding-cycle start, max_outer=100
+    (4);
+  - the LICQ failure x + y subject to x^2 + y^2 = 0 (4).
+
+Usage: python3 scripts/trace_digest.py > digest.txt
+"""
+
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench")]
+
+import chain  # noqa: E402
+from funnel_sqp import SolverConfig, format_trace, solve  # noqa: E402
+from funnel_sqp.dsl import load_file, load_source  # noqa: E402
+from funnel_sqp.problems import get_problem, problem_names  # noqa: E402
+
+VARIANTS = list(itertools.product(("funnel", "filter"),
+                                  ("trust-region", "line-search")))
+SEEDS = (0, 1, 2, 3, 4099)
+LICQ = ("var x start 1; var y start 1; minimize x + y; "
+        "subject_to x^2 + y^2 == 0;")
+
+
+def problems():
+    """(label, problem factory, max_outer) for every solved problem."""
+    for name in problem_names():
+        yield name, lambda name=name: get_problem(name), None
+    for path in sorted((ROOT / "models").glob("*.nco")):
+        yield path.name, lambda path=path: load_file(path), None
+    for seed in SEEDS:
+        for n in (24, 200):
+            x0 = chain.start_point(n, seed)
+            if n == 24:
+                yield (f"dsl-chain-{n}/seed-{seed}",
+                       lambda x0=x0: load_source(chain.nco_text(x0)), None)
+            yield (f"analytic-chain-{n}/seed-{seed}",
+                   lambda x0=x0: chain.analytic_problem(x0), None)
+    base = np.where(np.arange(24) % 2 == 0, -1.2, 1.0)
+    x0 = base + np.random.default_rng([22, 1]).uniform(-0.1, 0.1, 24)
+    yield ("armijo-cycle", lambda: load_source(chain.nco_text(x0)), 100)
+    yield "licq-failure", lambda: load_source(LICQ), None
+
+
+def digest(res) -> str:
+    parts = [format_trace(res), res.status, repr(res.error_kind),
+             repr(res.counters.as_dict()), repr(sorted(res.step_counts.items())),
+             repr(res.events), repr(res.f), repr(res.x.tolist())]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def main():
+    for label, make, max_outer in problems():
+        for strategy, mechanism in VARIANTS:
+            config = SolverConfig(strategy=strategy, mechanism=mechanism)
+            if max_outer is not None:
+                config.max_outer = max_outer
+            res = solve(make(), config)
+            print(f"{digest(res)}  {label} {strategy} {mechanism}")
+
+
+if __name__ == "__main__":
+    main()

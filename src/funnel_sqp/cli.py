@@ -196,43 +196,25 @@ def performance_profile(costs: dict[str, list]) -> dict[str, list]:
 
     costs maps solver name to a per-problem list of costs, None for failures.
     Ratios are taken against the per-problem best; a solver's profile is the
-    fraction of problems it solved within a factor alpha of the best.
+    fraction of problems it solved within a factor alpha of the best, one
+    point per distinct ratio from alpha = 1 to the largest ratio of any solver.
     """
-    solvers = list(costs)
-    n_problems = len(next(iter(costs.values()))) if solvers else 0
-    ratios: dict[str, list] = {s: [] for s in solvers}
-    for p in range(n_problems):
-        col = [costs[s][p] for s in solvers]
-        finite = [v for v in col if v is not None]
-        best = min(finite) if finite else None
-        for s, v in zip(solvers, col):
-            if v is None or best is None:
-                ratios[s].append(None)
-            else:
+    ratios: dict[str, list] = {s: [] for s in costs}
+    problems = list(zip(*costs.values()))
+    for col in problems:
+        best = min((v for v in col if v is not None), default=None)
+        for s, v in zip(costs, col):
+            if v is not None:
                 ratios[s].append(v / best)
+    cap = max([1.0] + [max(r) for r in ratios.values() if r])
+    n = max(len(problems), 1)
     profiles = {}
-    alpha_cap = 1.0
-    for s in solvers:
-        done = [r for r in ratios[s] if r is not None]
-        if done:
-            alpha_cap = max(alpha_cap, max(done))
-    for s in solvers:
-        done = sorted(r for r in ratios[s] if r is not None)
-        points = []
-        frac = 0.0
-        points.append((1.0, sum(1 for r in done if r <= 1.0) / n_problems
-                       if n_problems else 0.0))
-        for r in done:
-            frac = sum(1 for q in done if q <= r) / n_problems
-            points.append((r, frac))
-        points.append((alpha_cap, frac))
-        dedup = []
-        for a, fr in points:
-            if dedup and a == dedup[-1][0]:
-                dedup[-1] = (a, max(dedup[-1][1], fr))
-            else:
-                dedup.append((a, fr))
-        profiles[s] = dedup
+    for s, done in ratios.items():
+        points = {1.0: 0.0}
+        for i, r in enumerate(sorted(done), 1):
+            points[r] = i / n
+        points[cap] = len(done) / n
+        profiles[s] = list(points.items())
     return profiles
 
 

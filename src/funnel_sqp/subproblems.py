@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, SubproblemParams
 from .errors import RegularizationFailed
 from .linalg import ldlt_factorize, qr_rank
 from .problems import EvalCounters, NcoProblem, evaluate_lagrangian_hessian
@@ -31,14 +31,13 @@ class Phase(enum.Enum):
     RESTORATION = "restoration"
 
 
-def convexify(W: np.ndarray, A: np.ndarray, eta0: float = 1e-4,
-              eta_growth: float = 10.0, eta_max: float = 1e20,
-              min_eta: float = 0.0):
+def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
     """Smallest diagonal shift making W + eta*I positive definite on the
     null space of A^T, detected through the KKT-matrix inertia.
 
-    Tries min_eta first, then eta0, then the eta_growth ladder. Returns
-    (W + eta*I, eta). Raises RegularizationFailed past eta_max.
+    Tries sp.eta0, then multiplies by sp.eta_growth while the shift stays
+    within sp.eta_max. Returns (W + eta*I, eta). Raises
+    RegularizationFailed when no rung gives the inertia.
     """
     n = W.shape[0]
     m = A.shape[1] if A.ndim == 2 else 0
@@ -56,13 +55,8 @@ def convexify(W: np.ndarray, A: np.ndarray, eta0: float = 1e-4,
         An = A
         r = 0
     target = (n, r, m - r)
-    candidates = [min_eta]
-    eta = eta0
-    while eta <= eta_max:
-        if eta > candidates[-1]:
-            candidates.append(eta)
-        eta *= eta_growth
-    for eta in candidates:
+    eta = sp.eta0
+    while True:
         H = W + eta * np.eye(n)
         K = np.zeros((n + m, n + m))
         K[:n, :n] = H
@@ -72,8 +66,11 @@ def convexify(W: np.ndarray, A: np.ndarray, eta0: float = 1e-4,
             K[n:, :n] = s * An.T
         if ldlt_factorize(K).inertia == target:
             return H, eta
-    raise RegularizationFailed(
-        f"no diagonal shift up to {eta_max:g} gives the required inertia")
+        eta *= sp.eta_growth
+        if eta > sp.eta_max:
+            raise RegularizationFailed(
+                f"no diagonal shift up to {sp.eta_max:g} gives the required"
+                " inertia")
 
 
 def step_box(x, lb, ub, delta: Optional[float]):
@@ -184,21 +181,12 @@ class DirectionEngine:
 
     def _optimality_direction(self, x, c, grad_f, J, lam, delta):
         prob = self.problem
-        sp = self.config.subproblem
         W = evaluate_lagrangian_hessian(prob, x, 1.0, lam, self.counters)
         qp = build_optimality_qp(x, grad_f, J, c, prob.lb, prob.ub, W, delta)
-        feas_point = None
         eta = None
         if self.convexify_directions:
-            probe = solve_qp(QpData(W=np.zeros_like(W), g=np.zeros(prob.n),
-                                    A=qp.A, b=qp.b, lb=qp.lb, ub=qp.ub))
-            if probe.status == "infeasible":
-                return None
-            feas_point = probe.x
-            qp.W, eta = convexify(W, J, eta0=sp.eta0,
-                                  eta_growth=sp.eta_growth,
-                                  eta_max=sp.eta_max, min_eta=sp.eta0)
-        sol, eta = self._solve(qp, W, eta, delta, feas_point,
+            qp.W, eta = convexify(W, J, self.config.subproblem)
+        sol, eta = self._solve(qp, W, eta, delta, None,
                                warm_start=self.warm_codes)
         if sol.status == "infeasible":
             return None
@@ -215,9 +203,7 @@ class DirectionEngine:
                                         self.counters)
         W0, eta = W, None
         if self.convexify_directions:
-            W0, eta = convexify(W, J, eta0=sp.eta0,
-                                eta_growth=sp.eta_growth,
-                                eta_max=sp.eta_max, min_eta=sp.eta0)
+            W0, eta = convexify(W, J, sp)
         fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
         sol, eta = self._solve(fqp, W, eta, delta, z0)
         if sol.status != "optimal":

@@ -16,8 +16,8 @@ is linear, so a 2-variable constraint costs 2x2 however large n is. The
 pass is vectorized over a batch of tapes with the same ops.
 
 TapeSet is what a problem evaluates: it splits each expression into its
-top-level terms and evaluates all terms of one shape in one batched pass.
-It compiles on its first evaluation, not when a model is loaded.
+top-level terms and evaluates all terms with the same ops in one batched
+pass. It compiles on its first evaluation, not when a model is loaded.
 
 Every operation runs on float64 arrays, so a domain fault (log of 0, sqrt
 of a negative, 0 ** -1, overflow) gives inf or NaN, never an exception or,
@@ -463,57 +463,17 @@ def _terms(expr) -> list:
     return out[::-1]
 
 
-def _shape(expr, env: dict) -> tuple:
-    """(shape, vars): expr in pre-order, variables numbered by first
-    appearance and a repeated subtree by a back-reference, and the global
-    indices of the variables in that order.
-
-    Trees of one shape compile to one op list up to the variables read.
-    """
-    kind = type(expr)
-    if kind is Var:         # the commonest terms, after lowering
-        return ("var", 0), [env[expr.name]]
-    if kind is Num:
-        return (expr.value,), []
-    shape, seen, first = [], {}, {}
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        ref = first.get(id(node))
-        if ref is not None:
-            shape += ("ref", ref)
-            continue
-        first[id(node)] = len(shape)
-        kind = type(node)
-        if kind is Binary:
-            shape.append(node.op)
-            stack += (node.right, node.left)
-        elif kind is Num:
-            shape.append(node.value)
-        elif kind is Var:
-            i = env[node.name]
-            shape += ("var", seen.setdefault(i, len(seen)))
-        elif kind is Unary:
-            shape.append("neg")
-            stack.append(node.operand)
-        elif kind is Call:
-            shape.append(node.fn)
-            stack.append(node.arg)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return tuple(shape), list(seen)
-
-
 class TapeSet:
     """Expressions of one kind: the objective, or the constraint rows.
 
-    Each expression is split into its signed top-level terms (_terms).
-    Terms of one shape (_shape) form a group: one of them is compiled, and
-    one batched pass of its ops evaluates them all. The 46 terms of a
-    chained Rosenbrock objective are two groups. Values are summed per
-    expression left to right; derivatives are scattered into dense arrays
-    over n variables, and an inf or NaN among them raises NonFiniteValue.
-    Evaluation runs under np.errstate, so a domain fault warns nowhere.
+    Each expression is split into its signed top-level terms (_terms), and
+    every term is compiled. Terms whose op lists agree up to the global
+    indices of their VAR ops form a group, and one batched pass of those
+    ops evaluates them all. The 46 terms of a chained Rosenbrock objective
+    are two groups. Values are summed per expression left to right;
+    derivatives are scattered into dense arrays over n variables, and an
+    inf or NaN among them raises NonFiniteValue. Evaluation runs under
+    np.errstate, so a domain fault warns nowhere.
     """
 
     def __init__(self, tapes: list, n: int, name: str):
@@ -530,35 +490,24 @@ class TapeSet:
         split = [_terms(t.expr) for t in self._tapes]
         width = max(map(len, split), default=0)
         base = np.zeros((self.size, width))
-        # shape -> (slots, signs, variables) of its terms, and one term
-        shapes: dict[tuple, tuple] = {}
+        # op list without VAR global indices -> (ops, slots, signs, vars)
+        groups_by_ops: dict[tuple, tuple] = {}
         for e, (t, ts) in enumerate(zip(self._tapes, split)):
-            env = t.env
             for pos, (sign, node) in enumerate(ts):
-                shape, vars_ = _shape(node, env)
-                group = shapes.get(shape)
-                if group is None:
-                    group = shapes[shape] = ([], [], [], node, env)
-                group[0].append(e * width + pos)
-                group[1].append(sign)
-                group[2].append(vars_)
-        groups = []
-        for slots, signs, index, node, env in shapes.values():
-            if type(node) is Var:       # no need to compile a lone variable
-                ops, nonlinear = [(VAR, None, 0, 0)], False
-            else:
-                ops, _, const = _compile(node, env)
+                ops, vars_, const = _compile(node, t.env)
                 if not ops:             # a constant term
-                    for slot, sign in zip(slots, signs):
-                        base.flat[slot] = sign * const
+                    base[e, pos] = sign * const
                     continue
-                nonlinear = _curved(ops)
-            # _shape and the compiler both number the variables by first
-            # appearance from the left, so row r of index lists term r's
-            # variables in the order the ops read them
-            groups.append(_Group(ops, nonlinear, np.array(index, np.intp),
-                                 np.array(slots) // width, np.array(slots),
-                                 np.array(signs)))
+                key = tuple((code, a) if code == VAR else (code, a, b)
+                            for code, _, a, b in ops)
+                group = groups_by_ops.setdefault(key, (ops, [], [], []))
+                group[1].append(e * width + pos)
+                group[2].append(sign)
+                group[3].append(vars_)
+        groups = [_Group(ops, _curved(ops), np.array(index, np.intp),
+                         np.array(slots) // width, np.array(slots),
+                         np.array(signs))
+                  for ops, slots, signs, index in groups_by_ops.values()]
         return groups, [grp for grp in groups if grp.nonlinear], base
 
     @property

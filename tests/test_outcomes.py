@@ -1,4 +1,5 @@
-"""Outcome of every registry problem and model under all four variants.
+"""Outcome of every registry problem and model, and of the n=24 benchmark
+chain from seed 0's start, under all four variants.
 
 Each row is (status, outer iterations, inner trials, step counts, evaluation
 counters); step counts are (f-type, h-type, restoration, kkt-zero) and
@@ -7,16 +8,20 @@ pipeline must leave every row as it is.
 """
 
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
 
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
-from funnel_sqp.dsl import load_file
+from funnel_sqp.dsl import load_file, load_source
 from funnel_sqp.problems import get_problem, problem_names
 
-MODELS = Path(__file__).resolve().parents[1] / "models"
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "models"
+VARIANTS = list(itertools.product(("funnel", "filter"),
+                                  ("trust-region", "line-search")))
 
 # (problem, strategy, mechanism): (status, n_outer, n_inner, step_counts,
 # counters); a problem ending in .nco is the model file of that name
@@ -136,18 +141,32 @@ OUTCOMES = {
 }
 
 
+# the .nco chain of solverbench/chain.py at n=24 from seed 0's start gives
+# this row, and this objective value, under every variant
+CHAIN_OUTCOME = ("kkt_point", 8, 8, (7, 1, 0, 0), (9, 9, 9, 9, 8))
+CHAIN_F = 3.989952630675714
+
+
 def _problem(name):
     return load_file(MODELS / name) if name.endswith(".nco") \
         else get_problem(name)
 
 
+def _outcome(res):
+    sc, cnt = res.step_counts, res.counters.as_dict()
+    return (res.status, res.n_outer,
+            sum(1 for r in res.iterations if r.l is not None),
+            (sc["f_type"], sc["h_type"], sc["restoration"], sc["kkt_zero"]),
+            (cnt["n_f"], cnt["n_c"], cnt["n_grad_f"], cnt["n_jac_c"],
+             cnt["n_hess"]))
+
+
 def test_table_covers_every_problem():
     names = set(problem_names()) | {p.name for p in MODELS.glob("*.nco")}
-    combos = set(itertools.product(("funnel", "filter"),
-                                   ("trust-region", "line-search")))
     assert {key[0] for key in OUTCOMES} == names
     for name in names:
-        assert {key[1:] for key in OUTCOMES if key[0] == name} == combos
+        assert {key[1:] for key in OUTCOMES if key[0] == name} \
+            == set(VARIANTS)
 
 
 @pytest.mark.parametrize("key", sorted(OUTCOMES), ids="/".join)
@@ -155,10 +174,18 @@ def test_outcome_pinned(key):
     name, strategy, mechanism = key
     res = solve(_problem(name),
                 SolverConfig(strategy=strategy, mechanism=mechanism))
-    sc, cnt = res.step_counts, res.counters.as_dict()
-    got = (res.status, res.n_outer,
-           sum(1 for r in res.iterations if r.l is not None),
-           (sc["f_type"], sc["h_type"], sc["restoration"], sc["kkt_zero"]),
-           (cnt["n_f"], cnt["n_c"], cnt["n_grad_f"], cnt["n_jac_c"],
-            cnt["n_hess"]))
-    assert got == OUTCOMES[key]
+    assert _outcome(res) == OUTCOMES[key]
+
+
+@pytest.mark.parametrize("strategy, mechanism", VARIANTS, ids="/".join)
+def test_chain_outcome_pinned(strategy, mechanism):
+    bench = str(ROOT / "solverbench")
+    sys.path.insert(0, bench)
+    try:
+        import chain
+    finally:
+        sys.path.remove(bench)
+    problem = load_source(chain.nco_text(chain.start_point(24, 0)))
+    res = solve(problem, SolverConfig(strategy=strategy, mechanism=mechanism))
+    assert _outcome(res) == CHAIN_OUTCOME
+    assert res.f == pytest.approx(CHAIN_F, rel=1e-12, abs=0.0)

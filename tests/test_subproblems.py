@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import funnel_sqp.subproblems as sp
-from funnel_sqp.config import SolverConfig, apply_overrides
+from funnel_sqp.config import (SolverConfig, SubproblemParams,
+                               apply_overrides)
 from funnel_sqp.errors import RegularizationFailed
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
@@ -24,21 +25,18 @@ def _config(mechanism="trust-region", **overrides):
 
 
 class TestConvexify:
-    def test_pd_no_constraints_needs_no_shift(self):
-        W = np.array([[2.0, 0.3], [0.3, 1.0]])
-        H, eta = convexify(W, np.zeros((2, 0)))
-        assert eta == 0.0
-        assert np.array_equal(H, W)
+    SP = SubproblemParams()
 
     def test_floor_is_always_applied(self):
-        W = 2.0 * np.eye(2)
-        H, eta = convexify(W, np.zeros((2, 0)), min_eta=1e-4)
+        # positive definite without constraints still gets the first rung
+        W = np.array([[2.0, 0.3], [0.3, 1.0]])
+        H, eta = convexify(W, np.zeros((2, 0)), self.SP)
         assert eta == 1e-4
-        assert np.allclose(H, W + 1e-4 * np.eye(2))
+        assert np.array_equal(H, W + 1e-4 * np.eye(2))
 
     def test_ladder_picks_smallest_sufficient_rung(self):
         W = np.diag([-1.0, 2.0])
-        H, eta = convexify(W, np.zeros((2, 0)))
+        H, eta = convexify(W, np.zeros((2, 0)), self.SP)
         # eta = 1 leaves a zero eigenvalue, so the next rung must win
         assert eta == 10.0
         assert np.allclose(np.linalg.eigvalsh(H), [9.0, 12.0])
@@ -47,47 +45,53 @@ class TestConvexify:
         # indefinite W but positive curvature on the constraint null space
         W = np.diag([-1.0, 1.0])
         A = np.array([[1.0], [0.0]])
-        H, eta = convexify(W, A)
-        assert eta == 0.0
+        H, eta = convexify(W, A, self.SP)
+        assert eta == 1e-4
 
     def test_huge_negative_curvature(self):
         # the shift must dwarf the Hessian scale without inertia misreads
         W = np.diag([-1e7, -1e7])
         A = np.array([[1.0], [0.0]])
-        H, eta = convexify(W, A)
+        H, eta = convexify(W, A, self.SP)
         assert eta == 1e8
         assert H[1, 1] > 0.0
 
     def test_full_rank_constraints_leave_no_null_space(self):
         # n = m with independent columns: any W is vacuously reduced-PD
-        H, eta = convexify(np.diag([-1e7]), np.array([[1.0]]))
-        assert eta == 0.0
+        H, eta = convexify(np.diag([-1e7]), np.array([[1.0]]), self.SP)
+        assert eta == 1e-4
 
     def test_badly_scaled_constraint_column(self):
         # column norms spread over five orders of magnitude; per-column
         # normalization keeps the Schur eigenvalue out of the zero band
         A = np.array([[7.8e4], [1e-3]])
         W = np.diag([0.0, -5.0])
-        H, eta = convexify(W, A)
+        H, eta = convexify(W, A, self.SP)
         assert eta == 10.0
 
     def test_mixed_scales_pd_reduced(self):
         A = np.array([[7.8e4, 0.1], [1e-3, 0.126]])
         W = 1e-2 * np.eye(2)
-        H, eta = convexify(W, A)
-        assert eta == 0.0
+        H, eta = convexify(W, A, self.SP)
+        assert eta == 1e-4
 
     def test_rank_deficient_columns(self):
         # duplicated column: rank 1, so one multiplier direction is slack
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
         W = np.diag([-0.5, 3.0])
-        H, eta = convexify(W, A)
+        H, eta = convexify(W, A, self.SP)
         # curvature along the null direction e2 is already positive
-        assert eta == 0.0
+        assert eta == 1e-4
+
+    def test_first_rung_is_tried_past_the_cap(self):
+        H, eta = convexify(2.0 * np.eye(2), np.zeros((2, 0)),
+                           SubproblemParams(eta0=10.0, eta_max=1.0))
+        assert eta == 10.0
 
     def test_exhausted_ladder_raises(self):
         with pytest.raises(RegularizationFailed):
-            convexify(np.diag([-10.0]), np.zeros((1, 0)), eta_max=1.0)
+            convexify(np.diag([-10.0]), np.zeros((1, 0)),
+                      SubproblemParams(eta_max=1.0))
 
 
 class TestBuilders:
@@ -260,6 +264,25 @@ class TestDirectionEngine:
                              prob.start_multipliers(), delta=None)
         assert res.entered_restoration
         assert res.phase is Phase.RESTORATION
+
+    def test_line_search_direction_solves_one_qp(self, monkeypatch):
+        # the optimality QP itself detects an infeasible linearization, so
+        # no separate phase-1 QP runs before it
+        real = sp.solve_qp
+        calls = []
+
+        def counted(qp, **kwargs):
+            calls.append(kwargs)
+            return real(qp, **kwargs)
+
+        engine, prob, x, c, g, J = _engine("maratos-fletcher",
+                                              mechanism="line-search")
+        monkeypatch.setattr(sp, "solve_qp", counted)
+        res = engine.compute(x, c, infeasibility(c), g, J,
+                             prob.start_multipliers(), delta=None)
+        assert res.phase is Phase.OPTIMALITY
+        assert len(calls) == 1
+        assert calls[0]["feasible_start"] is None
 
     def test_counters_track_hessians(self):
         engine, prob, x, c, g, J = _engine("circle")
