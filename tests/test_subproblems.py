@@ -27,12 +27,20 @@ def _config(mechanism="trust-region", **overrides):
 class TestConvexify:
     SP = SubproblemParams()
 
-    def test_floor_is_always_applied(self):
-        # positive definite without constraints still gets the first rung
+    def test_pd_no_constraints_needs_no_shift(self):
+        # positive definite without constraints: the first rung passes, so
+        # no shift beyond the floor eta0 is added
         W = np.array([[2.0, 0.3], [0.3, 1.0]])
         H, eta = convexify(W, np.zeros((2, 0)), self.SP)
-        assert eta == 1e-4
-        assert np.array_equal(H, W + 1e-4 * np.eye(2))
+        assert eta == self.SP.eta0
+        assert np.array_equal(H, W + self.SP.eta0 * np.eye(2))
+
+    def test_floor_is_always_applied(self):
+        # the floor comes from the parameters, even when W needs none
+        W = 2.0 * np.eye(2)
+        H, eta = convexify(W, np.zeros((2, 0)), SubproblemParams(eta0=1e-2))
+        assert eta == 1e-2
+        assert np.allclose(H, W + 1e-2 * np.eye(2))
 
     def test_ladder_picks_smallest_sufficient_rung(self):
         W = np.diag([-1.0, 2.0])
