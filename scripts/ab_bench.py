@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Interleaved A/B runs of the benchmark in two checkouts.
+
+    python3 scripts/ab_bench.py PARENT CHANGE --workload W --pairs N \
+        --seconds S [--seed K]
+
+PARENT and CHANGE are the roots of two checkouts. Each pair runs
+`solverbench/run.py --workload W --seed K --seconds S --trace 0` once in
+each, one process at a time; the parent goes first on even pairs and the
+change on odd ones. Each run's last line of output is read as JSON. For
+every end-to-end metric in PARENT's BENCHMARK.json the script prints each
+side's median and quartiles, the change/parent ratio of the medians and the
+number of pairs the change won (ties count for neither). A gain holds when
+the change wins at least nine tenths of the pairs and the medians differ by
+more than the parent's interquartile range; the last column says so.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in root; returns its final JSON object."""
+    cmd = [sys.executable, "solverbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"{root}: run failed (exit {proc.returncode})\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summary(runs, metrics):
+    """One row per metric over the paired runs {"parent": [...], ...}."""
+    pairs = len(runs["parent"])
+    rows = []
+    for name, better in metrics:
+        p = [r["metrics"][name]["value"] for r in runs["parent"]]
+        c = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if better == "lower" else -1.0
+        won = sum(1 for a, b in zip(p, c) if sign * (b - a) < 0.0)
+        p1, pm, p3 = quartiles(p)
+        c1, cm, c3 = quartiles(c)
+        gain = won >= 0.9 * pairs and sign * (pm - cm) > p3 - p1
+        ratio = cm / pm if pm else float("nan")
+        parent = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
+        change = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
+        rows.append(f"{name:12s}  {parent:32s}  {change:32s}  {ratio:6.3f}"
+                    f"  {won:2d}/{pairs}  {'yes' if gain else 'no'}")
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    roots = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            out = run_once(roots[side], args.workload, args.seed,
+                           args.seconds)
+            runs[side].append(out)
+            values = " ".join(f"{name}={out['metrics'][name]['value']:.4g}"
+                              for name, _ in metrics)
+            ok = "ok" if out["correct"] else f"FAILED {out['failed']}"
+            print(f"pair {i + 1} {side}: {values} {ok}", flush=True)
+
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s: median [quartiles], parent then change")
+    print(f"{'metric':12s}  {'parent':32s}  {'change':32s}  {'c/p':>6s}"
+          f"  {'won':>5s}  gain")
+    print("\n".join(summary(runs, metrics)))
+    failed = sum(not r["correct"] for side in runs.values() for r in side)
+    print(f"runs not correct: {failed} of {2 * args.pairs}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -115,7 +115,9 @@ def evaluate_lagrangian_hessian(problem: NcoProblem, x: np.ndarray,
     W = rho * np.asarray(problem.hess_f(x), dtype=float)
     if problem.m:
         Hc = np.asarray(problem.hess_c(x), dtype=float)
-        W = W - np.einsum("j,jkl->kl", np.asarray(lam, dtype=float), Hc)
+        # one BLAS gemv over the flattened stack
+        lam = np.asarray(lam, dtype=float)
+        W = W - (lam @ Hc.reshape(problem.m, -1)).reshape(W.shape)
     if counters is not None:
         counters.n_hess += 1
     _require_finite(W, "Lagrangian Hessian")

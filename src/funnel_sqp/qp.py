@@ -12,8 +12,11 @@ solution of A^T x = b, each clipped to the box. When neither satisfies the
 equalities, an elastic l1 LP runs; it is the fallback and the only source of
 an infeasibility verdict, its optimal residual serving as the certificate.
 With W identically zero (phase-1 LPs) the reduced Hessian needs no
-eigendecomposition. Anti-cycling: greedy pivot choice for the first half of
-the pivot budget, Bland's rule afterwards.
+eigendecomposition. Each working set is factored once: the null-space basis
+and the reduced-Hessian eigendecomposition of the last one serve every pass
+(and the warm start) that sees it unchanged. Anti-cycling: greedy pivot
+choice for the first half of the pivot budget, Bland's rule afterwards; a
+budget of 2 * max_pivots + 2 passes also stops steps that never pivot.
 """
 
 from __future__ import annotations
@@ -123,14 +126,21 @@ class _Core:
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
+        self._factored = None, None
 
     def run(self, x, work):
         """Iterate to optimality. Returns (status, x, lam, mu, work)."""
-        n = self.n
+        # a pass that does not pivot is a full step, and the pass after it
+        # ends in a multiplier check or a pivot: a solve inside the pivot
+        # budget makes at most 2 * max_pivots + 2 passes
+        max_passes = 2 * self.max_pivots + 2
+        passes = 0
         while True:
-            if self.pivots > self.max_pivots:
+            passes += 1
+            if self.pivots > self.max_pivots or passes > max_passes:
                 raise MaxPivots(
-                    f"active-set pivot budget {self.max_pivots} exhausted")
+                    f"active-set budget of {self.max_pivots} pivots "
+                    f"({max_passes} passes) exhausted")
             grad = self.W @ x + self.g
             free = np.flatnonzero(work == FREE)
             move = self._direction(x, grad, free)
@@ -155,23 +165,82 @@ class _Core:
             # a full Newton step changes no working set; the next pass sees a
             # stationary reduced gradient and falls through to multipliers
 
+    # -- factors of the working set --
+
+    def reduced(self, free):
+        """(Z, w, V) for the working set with free variables `free`: Z spans
+        the null space of A[free]^T and (w, V) is the eigendecomposition of
+        Z^T W[free, free] Z. The last working set's factors are kept."""
+        key = free.tobytes()
+        if self._factored[0] != key:
+            Z = nullspace_basis(self.A[free])
+            k = Z.shape[1]
+            if self.w_zero or k == 0:
+                # eigh of the zero matrix: the same values, without the solve
+                w, V = np.zeros(k), np.eye(k)
+            else:
+                H = Z.T @ self.W[np.ix_(free, free)] @ Z
+                w, V = np.linalg.eigh(0.5 * (H + H.T))
+            self._factored = key, (Z, w, V)
+        return self._factored[1]
+
+    def warm_start(self, codes):
+        """Jump straight to the equality QP on a hinted active set.
+
+        Returns (x, work) when the hinted EQP is solvable, strictly convex on
+        its null space, and lands inside the box; None otherwise.
+        """
+        W, g, A, b, lb, ub = self.W, self.g, self.A, self.b, self.lb, self.ub
+        work = np.asarray(codes, dtype=np.int8).copy()
+        work[lb == ub] = PINNED
+        x = np.zeros(self.n)
+        fixed = work != FREE
+        x[work == LOWER] = lb[work == LOWER]
+        x[work == UPPER] = ub[work == UPPER]
+        x[work == PINNED] = lb[work == PINNED]
+        if not np.all(np.isfinite(x[fixed])):
+            return None
+        free = np.flatnonzero(~fixed)
+        rhs = b - A[fixed].T @ x[fixed] if A.shape[1] else np.zeros(0)
+        if free.size == 0:
+            if A.shape[1] and np.max(np.abs(rhs), initial=0.0) > 1e-9 * (
+                    1.0 + np.max(np.abs(b), initial=0.0)):
+                return None
+            return x, work
+        Af = A[free]
+        if A.shape[1]:
+            xf0 = np.linalg.lstsq(Af.T, rhs, rcond=None)[0]
+            if np.max(np.abs(Af.T @ xf0 - rhs), initial=0.0) > 1e-9 * (
+                    1.0 + np.max(np.abs(b), initial=0.0)):
+                return None
+        else:
+            xf0 = np.zeros(free.size)
+        Z, w, V = self.reduced(free)
+        if Z.shape[1]:
+            if w[0] <= EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w)))):
+                return None
+            gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
+                + W[np.ix_(free, free)] @ xf0
+            pz = V @ ((V.T @ (-Z.T @ gf)) / w)
+            xf = xf0 + Z @ pz
+        else:
+            xf = xf0
+        pad = 1e-10 * (1.0 + np.max(np.abs(xf), initial=0.0))
+        if np.any(xf < lb[free] - pad) or np.any(xf > ub[free] + pad):
+            return None
+        x[free] = np.clip(xf, lb[free], ub[free])
+        return x, work
+
     # -- direction choice --
 
     def _direction(self, x, grad, free):
         """Newton step, curvature ray, or None when reduced-stationary."""
         if free.size == 0:
             return None
-        Z = nullspace_basis(self.A[free])
+        Z, w, V = self.reduced(free)
         if Z.shape[1] == 0:
             return None
         q = Z.T @ grad[free]
-        if self.w_zero:
-            # eigh of the zero matrix: the same values, without the solve
-            w, V = np.zeros(Z.shape[1]), np.eye(Z.shape[1])
-        else:
-            Wff = self.W[np.ix_(free, free)]
-            H = Z.T @ Wff @ Z
-            w, V = np.linalg.eigh(0.5 * (H + H.T))
         eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
         q_tol = STATIONARY_REL * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
         neg = w < -eig_tol
@@ -359,57 +428,6 @@ def _face_enumeration(W, g, lb, ub):
     return best_obj, best_x, best_work
 
 
-def _try_warm_eqp(W, g, A, b, lb, ub, codes):
-    """Jump straight to the equality QP on a hinted active set.
-
-    Returns (x, work) when the hinted EQP is solvable, strictly convex on its
-    null space, and lands inside the box; None otherwise.
-    """
-    n = g.shape[0]
-    work = np.asarray(codes, dtype=np.int8).copy()
-    work[lb == ub] = PINNED
-    x = np.zeros(n)
-    fixed = work != FREE
-    x[work == LOWER] = lb[work == LOWER]
-    x[work == UPPER] = ub[work == UPPER]
-    x[work == PINNED] = lb[work == PINNED]
-    if not np.all(np.isfinite(x[fixed])):
-        return None
-    free = np.flatnonzero(~fixed)
-    rhs = b - A[fixed].T @ x[fixed] if A.shape[1] else np.zeros(0)
-    if free.size == 0:
-        if A.shape[1] and np.max(np.abs(rhs), initial=0.0) > 1e-9 * (
-                1.0 + np.max(np.abs(b), initial=0.0)):
-            return None
-        return x, work
-    Af = A[free]
-    if A.shape[1]:
-        xf0, residual = np.linalg.lstsq(Af.T, rhs, rcond=None)[:2]
-        if np.max(np.abs(Af.T @ xf0 - rhs), initial=0.0) > 1e-9 * (
-                1.0 + np.max(np.abs(b), initial=0.0)):
-            return None
-    else:
-        xf0 = np.zeros(free.size)
-    Z = nullspace_basis(Af)
-    if Z.shape[1]:
-        Wff = W[np.ix_(free, free)]
-        H = Z.T @ Wff @ Z
-        w, V = np.linalg.eigh(0.5 * (H + H.T))
-        if w[0] <= EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w)))):
-            return None
-        gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
-            + Wff @ xf0
-        pz = V @ ((V.T @ (-Z.T @ gf)) / w)
-        xf = xf0 + Z @ pz
-    else:
-        xf = xf0
-    pad = 1e-10 * (1.0 + np.max(np.abs(xf), initial=0.0))
-    if np.any(xf < lb[free] - pad) or np.any(xf > ub[free] + pad):
-        return None
-    x[free] = np.clip(xf, lb[free], ub[free])
-    return x, work
-
-
 def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
              feasible_start: np.ndarray | None = None,
              max_pivots: int | None = None) -> QpSolution:
@@ -423,12 +441,12 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     b = np.asarray(qp.b, dtype=float)
     lb = np.asarray(qp.lb, dtype=float)
     ub = np.asarray(qp.ub, dtype=float)
-    # lb <= ub is false for NaN. A box without a real point must stop here:
-    # the core would walk x to inf or NaN, where every pass is a step that
-    # blocks on no bound and so counts no pivot, and never return.
+    # lb <= ub is false for NaN. A box without a real point must stop here
+    # as bad data: the core would walk x to inf or NaN, where every pass is
+    # a step that blocks on no bound, until its pass budget ran out.
     if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
         raise DimensionMismatch("empty box: no real x with lb <= x <= ub")
-    # a NaN or inf in the data hangs the core the same way
+    # a NaN or inf in the data sends the core the same way
     if not np.isfinite(np.concatenate((W.ravel(), g, A.ravel(), b))).all():
         raise DimensionMismatch("NaN or inf in W, g, A or b")
     if max_pivots is None:
@@ -452,7 +470,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     start = None
     phase1_pivots = 0
     if warm_start is not None:
-        start = _try_warm_eqp(W, g, Ak, bk, lb, ub, warm_start)
+        start = core.warm_start(warm_start)
     if start is None and feasible_start is not None:
         x = np.clip(np.asarray(feasible_start, dtype=float), lb, ub)
         ok = keep.size == 0 or np.max(

@@ -117,6 +117,36 @@ class TestEvaluators:
         expected = 2.0 * p.hess_f(x) - 0.7 * p.hess_c(x)[0]
         assert np.allclose(W, expected)
 
+    @staticmethod
+    def _stack_problem(Hf, Hc):
+        n, m = Hf.shape[0], Hc.shape[0]
+        return NcoProblem(
+            name="stack", n=n, m=m, f=lambda x: 0.0,
+            c=lambda x: np.zeros(m), grad_f=lambda x: np.zeros(n),
+            jac_c=lambda x: np.zeros((n, m)), hess_f=lambda x: Hf,
+            hess_c=lambda x: Hc, lb=np.full(n, -np.inf),
+            ub=np.full(n, np.inf), x0=np.zeros(n))
+
+    def test_lagrangian_hessian_matches_row_loop(self):
+        rng = np.random.default_rng(17)
+        n, m = 7, 5
+        Hf = rng.standard_normal((n, n))
+        Hc = rng.standard_normal((m, n, n))
+        lam = rng.standard_normal(m)
+        x = np.zeros(n)
+        expected = 1.5 * Hf
+        for j in range(m):
+            expected = expected - lam[j] * Hc[j]
+        p = self._stack_problem(Hf, Hc)
+        W = evaluate_lagrangian_hessian(p, x, 1.5, lam)
+        np.testing.assert_allclose(W, expected, rtol=1e-14, atol=1e-14)
+        # a list of multipliers is read like the array
+        assert np.array_equal(
+            evaluate_lagrangian_hessian(p, x, 1.5, lam.tolist()), W)
+        empty = self._stack_problem(Hf, np.zeros((0, n, n)))
+        assert np.array_equal(
+            evaluate_lagrangian_hessian(empty, x, 1.5, []), 1.5 * Hf)
+
     def test_rho_zero_drops_objective_curvature(self):
         p = get_problem("maratos-fletcher")
         x = p.start_point()

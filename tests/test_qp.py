@@ -1,6 +1,7 @@
 """Active-set QP solver against hand cases and brute-force oracles."""
 
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,6 +31,21 @@ def box_qp(W, g, lb=None, ub=None, A=None, b=None):
         A = np.asarray(A, dtype=float).reshape(n, -1)
         b = np.atleast_1d(np.asarray(b, dtype=float))
     return QpData(W=W, g=g, A=A, b=b, lb=lb, ub=ub)
+
+
+@contextmanager
+def returns_within(seconds):
+    """Turn a hang into a TimeoutError after the given wall time."""
+    def hung(signum, frame):
+        raise TimeoutError("solve_qp did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_kkt(qp, sol, tol=None):
@@ -120,18 +136,8 @@ class TestHandCases:
     def test_box_without_a_real_point_rejected(self, lb, ub):
         # these boxes used to send the active-set loop spinning for good
         qp = box_qp(np.eye(2), [1.0, 1.0], lb=lb, ub=ub)
-
-        def hung(signum, frame):
-            raise TimeoutError("solve_qp did not return")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(10)
-        try:
-            with pytest.raises(DimensionMismatch):
-                solve_qp(qp, max_pivots=150)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with returns_within(10), pytest.raises(DimensionMismatch):
+            solve_qp(qp, max_pivots=150)
 
     @pytest.mark.parametrize("field, index, value", [
         ("g", 0, np.nan), ("g", 0, np.inf), ("W", (0, 0), np.nan),
@@ -141,18 +147,8 @@ class TestHandCases:
         qp = box_qp(np.eye(2), [1.0, 1.0], lb=[-1.0, -1.0], ub=[1.0, 1.0],
                     A=[1.0, 1.0], b=[0.5])
         getattr(qp, field)[index] = value
-
-        def hung(signum, frame):
-            raise TimeoutError("solve_qp did not return")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(10)
-        try:
-            with pytest.raises(DimensionMismatch):
-                solve_qp(qp, max_pivots=150)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with returns_within(10), pytest.raises(DimensionMismatch):
+            solve_qp(qp, max_pivots=150)
 
     def test_objective_helper(self):
         qp = box_qp([[2.0]], [3.0])
@@ -230,6 +226,95 @@ class TestStarts:
         qp = box_qp([[2.0]], [4.0], lb=[-1.0], ub=[1.0])
         with pytest.raises(MaxPivots):
             solve_qp(qp, feasible_start=np.array([1.0]), max_pivots=0)
+
+    def test_pass_budget_stops_steps_that_block_nowhere(self, monkeypatch):
+        # a step that blocks on no bound counts no pivot, so a numerical
+        # fault that keeps making such steps must hit the pass budget
+        qp = box_qp(2.0 * np.eye(2), [1.0, 1.0])
+        monkeypatch.setattr(
+            _Core, "_direction",
+            lambda self, x, grad, free: (np.full(self.n, 1e-6), False))
+        with returns_within(10), pytest.raises(MaxPivots):
+            solve_qp(qp, max_pivots=10)
+
+
+def _counted(monkeypatch, owner, name):
+    """Patch owner.name to log each call; returns the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestFactorCache:
+    def test_warm_equality_qp_factors_once(self, monkeypatch):
+        # the warm EQP's factors serve the core's pass on the same free set
+        rng = np.random.default_rng(5)
+        n = 6
+        M = rng.standard_normal((n, n))
+        qp = box_qp(M @ M.T + np.eye(n), rng.standard_normal(n),
+                    A=rng.standard_normal((n, 2)), b=[1.0, -1.0])
+        qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
+        eigh_calls = _counted(monkeypatch, np.linalg, "eigh")
+        sol = solve_qp(qp, warm_start=np.zeros(n, dtype=np.int8))
+        assert sol.status == "optimal" and sol.n_pivots == 0
+        assert np.all(sol.active == FREE)
+        assert_kkt(qp, sol)
+        assert (len(qr_calls), len(eigh_calls)) == (1, 1)
+
+    def test_pivoting_qp_factors_each_working_set_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 8
+        M = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, 1))
+        x_feas = rng.uniform(-0.5, 0.5, size=n)
+        qp = box_qp(M @ M.T + np.eye(n), 10.0 * rng.standard_normal(n),
+                    lb=np.full(n, -0.6), ub=np.full(n, 0.6),
+                    A=A, b=A.T @ x_feas)
+        free_sets = []
+        direction = _Core._direction
+
+        def recording(self, x, grad, free):
+            if free.size:
+                free_sets.append(free.tobytes())
+            return direction(self, x, grad, free)
+
+        monkeypatch.setattr(_Core, "_direction", recording)
+        qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
+        sol = solve_qp(qp, feasible_start=x_feas)
+        assert sol.status == "optimal" and sol.n_pivots >= 3
+        assert_kkt(qp, sol)
+        changes = sum(1 for i, key in enumerate(free_sets)
+                      if i == 0 or key != free_sets[i - 1])
+        assert changes < len(free_sets)
+        assert len(qr_calls) == changes
+
+    def test_reduced_kept_for_the_last_working_set(self):
+        rng = np.random.default_rng(9)
+        n = 5
+        M = rng.standard_normal((n, n))
+        W = M @ M.T
+        A = rng.standard_normal((n, 1))
+        core = _Core(W, np.zeros(n), A, np.zeros(1), np.full(n, -INF),
+                     np.full(n, INF), 100)
+        every, some = np.arange(n), np.array([0, 2, 3])
+        first = core.reduced(every)
+        assert all(a is b for a, b in zip(core.reduced(every.copy()), first))
+        Z, w, V = core.reduced(some)
+        assert not any(a is b for a, b in zip((Z, w, V), first))
+        assert Z.shape == (3, 2)
+        assert np.allclose(A[some].T @ Z, 0.0)
+        H = Z.T @ W[np.ix_(some, some)] @ Z
+        assert np.allclose(V @ np.diag(w) @ V.T, H)
+        again = core.reduced(every)
+        assert not any(a is b for a, b in zip(again, first))
+        for a, b in zip(again, first):
+            assert np.array_equal(a, b)
 
 
 class TestOracleBattery:
