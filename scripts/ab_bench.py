@@ -42,6 +42,16 @@ def quartiles(values):
     return q1, med, q3
 
 
+def verdict(parent, change, better):
+    """(pairs the change won, whether a gain holds) for one metric's paired
+    values; better is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(1 for a, b in zip(parent, change) if sign * (b - a) < 0.0)
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    return won, won >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1
+
+
 def summary(runs, metrics):
     """One row per metric over the paired runs {"parent": [...], ...}."""
     pairs = len(runs["parent"])
@@ -49,11 +59,9 @@ def summary(runs, metrics):
     for name, better in metrics:
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = 1.0 if better == "lower" else -1.0
-        won = sum(1 for a, b in zip(p, c) if sign * (b - a) < 0.0)
+        won, gain = verdict(p, c, better)
         p1, pm, p3 = quartiles(p)
         c1, cm, c3 = quartiles(c)
-        gain = won >= 0.9 * pairs and sign * (pm - cm) > p3 - p1
         ratio = cm / pm if pm else float("nan")
         parent = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
         change = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"

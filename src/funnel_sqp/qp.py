@@ -25,10 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, MaxPivots
-from .linalg import nullspace_basis, r_rank
+from .linalg import nullspace_basis, pivoted_qr, r_rank
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
 GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
@@ -428,6 +427,20 @@ def _face_enumeration(W, g, lb, ub):
     return best_obj, best_x, best_work
 
 
+def _independent_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split A's column indices into (keep, drop), both sorted: keep is a
+    linearly independent set of the pivoted-QR rank, drop is the rest."""
+    m = A.shape[1]
+    if m and not np.any(A):
+        return np.zeros(0, dtype=int), np.arange(m)
+    if m > 1:
+        qr, piv, _ = pivoted_qr(A)
+        rank = r_rank(qr)
+        if rank < m:
+            return np.sort(piv[:rank]), np.sort(piv[rank:])
+    return np.arange(m), np.zeros(0, dtype=int)
+
+
 def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
              feasible_start: np.ndarray | None = None,
              max_pivots: int | None = None) -> QpSolution:
@@ -453,16 +466,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         max_pivots = 50 * (n + m)
 
     # drop linearly dependent equality columns; verify them post-solve
-    keep = np.arange(m)
-    drop = np.zeros(0, dtype=int)
-    if m > 1:
-        R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
-        rank = r_rank(R)
-        if rank < m:
-            keep = np.sort(piv[:rank])
-            drop = np.sort(piv[rank:])
-    elif m == 1 and not np.any(A):
-        keep, drop = np.zeros(0, dtype=int), np.zeros(1, dtype=int)
+    keep, drop = _independent_columns(A)
     Ak, bk = A[:, keep], b[keep]
 
     core = _Core(W, g, Ak, bk, lb, ub, max_pivots)

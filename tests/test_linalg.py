@@ -1,14 +1,18 @@
 """Factorization, inertia, and null-space basis checks against a Jacobi
-eigenvalue oracle and direct reconstruction."""
+eigenvalue oracle, direct reconstruction, and scipy.linalg's ldl and qr
+wrappers, whose factors the direct LAPACK calls must reproduce bit for bit."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jacobi_eigenvalues
 from funnel_sqp.errors import DimensionMismatch, NotSymmetric
-from funnel_sqp.linalg import ldlt_factorize, nullspace_basis, qr_rank
+from funnel_sqp.linalg import (ZERO_EIG_REL, ldlt_factorize, nullspace_basis,
+                               pivoted_qr, qr_rank, r_rank)
+from funnel_sqp.qp import _independent_columns
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -68,6 +72,33 @@ class TestLdlt:
         f = ldlt_factorize(np.zeros((0, 0)))
         assert f.inertia == (0, 0, 0)
 
+    @pytest.mark.parametrize("M, inertia", [
+        (np.zeros((2, 2)), (0, 0, 2)),
+        (np.array([[0.0, 0.0], [0.0, 1.0]]), (1, 0, 1)),
+    ])
+    def test_exactly_zero_pivot_accepted(self, M, inertia):
+        # LAPACK reports info > 0 here; the factorization still stands
+        assert ldlt_factorize(M).inertia == inertia
+
+    def test_two_by_two_pivot(self):
+        # a zero diagonal forces Bunch-Kaufman to pivot on the 2x2 block
+        f = ldlt_factorize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert f.inertia == (1, 1, 0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ldlt_rejects(self, bad):
+        # the symmetry check computes inf - inf, which numpy warns about
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            ldlt_factorize(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [nullspace_basis, qr_rank])
+    def test_qr_rejects(self, fn, bad):
+        with pytest.raises(ValueError):
+            fn(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 2.0]]))
+
 
 class TestNullspace:
     def test_single_column(self):
@@ -109,3 +140,123 @@ class TestNullspace:
         if m and Z.shape[1]:
             assert np.max(np.abs(A.T @ Z)) <= 1e-12 * max(
                 1.0, np.max(np.abs(A)))
+
+
+COLUMN_KINDS = st.lists(st.sampled_from(["random", "zero", "duplicate",
+                                         "scaled"]), min_size=6, max_size=6)
+
+
+def matrix_with_dependent_columns(n, m, kinds, seed):
+    """n x m Gaussian matrix whose columns are zeroed, duplicated or scaled
+    copies of earlier ones as kinds says."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, m))
+    for j, kind in enumerate(kinds[:m]):
+        if kind == "zero":
+            A[:, j] = 0.0
+        elif kind == "duplicate" and j:
+            A[:, j] = A[:, rng.integers(j)]
+        elif kind == "scaled" and j:
+            A[:, j] = -2.5 * A[:, rng.integers(j)]
+    return A
+
+
+def scipy_inertia(M):
+    """Inertia read off scipy.linalg.ldl's block-diagonal D, one block at a
+    time, with ldlt_factorize's zero band."""
+    M = 0.5 * (M + M.T)
+    d = scipy.linalg.ldl(M, lower=True)[1]
+    zero_tol = ZERO_EIG_REL * max(np.max(np.abs(M)), 1e-300)
+    eigs = []
+    k, n = 0, d.shape[0]
+    while k < n:
+        if k + 1 < n and d[k, k + 1] != 0.0:
+            blk = d[k:k + 2, k:k + 2]
+            tr = blk[0, 0] + blk[1, 1]
+            disc = np.sqrt(max((blk[0, 0] - blk[1, 1]) ** 2 / 4.0
+                               + blk[0, 1] * blk[1, 0], 0.0))
+            eigs += (tr / 2.0 - disc, tr / 2.0 + disc)
+            k += 2
+        else:
+            eigs.append(d[k, k])
+            k += 1
+    n_pos = sum(1 for e in eigs if e > zero_tol)
+    n_neg = sum(1 for e in eigs if e < -zero_tol)
+    return (n_pos, n_neg, n - n_pos - n_neg)
+
+
+def scipy_split(A):
+    """Independent and dependent columns by scipy.linalg.qr's pivoted R."""
+    m = A.shape[1]
+    keep, drop = np.arange(m), np.zeros(0, dtype=int)
+    if m > 1:
+        R, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+        rank = r_rank(R)
+        if rank < m:
+            keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
+    elif m == 1 and not np.any(A):
+        keep, drop = np.zeros(0, dtype=int), np.zeros(1, dtype=int)
+    return keep, drop
+
+
+class TestScipyOracle:
+    @given(st.integers(1, 8), st.integers(0, 6), COLUMN_KINDS,
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_qr_paths_bit_identical(self, n, m, kinds, seed):
+        A = matrix_with_dependent_columns(n, m, kinds, seed)
+        Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
+        assert np.array_equal(nullspace_basis(A), Q[:, r_rank(R):])
+        assert qr_rank(A) == r_rank(R)
+        keep, drop = _independent_columns(A)
+        want_keep, want_drop = scipy_split(A)
+        assert np.array_equal(keep, want_keep)
+        assert np.array_equal(drop, want_drop)
+        if m:
+            (qr, tau), _, jpvt = scipy.linalg.qr(A, mode="raw",
+                                                 pivoting=True)
+            got_qr, got_jpvt, got_tau = pivoted_qr(A)
+            assert np.array_equal(got_qr, qr)
+            assert np.array_equal(got_jpvt, jpvt)
+            assert np.array_equal(got_tau, tau)
+
+    @pytest.mark.parametrize("n, m", [(300, 200), (200, 300)])
+    def test_blocked_qr_bit_identical(self, n, m):
+        # past LAPACK's block crossover the factors depend on the workspace
+        # size, so a workspace other than scipy's would show here
+        A = matrix_with_dependent_columns(n, m, ["duplicate"] * 6, 3)
+        (qr, tau), _, jpvt = scipy.linalg.qr(A, mode="raw", pivoting=True)
+        got_qr, got_jpvt, got_tau = pivoted_qr(A)
+        assert np.array_equal(got_qr, qr)
+        assert np.array_equal(got_jpvt, jpvt)
+        assert np.array_equal(got_tau, tau)
+        Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
+        assert np.array_equal(nullspace_basis(A), Q[:, r_rank(R):])
+
+    def test_blocked_ldlt_inertia_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        n, k = 200, 99
+        J = rng.standard_normal((n, k))
+        M = np.block([[random_symmetric(rng, n), J],
+                      [J.T, np.zeros((k, k))]])
+        assert ldlt_factorize(M).inertia == scipy_inertia(M)
+
+    @given(st.integers(1, 8),
+           st.sampled_from(["random", "saddle", "low_rank"]),
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_ldlt_inertia_matches_scipy(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            M = random_symmetric(rng, n, scale=10.0 ** rng.integers(-3, 4))
+        elif kind == "saddle":
+            # [[H, J], [J^T, 0]] with possibly dependent constraint columns
+            k = int(rng.integers(0, n + 1))
+            H = random_symmetric(rng, n)
+            J = matrix_with_dependent_columns(
+                n, k, rng.choice(["random", "duplicate", "zero"], 6), seed)
+            M = np.block([[H, J], [J.T, np.zeros((k, k))]])
+        else:
+            B = rng.standard_normal((n, int(rng.integers(0, n))))
+            M = B @ np.diag(rng.choice([-1.0, 1.0], B.shape[1])) @ B.T
+        assert ldlt_factorize(M).inertia == scipy_inertia(M)
