@@ -4,7 +4,10 @@ behave the same with one diff of this script's output.
 
 Each digest covers the solve's iteration trace (format_trace), status,
 error_kind, evaluation counters, step counts, events, repr(f) and the
-repr of every entry of x.
+repr of every entry of x. With --outcomes, each line instead spells out
+the solve's status, error_kind, outer and inner iteration counts, counters,
+step counts and event types, then f and every entry of x in %.8e, so a
+change that moves only the last bits of f and x shows as an empty diff.
 The 124 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
@@ -15,9 +18,10 @@ The 124 solves, each under all four strategy/mechanism variants:
     (4);
   - the LICQ failure x + y subject to x^2 + y^2 = 0 (4).
 
-Usage: python3 scripts/trace_digest.py > digest.txt
+Usage: python3 scripts/trace_digest.py [--outcomes] > digest.txt
 """
 
+import argparse
 import hashlib
 import itertools
 import sys
@@ -67,14 +71,28 @@ def digest(res) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
+def outcome(res) -> str:
+    """Every count and status of the solve, then f and x to 9 digits."""
+    parts = [res.status, repr(res.error_kind),
+             f"outer={res.n_outer}", f"inner={len(res.iterations) - 1}",
+             repr(res.counters.as_dict()), repr(sorted(res.step_counts.items())),
+             repr([ev["type"] for ev in res.events]),
+             "f=%.8e" % res.f, "x=" + " ".join("%.8e" % v for v in res.x)]
+    return "  ".join(parts)
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--outcomes", action="store_true",
+                        help="print each solve's outcome instead of a digest")
+    show = outcome if parser.parse_args().outcomes else digest
     for label, make, max_outer in problems():
         for strategy, mechanism in VARIANTS:
             config = SolverConfig(strategy=strategy, mechanism=mechanism)
             if max_outer is not None:
                 config.max_outer = max_outer
             res = solve(make(), config)
-            print(f"{digest(res)}  {label} {strategy} {mechanism}")
+            print(f"{show(res)}  {label} {strategy} {mechanism}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
-"""Dense symmetric-indefinite factorization and null-space bases.
+"""Dense symmetric-indefinite factorization, pivoted QR and Cholesky.
 
 The factorization is LAPACK's Bunch-Kaufman ``sytrf``; inertia is read off
 its 1x1 / 2x2 pivot blocks. Null-space bases come from the column-pivoted
-QR ``geqp3``, with Q formed by ``orgqr``. The routines are called directly,
-with the workspace sizes that scipy.linalg's ``ldl`` and ``qr`` query, so
-the factors are bit for bit the ones those wrappers compute. Everything here
-is dense and sized for desk-scale problems.
+QR ``geqp3``, with Q formed by ``orgqr``; the same factors give minimum-norm
+points (``trtrs`` with R^T) and full-rank least-squares multipliers
+(``trtrs`` with R). Positive definite matrices are factored by ``potrf``,
+with ``trtri`` bounding their smallest eigenvalue, and solved with
+``potrs``. The routines are called directly, with the workspace sizes that
+scipy.linalg's ``ldl`` and ``qr`` query, so the factors are bit for bit the
+ones those wrappers compute. Everything here is dense and sized for
+desk-scale problems.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ ZERO_EIG_REL = 1e-12
 # |R_ii| <= RANK_REL * |R_00| counts as a dependent column in QR
 RANK_REL = 1e-10
 
-_sytrf, _sytrf_lwork, _geqp3, _orgqr = get_lapack_funcs(
-    ("sytrf", "sytrf_lwork", "geqp3", "orgqr"), dtype=np.float64)
+(_sytrf, _sytrf_lwork, _geqp3, _orgqr, _potrf, _potrs, _trtri,
+ _trtrs) = get_lapack_funcs(("sytrf", "sytrf_lwork", "geqp3", "orgqr",
+                             "potrf", "potrs", "trtri", "trtrs"),
+                            dtype=np.float64)
 
 
 @dataclass
@@ -51,14 +57,20 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
     n = M.shape[0]
     if n == 0:
         return LdltFactors(inertia=(0, 0, 0))
-    # in place: a second n x n temporary costs more than the sums at n ~ 300
-    diff = M - M.T
-    skew = np.max(np.abs(diff, out=diff))
-    if skew > sym_tol * (1.0 + np.max(np.abs(M))):
-        raise NotSymmetric(f"matrix asymmetry {skew:.3e} above tolerance")
-    M = M + M.T
-    M *= 0.5
-    norm = np.max(np.abs(M))
+    if (M == M.T).all():
+        # exactly symmetric, as every KKT matrix convexify builds; a NaN
+        # compares unequal and takes the checked path below
+        norm = np.abs(M).max()
+    else:
+        # in place: a second n x n temporary costs more than the sums at
+        # n ~ 300
+        diff = M - M.T
+        skew = np.max(np.abs(diff, out=diff))
+        if skew > sym_tol * (1.0 + np.max(np.abs(M))):
+            raise NotSymmetric(f"matrix asymmetry {skew:.3e} above tolerance")
+        M = M + M.T
+        M *= 0.5
+        norm = np.max(np.abs(M))
     if not norm < np.inf:
         raise ValueError("NaN or inf in the matrix")
     ldu, ipiv, info = _sytrf(M, lower=1,
@@ -92,6 +104,14 @@ def _check(info: int, name: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of {name}")
 
 
+def _check_solve(info: int, name: str) -> None:
+    """A triangular solve or inverse also fails on a zero diagonal (info > 0),
+    which the callers' rank and definiteness tests rule out."""
+    _check(info, name)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{name}: zero diagonal entry {info}")
+
+
 def pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-pivoted QR of a nonempty n x m matrix, as geqp3 stores it.
 
@@ -106,30 +126,98 @@ def pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return qr, jpvt - 1, tau
 
 
-def nullspace_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Z for the null space of A^T (A is n x m).
+@dataclass
+class NullspaceFactors:
+    """Column-pivoted QR of an n x m matrix A, split at its numerical rank r.
 
-    Z has shape n x (n - r) with r the numerical rank of A, so A^T Z = 0 and
-    Z^T Z = I. For a zero or empty A this is an n x n identity-like basis.
+    A[:, piv] = [Q1 Z] [[R11, R12], [0, R22]] with R22 negligible: Z
+    (n x (n - r)) spans the null space of A^T, Q1 (n x r) the range of A,
+    and R11 (r x r, read from its upper triangle only) is nonsingular.
+    """
+
+    Z: np.ndarray
+    Q1: np.ndarray
+    R11: np.ndarray
+    piv: np.ndarray
+    rank: int
+
+    def range_point(self, rhs: np.ndarray) -> np.ndarray:
+        """x = Q1 R11^-T rhs[piv[:r]]: the minimum-norm solution of
+        A^T x = rhs when that system is consistent (check the residual)."""
+        r = self.rank
+        if r == 0:
+            return np.zeros(self.Q1.shape[0])
+        y, info = _trtrs(self.R11, rhs[self.piv[:r]], lower=0, trans=1)
+        _check_solve(info, "trtrs")
+        return self.Q1 @ y
+
+    def multipliers(self, g: np.ndarray) -> np.ndarray:
+        """The least-squares solution of A lam = g; A must have full column
+        rank (rank == m)."""
+        if self.rank == 0:
+            return np.zeros(self.piv.size)
+        y, info = _trtrs(self.R11, self.Q1.T @ g, lower=0)
+        _check_solve(info, "trtrs")
+        lam = np.empty(self.piv.size)
+        lam[self.piv] = y
+        return lam
+
+
+def nullspace_basis(A: np.ndarray, qr=None) -> NullspaceFactors:
+    """The pivoted QR factors of A (n x m) split at its numerical rank.
+
+    Z has shape n x (n - r), so A^T Z = 0 and Z^T Z = I. For a zero or empty
+    A, Z is the n x n identity and r = 0. qr, when given, is pivoted_qr(A),
+    already computed on the same matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {A.shape}")
     n, m = A.shape
     if m == 0 or not np.any(A):
-        return np.eye(n)
-    qr, _, tau = pivoted_qr(A)
+        return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)),
+                                np.arange(m), 0)
+    qr, piv, tau = pivoted_qr(A) if qr is None else qr
     rank = r_rank(qr)
-    # orgqr forms the n x n Q from the reflectors in its leading columns
-    if n >= m:
-        q = np.empty((n, n))
-        q[:, :m] = qr
-    else:
-        q = qr[:, :n]
+    # orgqr forms the n x n Q from the reflectors in its leading columns; it
+    # works on a copy, so qr still holds R
+    k = min(n, m)
+    q = np.empty((n, n), order="F")
+    q[:, :k] = qr[:, :k]
     lwork = int(_orgqr(q, tau, lwork=-1)[1][0])
     Q, _, info = _orgqr(q, tau, lwork=lwork, overwrite_a=1)
     _check(info, "orgqr")
-    return Q[:, rank:]
+    return NullspaceFactors(Q[:, rank:], Q[:, :rank], qr[:rank, :rank], piv,
+                            rank)
+
+
+def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:
+    """Lower Cholesky factor of the symmetric H (its lower triangle is read),
+    or None unless the factor certifies every eigenvalue of H to exceed
+    zero_rel * max(1, trace H).
+
+    ||L^-1||_F^2 = trace(H^-1) bounds 1 / lambda_min from above and trace H
+    bounds lambda_max, so a certified H has no eigenvalue that an
+    eigendecomposition would put in the band |w| <= zero_rel * max(1, max|w|).
+    """
+    L, info = _potrf(H, lower=1)
+    _check(info, "potrf")
+    if info > 0:
+        return None
+    # potrf zeroed the upper triangle, and trtri leaves it zero
+    Linv, info = _trtri(L, lower=1)
+    _check_solve(info, "trtri")
+    flat = Linv.ravel(order="K")
+    if not 1.0 / (flat @ flat) > zero_rel * max(1.0, float(np.trace(H))):
+        return None
+    return L
+
+
+def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """H^-1 b from the lower Cholesky factor L of H."""
+    x, info = _potrs(L, b, lower=1)
+    _check_solve(info, "potrs")
+    return x
 
 
 def r_rank(R: np.ndarray) -> int:

@@ -115,9 +115,11 @@ def evaluate_lagrangian_hessian(problem: NcoProblem, x: np.ndarray,
     W = rho * np.asarray(problem.hess_f(x), dtype=float)
     if problem.m:
         Hc = np.asarray(problem.hess_c(x), dtype=float)
-        # one BLAS gemv over the flattened stack
+        # one BLAS gemv over the flattened stack, subtracted in place: a new
+        # W would be allocated above the stack and outlive it, splitting
+        # the heap block that the next stack of this size would reuse
         lam = np.asarray(lam, dtype=float)
-        W = W - (lam @ Hc.reshape(problem.m, -1)).reshape(W.shape)
+        W -= (lam @ Hc.reshape(problem.m, -1)).reshape(W.shape)
     if counters is not None:
         counters.n_hess += 1
     _require_finite(W, "Lagrangian Hessian")

@@ -4,19 +4,24 @@
 
 A holds the equality gradients column-wise (n x m). The working set is the
 equalities plus a subset of active bounds; steps live in the null space of
-the free-row Jacobian. The reduced Hessian is classified by eigenvalue:
-positive definite blocks give Newton steps, negative or zero curvature gives
-a ray walked to its blocking bound (no bound means the QP is unbounded).
+the free-row Jacobian. Each working set is factored once, and its factors
+serve every pass (and the warm start) that sees it unchanged. One pivoted QR
+of the free rows of A gives the null-space basis Z, the warm start's
+minimum-norm point and, at full column rank, the equality multipliers; with
+every variable free it is the QR that already split off dependent
+equalities. The reduced Hessian Z^T W Z is first tried as a Cholesky factor
+that certifies every eigenvalue above the zero band: such a block gives
+Newton steps. Otherwise it is classified by eigenvalue: positive definite
+blocks still give Newton steps, negative or zero curvature gives a ray
+walked to its blocking bound (no bound means the QP is unbounded). With W
+identically zero (phase-1 LPs) the reduced Hessian needs no factorization.
 Feasibility first tries the origin and then the minimum-norm least-squares
 solution of A^T x = b, each clipped to the box. When neither satisfies the
 equalities, an elastic l1 LP runs; it is the fallback and the only source of
 an infeasibility verdict, its optimal residual serving as the certificate.
-With W identically zero (phase-1 LPs) the reduced Hessian needs no
-eigendecomposition. Each working set is factored once: the null-space basis
-and the reduced-Hessian eigendecomposition of the last one serve every pass
-(and the warm start) that sees it unchanged. Anti-cycling: greedy pivot
-choice for the first half of the pivot budget, Bland's rule afterwards; a
-budget of 2 * max_pivots + 2 passes also stops steps that never pivot.
+Anti-cycling: greedy pivot choice for the first half of the pivot budget,
+Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
+steps that never pivot.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxPivots
-from .linalg import nullspace_basis, pivoted_qr, r_rank
+from .linalg import (NullspaceFactors, certified_cholesky, cholesky_solve,
+                     nullspace_basis, pivoted_qr, r_rank)
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
 GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
@@ -114,10 +120,23 @@ def elastic_problem(A, b, lb, ub, W=None):
     return data, np.concatenate([x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)])
 
 
-class _Core:
-    """Active-set iteration on a feasible point."""
+@dataclass
+class _Reduced:
+    """Factors of one working set: qr of A[free], and the reduced Hessian
+    H = Z^T W[free, free] Z either as a Cholesky factor `chol` certified
+    positive definite or, when that fails, as its eigendecomposition (w, V)."""
 
-    def __init__(self, W, g, A, b, lb, ub, max_pivots):
+    qr: NullspaceFactors
+    chol: np.ndarray | None
+    w: np.ndarray | None = None
+    V: np.ndarray | None = None
+
+
+class _Core:
+    """Active-set iteration on a feasible point. qr, when given, is
+    pivoted_qr(A), which the working set with every variable free reuses."""
+
+    def __init__(self, W, g, A, b, lb, ub, max_pivots, qr=None):
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
@@ -125,6 +144,7 @@ class _Core:
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
+        self._qr = qr
         self._factored = None, None
 
     def run(self, x, work):
@@ -167,20 +187,24 @@ class _Core:
     # -- factors of the working set --
 
     def reduced(self, free):
-        """(Z, w, V) for the working set with free variables `free`: Z spans
-        the null space of A[free]^T and (w, V) is the eigendecomposition of
-        Z^T W[free, free] Z. The last working set's factors are kept."""
+        """The _Reduced factors of the working set with free variables
+        `free`. The last working set's factors are kept."""
         key = free.tobytes()
         if self._factored[0] != key:
-            Z = nullspace_basis(self.A[free])
-            k = Z.shape[1]
+            every = free.size == self.n
+            fac = nullspace_basis(self.A, self._qr) if every \
+                else nullspace_basis(self.A[free])
+            k = fac.Z.shape[1]
             if self.w_zero or k == 0:
                 # eigh of the zero matrix: the same values, without the solve
-                w, V = np.zeros(k), np.eye(k)
+                factors = _Reduced(fac, None, np.zeros(k), np.eye(k))
             else:
-                H = Z.T @ self.W[np.ix_(free, free)] @ Z
-                w, V = np.linalg.eigh(0.5 * (H + H.T))
-            self._factored = key, (Z, w, V)
+                Wf = self.W if every else self.W[np.ix_(free, free)]
+                H = fac.Z.T @ Wf @ fac.Z
+                chol = certified_cholesky(H, EIG_ZERO_REL)
+                factors = _Reduced(fac, chol) if chol is not None else \
+                    _Reduced(fac, None, *np.linalg.eigh(0.5 * (H + H.T)))
+            self._factored = key, factors
         return self._factored[1]
 
     def warm_start(self, codes):
@@ -206,21 +230,25 @@ class _Core:
                     1.0 + np.max(np.abs(b), initial=0.0)):
                 return None
             return x, work
-        Af = A[free]
-        if A.shape[1]:
-            xf0 = np.linalg.lstsq(Af.T, rhs, rcond=None)[0]
-            if np.max(np.abs(Af.T @ xf0 - rhs), initial=0.0) > 1e-9 * (
-                    1.0 + np.max(np.abs(b), initial=0.0)):
-                return None
-        else:
-            xf0 = np.zeros(free.size)
-        Z, w, V = self.reduced(free)
+        f = self.reduced(free)
+        xf0 = f.qr.range_point(rhs)
+        if A.shape[1] and np.max(np.abs(A[free].T @ xf0 - rhs),
+                                 initial=0.0) > 1e-9 * (
+                1.0 + np.max(np.abs(b), initial=0.0)):
+            return None
+        Z = f.qr.Z
         if Z.shape[1]:
-            if w[0] <= EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w)))):
+            if f.chol is None and f.w[0] <= EIG_ZERO_REL * max(
+                    1.0, float(np.max(np.abs(f.w)))):
                 return None
             gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
-                + W[np.ix_(free, free)] @ xf0
-            pz = V @ ((V.T @ (-Z.T @ gf)) / w)
+                + (W @ xf0 if free.size == self.n
+                   else W[np.ix_(free, free)] @ xf0)
+            q = Z.T @ gf
+            if f.chol is not None:
+                pz = -cholesky_solve(f.chol, q)
+            else:
+                pz = f.V @ ((f.V.T @ -q) / f.w)
             xf = xf0 + Z @ pz
         else:
             xf = xf0
@@ -236,29 +264,36 @@ class _Core:
         """Newton step, curvature ray, or None when reduced-stationary."""
         if free.size == 0:
             return None
-        Z, w, V = self.reduced(free)
+        f = self.reduced(free)
+        Z = f.qr.Z
         if Z.shape[1] == 0:
             return None
         q = Z.T @ grad[free]
-        eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w), initial=0.0)))
         q_tol = STATIONARY_REL * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
-        neg = w < -eig_tol
-        zero = np.abs(w) <= eig_tol
-        if np.any(neg):
-            v = V[:, int(np.argmin(w))]
-            return self._orient_ray(x, free, Z, v, q), True
-        if np.any(zero):
-            qz = V[:, zero] @ (V[:, zero].T @ q)
-            if np.max(np.abs(qz), initial=0.0) > q_tol:
-                v = -qz / np.linalg.norm(qz)
-                return self._embed(free, Z @ v), True
-        if np.max(np.abs(q), initial=0.0) <= q_tol:
-            return None
-        pos = ~(neg | zero)
-        pz = np.zeros_like(q)
-        if np.any(pos):
-            Vp = V[:, pos]
-            pz = -Vp @ ((Vp.T @ q) / w[pos])
+        if f.chol is not None:
+            if np.max(np.abs(q)) <= q_tol:
+                return None
+            pz = -cholesky_solve(f.chol, q)
+        else:
+            w, V = f.w, f.V
+            eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w))))
+            neg = w < -eig_tol
+            zero = np.abs(w) <= eig_tol
+            if np.any(neg):
+                v = V[:, int(np.argmin(w))]
+                return self._orient_ray(x, free, Z, v, q), True
+            if np.any(zero):
+                qz = V[:, zero] @ (V[:, zero].T @ q)
+                if np.max(np.abs(qz), initial=0.0) > q_tol:
+                    v = -qz / np.linalg.norm(qz)
+                    return self._embed(free, Z @ v), True
+            if np.max(np.abs(q), initial=0.0) <= q_tol:
+                return None
+            pos = ~(neg | zero)
+            pz = np.zeros_like(q)
+            if np.any(pos):
+                Vp = V[:, pos]
+                pz = -Vp @ ((Vp.T @ q) / w[pos])
         p = self._embed(free, Z @ pz)
         if np.max(np.abs(p), initial=0.0) <= q_tol:
             return None
@@ -323,7 +358,14 @@ class _Core:
 
     def _multipliers(self, grad, work, free):
         if free.size:
-            lam = np.linalg.lstsq(self.A[free], grad[free], rcond=None)[0]
+            # the pass that found x reduced-stationary factored this set
+            fac = self.reduced(free).qr
+            if fac.rank == self.A.shape[1]:
+                lam = fac.multipliers(grad[free])
+            else:
+                # the minimum-norm lam decides which bound is dropped
+                lam = np.linalg.lstsq(self.A[free], grad[free],
+                                      rcond=None)[0]
         elif self.A.shape[1]:
             lam = np.linalg.lstsq(self.A, grad, rcond=None)[0]
         else:
@@ -427,18 +469,21 @@ def _face_enumeration(W, g, lb, ub):
     return best_obj, best_x, best_work
 
 
-def _independent_columns(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split A's column indices into (keep, drop), both sorted: keep is a
-    linearly independent set of the pivoted-QR rank, drop is the rest."""
+def _independent_columns(A: np.ndarray):
+    """Split A's column indices into (keep, drop, qr), keep and drop sorted:
+    keep is a linearly independent set of the pivoted-QR rank, drop is the
+    rest. qr is A's pivoted QR when it was computed and nothing is dropped,
+    else None."""
     m = A.shape[1]
     if m and not np.any(A):
-        return np.zeros(0, dtype=int), np.arange(m)
+        return np.zeros(0, dtype=int), np.arange(m), None
+    qr = None
     if m > 1:
-        qr, piv, _ = pivoted_qr(A)
-        rank = r_rank(qr)
+        qr = pivoted_qr(A)
+        rank = r_rank(qr[0])
         if rank < m:
-            return np.sort(piv[:rank]), np.sort(piv[rank:])
-    return np.arange(m), np.zeros(0, dtype=int)
+            return np.sort(qr[1][:rank]), np.sort(qr[1][rank:]), None
+    return np.arange(m), np.zeros(0, dtype=int), qr
 
 
 def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
@@ -466,10 +511,10 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         max_pivots = 50 * (n + m)
 
     # drop linearly dependent equality columns; verify them post-solve
-    keep, drop = _independent_columns(A)
+    keep, drop, qr = _independent_columns(A)
     Ak, bk = A[:, keep], b[keep]
 
-    core = _Core(W, g, Ak, bk, lb, ub, max_pivots)
+    core = _Core(W, g, Ak, bk, lb, ub, max_pivots, qr)
 
     start = None
     phase1_pivots = 0

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import jacobi_eigenvalues
 from funnel_sqp.errors import DimensionMismatch, NotSymmetric
-from funnel_sqp.linalg import (ZERO_EIG_REL, ldlt_factorize, nullspace_basis,
-                               pivoted_qr, qr_rank, r_rank)
+from funnel_sqp.linalg import (ZERO_EIG_REL, certified_cholesky,
+                               cholesky_solve, ldlt_factorize,
+                               nullspace_basis, pivoted_qr, qr_rank, r_rank)
 from funnel_sqp.qp import _independent_columns
 
 
@@ -64,6 +65,18 @@ class TestLdlt:
         with pytest.raises(NotSymmetric):
             ldlt_factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_asymmetry_just_above_tolerance_rejected(self):
+        tol = 1e-10 * (1.0 + 2.0)
+        with pytest.raises(NotSymmetric):
+            ldlt_factorize(np.array([[2.0, 1.0], [1.0 + 1.01 * tol, -1.0]]))
+
+    def test_asymmetry_within_tolerance_symmetrized(self):
+        # the symmetric part [[1, 1], [1, 1]] is singular, while the lower
+        # triangle alone would give a negative eigenvalue past the zero band
+        d = 2.0 ** -36
+        M = np.array([[1.0, 1.0 - d], [1.0 + d, 1.0]])
+        assert ldlt_factorize(M).inertia == (1, 0, 1)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             ldlt_factorize(np.ones((2, 3)))
@@ -94,6 +107,13 @@ class TestNonFinite:
             ldlt_factorize(np.array([[1.0, 0.0], [0.0, bad]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ldlt_rejects_symmetric_off_diagonal(self, bad):
+        # an exactly symmetric matrix skips the symmetry check, which must
+        # not let a non-finite entry through
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            ldlt_factorize(np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fn", [nullspace_basis, qr_rank])
     def test_qr_rejects(self, fn, bad):
         with pytest.raises(ValueError):
@@ -103,24 +123,24 @@ class TestNonFinite:
 class TestNullspace:
     def test_single_column(self):
         A = np.array([[1.0], [1.0]])
-        Z = nullspace_basis(A)
+        Z = nullspace_basis(A).Z
         assert Z.shape == (2, 1)
         assert abs(A.T @ Z).max() <= 1e-12
         assert np.allclose(Z.T @ Z, np.eye(1))
 
     def test_zero_matrix_gives_identity_basis(self):
-        Z = nullspace_basis(np.zeros((3, 1)))
+        Z = nullspace_basis(np.zeros((3, 1))).Z
         assert Z.shape == (3, 3)
         assert np.allclose(Z.T @ Z, np.eye(3))
 
     def test_empty_constraints(self):
-        Z = nullspace_basis(np.zeros((4, 0)))
+        Z = nullspace_basis(np.zeros((4, 0))).Z
         assert Z.shape == (4, 4)
 
     def test_rank_deficient_columns(self):
         a = np.array([1.0, 2.0, 3.0])
         A = np.column_stack([a, 2 * a])   # rank 1
-        Z = nullspace_basis(A)
+        Z = nullspace_basis(A).Z
         assert Z.shape == (3, 2)
         assert np.max(np.abs(A.T @ Z)) <= 1e-12 * np.max(np.abs(A))
         assert qr_rank(A) == 1
@@ -132,7 +152,7 @@ class TestNullspace:
     def test_orthonormal_annihilating_property(self, n, m, seed):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, m)) if m else np.zeros((n, 0))
-        Z = nullspace_basis(A)
+        Z = nullspace_basis(A).Z
         r = qr_rank(A)
         assert Z.shape == (n, n - r)
         if Z.shape[1]:
@@ -206,9 +226,9 @@ class TestScipyOracle:
     def test_qr_paths_bit_identical(self, n, m, kinds, seed):
         A = matrix_with_dependent_columns(n, m, kinds, seed)
         Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
-        assert np.array_equal(nullspace_basis(A), Q[:, r_rank(R):])
+        assert np.array_equal(nullspace_basis(A).Z, Q[:, r_rank(R):])
         assert qr_rank(A) == r_rank(R)
-        keep, drop = _independent_columns(A)
+        keep, drop, _ = _independent_columns(A)
         want_keep, want_drop = scipy_split(A)
         assert np.array_equal(keep, want_keep)
         assert np.array_equal(drop, want_drop)
@@ -219,6 +239,13 @@ class TestScipyOracle:
             assert np.array_equal(got_qr, qr)
             assert np.array_equal(got_jpvt, jpvt)
             assert np.array_equal(got_tau, tau)
+            r = r_rank(R)
+            f = nullspace_basis(A, pivoted_qr(A))
+            assert np.array_equal(f.Z, Q[:, r:])
+            if np.any(A):
+                assert np.array_equal(f.Q1, Q[:, :r])
+                assert np.array_equal(np.triu(f.R11), R[:r, :r])
+                assert np.array_equal(f.piv, jpvt)
 
     @pytest.mark.parametrize("n, m", [(300, 200), (200, 300)])
     def test_blocked_qr_bit_identical(self, n, m):
@@ -231,7 +258,7 @@ class TestScipyOracle:
         assert np.array_equal(got_jpvt, jpvt)
         assert np.array_equal(got_tau, tau)
         Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
-        assert np.array_equal(nullspace_basis(A), Q[:, r_rank(R):])
+        assert np.array_equal(nullspace_basis(A).Z, Q[:, r_rank(R):])
 
     def test_blocked_ldlt_inertia_matches_scipy(self):
         rng = np.random.default_rng(5)
@@ -260,3 +287,61 @@ class TestScipyOracle:
             B = rng.standard_normal((n, int(rng.integers(0, n))))
             M = B @ np.diag(rng.choice([-1.0, 1.0], B.shape[1])) @ B.T
         assert ldlt_factorize(M).inertia == scipy_inertia(M)
+
+
+class TestFactorSolves:
+    @given(st.integers(1, 8), st.integers(0, 6), COLUMN_KINDS,
+           st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_qr_solves_match_lstsq(self, n, m, kinds, seed):
+        A = matrix_with_dependent_columns(n, m, kinds, seed)
+        rng = np.random.default_rng(seed + 1)
+        f = nullspace_basis(A)
+        # a consistent A^T x = rhs: the minimum-norm solution
+        rhs = A.T @ rng.standard_normal(n)
+        want = np.linalg.lstsq(A.T, rhs, rcond=None)[0]
+        got = f.range_point(rhs)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * (
+            1.0 + np.max(np.abs(want), initial=0.0))
+        if f.rank == m:
+            g = rng.standard_normal(n)
+            want = np.linalg.lstsq(A, g, rcond=None)[0]
+            got = f.multipliers(g)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * (
+                1.0 + np.max(np.abs(want), initial=0.0))
+
+
+class TestCertifiedCholesky:
+    def test_positive_definite_factored(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((6, 6))
+        H = M @ M.T + np.eye(6)
+        L = certified_cholesky(H, 1e-12)
+        assert np.allclose(np.tril(L) @ np.tril(L).T, H)
+        b = rng.standard_normal(6)
+        assert np.allclose(cholesky_solve(L, b), np.linalg.solve(H, b))
+
+    def test_mixed_scales_certified(self):
+        # lambda_min = 1e-5 clears 1e-12 * trace = 1e-6
+        assert certified_cholesky(np.diag([1e6, 1e-5]), 1e-12) is not None
+
+    @pytest.mark.parametrize("H", [
+        np.diag([1.0, 1e-13]),         # positive definite, inside the band
+        np.diag([1.0, 0.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+    ])
+    def test_not_certified(self, H):
+        assert certified_cholesky(H, 1e-12) is None
+
+    @given(st.integers(1, 8), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_means_eigh_sees_no_zero_or_negative(self, k, seed):
+        rng = np.random.default_rng(seed)
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        # mostly positive, so the certified branch is taken often
+        w = np.where(rng.random(k) < 0.1, -1.0, 1.0) \
+            * 10.0 ** rng.uniform(-15, 3, k)
+        H = (V * w) @ V.T
+        w_eigh = np.linalg.eigvalsh(0.5 * (H + H.T))
+        if certified_cholesky(H, 1e-12) is not None:
+            assert w_eigh[0] > 1e-12 * max(1.0, np.max(np.abs(w_eigh)))

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,12 +261,12 @@ class TestFactorCache:
         qp = box_qp(M @ M.T + np.eye(n), rng.standard_normal(n),
                     A=rng.standard_normal((n, 2)), b=[1.0, -1.0])
         qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
-        eigh_calls = _counted(monkeypatch, np.linalg, "eigh")
+        chol_calls = _counted(monkeypatch, qp_module, "certified_cholesky")
         sol = solve_qp(qp, warm_start=np.zeros(n, dtype=np.int8))
         assert sol.status == "optimal" and sol.n_pivots == 0
         assert np.all(sol.active == FREE)
         assert_kkt(qp, sol)
-        assert (len(qr_calls), len(eigh_calls)) == (1, 1)
+        assert (len(qr_calls), len(chol_calls)) == (1, 1)
 
     def test_pivoting_qp_factors_each_working_set_once(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -304,19 +305,166 @@ class TestFactorCache:
                      np.full(n, INF), 100)
         every, some = np.arange(n), np.array([0, 2, 3])
         first = core.reduced(every)
-        assert all(a is b for a, b in zip(core.reduced(every.copy()), first))
-        Z, w, V = core.reduced(some)
-        assert not any(a is b for a, b in zip((Z, w, V), first))
+        assert core.reduced(every.copy()) is first
+        f = core.reduced(some)
+        assert f is not first and f.qr is not first.qr
+        Z = f.qr.Z
         assert Z.shape == (3, 2)
         assert np.allclose(A[some].T @ Z, 0.0)
         H = Z.T @ W[np.ix_(some, some)] @ Z
-        assert np.allclose(V @ np.diag(w) @ V.T, H)
+        assert np.allclose(f.chol @ f.chol.T, H)
         again = core.reduced(every)
-        assert not any(a is b for a, b in zip(again, first))
-        for a, b in zip(again, first):
-            assert np.array_equal(a, b)
+        assert again is not first
+        for a, b in [(again.qr.Z, first.qr.Z), (again.chol, first.chol)]:
+            assert a is not b and np.array_equal(a, b)
+
+    def test_positive_definite_reduced_hessian_skips_eigh(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        n = 6
+        M = rng.standard_normal((n, n))
+        qp = box_qp(M @ M.T + np.eye(n), rng.standard_normal(n),
+                    A=rng.standard_normal((n, 2)), b=[0.5, 1.0])
+        eigh_calls = _counted(monkeypatch, np.linalg, "eigh")
+        sol = solve_qp(qp)
+        assert sol.status == "optimal"
+        assert_kkt(qp, sol)
+        assert len(eigh_calls) == 0
+
+    def test_indefinite_reduced_hessian_calls_eigh_once(self, monkeypatch):
+        # W = diag(1, 1, -1) on the plane x0 + x1 + x2 = 0: indefinite, so
+        # the Cholesky is refused and eigh finds the ray to the box
+        qp = box_qp(np.diag([1.0, 1.0, -1.0]), [0.0, 0.0, 0.1],
+                    lb=np.full(3, -1.0), ub=np.full(3, 1.0),
+                    A=np.ones(3), b=[0.0])
+        core = _Core(qp.W, qp.g, qp.A, qp.b, qp.lb, qp.ub, 100)
+        eigh_calls = _counted(monkeypatch, np.linalg, "eigh")
+        p, ray = core._direction(np.zeros(3), qp.g, np.arange(3))
+        assert ray and abs(p.sum()) <= 1e-12
+        assert len(eigh_calls) == 1
+        sol = solve_qp(qp)
+        assert sol.status == "optimal"
+        assert_kkt(qp, sol)
+
+    def test_tiny_positive_curvature_takes_the_zero_curvature_ray(
+            self, monkeypatch):
+        # W = diag(1, 1e-13) is positive definite, but 1e-13 lies in the
+        # zero band: eigh, not the Cholesky, must classify it, and the
+        # gradient along it makes a descent ray rather than a 1e13 step
+        W = np.diag([1.0, 1e-13])
+        g = np.array([0.0, 1.0])
+        core = _Core(W, g, np.zeros((2, 0)), np.zeros(0), np.full(2, -1.0),
+                     np.full(2, 1.0), 100)
+        eigh_calls = _counted(monkeypatch, np.linalg, "eigh")
+        p, ray = core._direction(np.zeros(2), g, np.arange(2))
+        assert ray
+        assert np.allclose(p, [0.0, -1.0], rtol=0.0, atol=1e-15)
+        assert len(eigh_calls) == 1
+        sol = solve_qp(box_qp(W, g, lb=np.full(2, -1.0), ub=np.full(2, 1.0)))
+        assert sol.status == "optimal"
+        assert np.allclose(sol.x, [0.0, -1.0])
 
 
+def _deficient_columns(rng, rows, m, kind):
+    """rows x m block of rank m or less ("full"), of rank 1 to m - 1
+    ("deficient", m >= 2 and rows >= 2), or zero."""
+    if kind == "zero":
+        return np.zeros((rows, m))
+    if kind == "full":
+        return rng.standard_normal((rows, m))
+    r = int(rng.integers(1, min(rows, m)))
+    return rng.standard_normal((rows, r)) @ rng.standard_normal((r, m))
+
+
+class TestWorkingSetSolves:
+    def test_rank_deficient_multipliers_are_minimum_norm(self):
+        # x0 = lb0 is both the equality and an active bound, so A[free] = 0:
+        # any lam satisfies stationarity on the free rows, and the
+        # minimum-norm one, 0, leaves the whole gradient on the bound
+        qp = box_qp(np.eye(2), [1.0, -1.0], lb=[0.0, -INF], A=[1.0, 0.0],
+                    b=[0.0])
+        sol = solve_qp(qp)
+        assert sol.status == "optimal"
+        assert np.array_equal(sol.active, [LOWER, FREE])
+        assert np.array_equal(sol.lam, [0.0])
+        assert np.allclose(sol.mu, [1.0, 0.0])
+        assert_kkt(qp, sol)
+
+    def test_rank_deficient_multipliers_match_lstsq(self):
+        # A has full column rank, its free rows 2 and 3 only rank 1
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [-1.0, -2.0]])
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 4))
+        W, g = M @ M.T + np.eye(4), rng.standard_normal(4)
+        x = np.array([0.5, -0.5, 0.3, 0.1])
+        lb = np.array([0.5, -0.5, -INF, -INF])
+        core = _Core(W, g, A, A.T @ x, lb, np.full(4, INF), 100)
+        work = np.array([LOWER, LOWER, FREE, FREE], dtype=np.int8)
+        free = np.array([2, 3])
+        grad = W @ x + g
+        core._direction(x, grad, free)
+        lam, mu, _ = core._multipliers(grad, work, free)
+        want = np.linalg.lstsq(A[free], grad[free], rcond=None)[0]
+        assert np.allclose(lam, want, rtol=1e-12, atol=1e-14)
+        assert np.allclose(mu, np.where(work == FREE, 0.0, grad - A @ want))
+
+    @given(st.integers(1, 8), st.integers(0, 4),
+           st.sampled_from(["full", "deficient", "zero"]),
+           st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_warm_start_and_newton_step_match_lstsq_eigh(self, n, m, kind,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        n_fixed = int(rng.integers(0, n))
+        fixed = np.sort(rng.permutation(n)[:n_fixed])
+        free = np.setdiff1d(np.arange(n), fixed)
+        if kind == "full":
+            m = min(m, free.size)
+        elif kind == "deficient" and min(free.size, m) < 2:
+            kind = "zero"
+        A = np.zeros((n, m))
+        A[free] = _deficient_columns(rng, free.size, m, kind)
+        A[fixed] = rng.standard_normal((n_fixed, m))
+        M = rng.standard_normal((n, n))
+        W, g = M @ M.T + np.eye(n), rng.standard_normal(n)
+        x_feas = rng.standard_normal(n)
+        lb = np.full(n, -INF)
+        lb[fixed] = x_feas[fixed]
+        core = _Core(W, g, A, A.T @ x_feas, lb, np.full(n, INF), 100)
+        codes = np.zeros(n, dtype=np.int8)
+        codes[fixed] = LOWER
+
+        # the formulas the QR and the Cholesky replace
+        Af = A[free]
+        Z = scipy.linalg.null_space(Af.T) if m else np.eye(free.size)
+        w, V = np.linalg.eigh(Z.T @ W[np.ix_(free, free)] @ Z)
+
+        def newton(q):
+            return Z @ (V @ ((V.T @ -q) / w))
+
+        def close(got, want):
+            return np.max(np.abs(got - want), initial=0.0) <= 1e-10 * (
+                1.0 + np.max(np.abs(want), initial=0.0))
+
+        rhs = A.T @ x_feas - A[fixed].T @ x_feas[fixed]
+        xf0 = np.linalg.lstsq(Af.T, rhs, rcond=None)[0] if m \
+            else np.zeros(free.size)
+        x_want = x_feas.copy()
+        x_want[free] = xf0 + newton(
+            Z.T @ (W[free] @ np.where(codes == FREE, 0.0, x_feas)
+                   + W[np.ix_(free, free)] @ xf0 + g[free]))
+        x, work = core.warm_start(codes)
+        assert np.array_equal(work, codes)
+        assert close(x, x_want)
+
+        grad = W @ x_feas + g
+        p_want = np.zeros(n)
+        p_want[free] = newton(Z.T @ grad[free])
+        move = core._direction(x_feas, grad, free)
+        if move is None:
+            assert Z.shape[1] == 0 or np.max(np.abs(p_want)) <= 1e-9
+        else:
+            assert not move[1]
+            assert close(move[0], p_want)
 class TestOracleBattery:
     def test_convex_matches_enumeration(self):
         rng = np.random.default_rng(100)
