@@ -12,7 +12,11 @@ every end-to-end metric in PARENT's BENCHMARK.json the script prints each
 side's median and quartiles, the change/parent ratio of the medians and the
 number of pairs the change won (ties count for neither). A gain holds when
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range; the last column says so.
+more than the parent's interquartile range; the gain column says so. The
+last column applies the metric's relative `bound`: `worse` when the change's
+median is worse than the parent's by more than bound times the parent's
+median, `unresolved` when the parent's interquartile range is wider than
+that unless every change run beats every parent run, else `ok`.
 """
 
 import argparse
@@ -52,11 +56,26 @@ def verdict(parent, change, better):
     return won, won >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1
 
 
+def regression(parent, change, better, bound):
+    """The no-regression verdict for one metric's runs under its relative
+    bound: "worse", "unresolved" or "ok"; better is "lower" or "higher"."""
+    sign = 1.0 if better == "lower" else -1.0
+    p1, pm, p3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    allowed = bound * abs(pm)
+    if sign * (cm - pm) > allowed:
+        return "worse"
+    if p3 - p1 > allowed and not max(sign * c for c in change) < min(
+            sign * p for p in parent):
+        return "unresolved"
+    return "ok"
+
+
 def summary(runs, metrics):
     """One row per metric over the paired runs {"parent": [...], ...}."""
     pairs = len(runs["parent"])
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
         won, gain = verdict(p, c, better)
@@ -66,7 +85,8 @@ def summary(runs, metrics):
         parent = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
         change = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
         rows.append(f"{name:12s}  {parent:32s}  {change:32s}  {ratio:6.3f}"
-                    f"  {won:2d}/{pairs}  {'yes' if gain else 'no'}")
+                    f"  {won:2d}/{pairs}  {'yes' if gain else 'no':4s}"
+                    f"  {regression(p, c, better, bound)}")
     return rows
 
 
@@ -81,7 +101,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"])
+               for m in spec["end_to_end"]]
     roots = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -91,14 +112,14 @@ def main(argv=None):
                            args.seconds)
             runs[side].append(out)
             values = " ".join(f"{name}={out['metrics'][name]['value']:.4g}"
-                              for name, _ in metrics)
+                              for name, _, _ in metrics)
             ok = "ok" if out["correct"] else f"FAILED {out['failed']}"
             print(f"pair {i + 1} {side}: {values} {ok}", flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s: median [quartiles], parent then change")
     print(f"{'metric':12s}  {'parent':32s}  {'change':32s}  {'c/p':>6s}"
-          f"  {'won':>5s}  gain")
+          f"  {'won':>5s}  gain  bound")
     print("\n".join(summary(runs, metrics)))
     failed = sum(not r["correct"] for side in runs.values() for r in side)
     print(f"runs not correct: {failed} of {2 * args.pairs}")

@@ -60,7 +60,6 @@ class SubproblemParams:
     eta0: float = 1e-4          # first regularization magnitude
     eta_growth: float = 10.0
     eta_max: float = 1e20
-    elastic_tol: float = 1e-10  # elastic mass below this means consistent linearization
     zero_step_tol: float = 1e-14
 
 

@@ -403,19 +403,13 @@ def format_model(m: Model) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# ------------------ compilation and lowering ------------------
-
-def compile_expr(e: Expr, env: dict[str, int]) -> Tape:
-    """The derivative tape of e; env maps variable names to indices."""
-    return Tape(e, env)
-
+# ------------------ lowering ------------------
 
 def model_to_general(m: Model) -> GeneralProblem:
     env = {v.name: i for i, v in enumerate(m.variables)}
     n = len(m.variables)
-    f_expr = compile_expr(m.objective if m.objective is not None
-                          else Num(0.0), env)
-    cons = [compile_expr(r.body, env) for r in m.constraints]
+    f_expr = Tape(m.objective if m.objective is not None else Num(0.0), env)
+    cons = [Tape(r.body, env) for r in m.constraints]
     return GeneralProblem(
         name=m.name, n=n, f_expr=f_expr, con_exprs=cons,
         lb=np.array([v.lb for v in m.variables], dtype=float),

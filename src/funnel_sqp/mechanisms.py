@@ -101,7 +101,7 @@ class _Mechanism:
         models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
         trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
                           f_t=f_t, h_t=h_t, models=models, alpha=alpha,
-                          full_step_norm=dn, step_norm=rec.step_norm,
+                          full_step_norm=dn,
                           subproblem_feasible=dres.subproblem_feasible,
                           h_resto=self.engine.h_resto)
         verdict = self.strategy.decide(sstate, trial)

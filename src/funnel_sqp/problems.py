@@ -137,15 +137,15 @@ def infeasibility(c: np.ndarray) -> float:
 class GeneralProblem:
     """Pre-lowering form: expressions plus constraint ranges.
 
-    Each expression is a Tape (dsl.compile_expr) or a Python callable over a
-    list of n scalars. A callable is traced once into an expression tree
-    (tape.trace), so it must be written with operator arithmetic and the
-    hd_* helpers or numpy's exp/log/sin/cos/sqrt, and must not branch on
-    values.
+    Each expression is a Tape (a tree and its variable indices) or a Python
+    callable over a list of n scalars. A callable is traced once into an
+    expression tree (tape.trace), so it must be written with operator
+    arithmetic and the hd_* helpers or numpy's exp/log/sin/cos/sqrt, and
+    must not branch on values.
     """
     name: str
     n: int
-    f_expr: Callable
+    f_expr: Tape | Callable
     con_exprs: list
     lb: np.ndarray
     ub: np.ndarray

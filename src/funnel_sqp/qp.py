@@ -21,7 +21,8 @@ equalities, an elastic l1 LP runs; it is the fallback and the only source of
 an infeasibility verdict, its optimal residual serving as the certificate.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
-steps that never pivot.
+steps that never pivot. A small nonconvex box-only QP then gets a face
+scan, whose faces are warm starts on each face's bound codes.
 """
 
 from __future__ import annotations
@@ -131,6 +132,14 @@ class _Reduced:
     w: np.ndarray | None = None
     V: np.ndarray | None = None
 
+    def newton(self, q, pos=slice(None)):
+        """Newton step -H^-1 q in null-space coordinates; without a Cholesky
+        factor, over the eigenvectors selected by pos (default all)."""
+        if self.chol is not None:
+            return -cholesky_solve(self.chol, q)
+        V = self.V[:, pos]
+        return -(V @ ((V.T @ q) / self.w[pos]))
+
 
 class _Core:
     """Active-set iteration on a feasible point. qr, when given, is
@@ -224,19 +233,15 @@ class _Core:
         if not np.all(np.isfinite(x[fixed])):
             return None
         free = np.flatnonzero(~fixed)
-        rhs = b - A[fixed].T @ x[fixed] if A.shape[1] else np.zeros(0)
+        rhs = b - A[fixed].T @ x[fixed]
+        tol = 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0))
         if free.size == 0:
-            if A.shape[1] and np.max(np.abs(rhs), initial=0.0) > 1e-9 * (
-                    1.0 + np.max(np.abs(b), initial=0.0)):
-                return None
-            return x, work
+            return None if np.max(np.abs(rhs), initial=0.0) > tol else (x, work)
         f = self.reduced(free)
         xf0 = f.qr.range_point(rhs)
-        if A.shape[1] and np.max(np.abs(A[free].T @ xf0 - rhs),
-                                 initial=0.0) > 1e-9 * (
-                1.0 + np.max(np.abs(b), initial=0.0)):
+        if np.max(np.abs(A[free].T @ xf0 - rhs), initial=0.0) > tol:
             return None
-        Z = f.qr.Z
+        xf, Z = xf0, f.qr.Z
         if Z.shape[1]:
             if f.chol is None and f.w[0] <= EIG_ZERO_REL * max(
                     1.0, float(np.max(np.abs(f.w)))):
@@ -244,14 +249,7 @@ class _Core:
             gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
                 + (W @ xf0 if free.size == self.n
                    else W[np.ix_(free, free)] @ xf0)
-            q = Z.T @ gf
-            if f.chol is not None:
-                pz = -cholesky_solve(f.chol, q)
-            else:
-                pz = f.V @ ((f.V.T @ -q) / f.w)
-            xf = xf0 + Z @ pz
-        else:
-            xf = xf0
+            xf = xf0 + Z @ f.newton(Z.T @ gf)
         pad = 1e-10 * (1.0 + np.max(np.abs(xf), initial=0.0))
         if np.any(xf < lb[free] - pad) or np.any(xf > ub[free] + pad):
             return None
@@ -273,7 +271,7 @@ class _Core:
         if f.chol is not None:
             if np.max(np.abs(q)) <= q_tol:
                 return None
-            pz = -cholesky_solve(f.chol, q)
+            pz = f.newton(q)
         else:
             w, V = f.w, f.V
             eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w))))
@@ -289,11 +287,7 @@ class _Core:
                     return self._embed(free, Z @ v), True
             if np.max(np.abs(q), initial=0.0) <= q_tol:
                 return None
-            pos = ~(neg | zero)
-            pz = np.zeros_like(q)
-            if np.any(pos):
-                Vp = V[:, pos]
-                pz = -Vp @ ((Vp.T @ q) / w[pos])
+            pz = f.newton(q, ~(neg | zero))
         p = self._embed(free, Z @ pz)
         if np.max(np.abs(p), initial=0.0) <= q_tol:
             return None
@@ -432,41 +426,24 @@ def _elastic_lp(A, b, lb, ub, max_pivots):
     return z[:n], float(np.sum(z[n:])), core.pivots
 
 
-def _face_enumeration(W, g, lb, ub):
+def _face_enumeration(core):
     """Global minimum of a small box QP by face enumeration.
 
     The minimum of a bounded quadratic over a box sits on a face whose
     reduced Hessian is positive semidefinite; flat directions slide to a
     smaller face at equal objective, so corners plus faces with positive
-    definite blocks cover the optimum. Returns (objective, x, work) with
-    x None when no candidate face is attainable.
+    definite blocks cover the optimum. The warm start solves each face and
+    refuses one whose block is not positive definite or whose minimizer
+    leaves the box. Returns (objective, x, work), x None when none is left.
     """
-    n = g.shape[0]
-    best_obj, best_x, best_work = np.inf, None, None
-    for codes in itertools.product((FREE, LOWER, UPPER), repeat=n):
-        work = np.array(codes, dtype=np.int8)
-        fixed = work != FREE
-        x = np.zeros(n)
-        x[work == LOWER] = lb[work == LOWER]
-        x[work == UPPER] = ub[work == UPPER]
-        if not np.all(np.isfinite(x[fixed])):
-            continue
-        free = np.flatnonzero(~fixed)
-        if free.size:
-            Wff = W[np.ix_(free, free)]
-            w = np.linalg.eigvalsh(Wff)
-            if w[0] <= EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w)))):
-                continue
-            rhs = -(g[free] + W[np.ix_(free, np.flatnonzero(fixed))] @ x[fixed])
-            xf = np.linalg.solve(Wff, rhs)
-            pad = 1e-10 * (1.0 + float(np.max(np.abs(xf))))
-            if np.any(xf < lb[free] - pad) or np.any(xf > ub[free] + pad):
-                continue
-            x[free] = np.clip(xf, lb[free], ub[free])
-        obj = float(0.5 * x @ W @ x + g @ x)
-        if obj < best_obj:
-            best_obj, best_x, best_work = obj, x.copy(), work.copy()
-    return best_obj, best_x, best_work
+    best = np.inf, None, None
+    for codes in itertools.product((FREE, LOWER, UPPER), repeat=core.n):
+        start = core.warm_start(codes)
+        if start is not None:
+            obj = core._phi(start[0])
+            if obj < best[0]:
+                best = obj, *start
+    return best
 
 
 def _independent_columns(A: np.ndarray):
@@ -542,16 +519,17 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
                           n_pivots=core.pivots, active=work.copy())
 
     # active-set iteration is local; on small box-only nonconvex problems a
-    # face scan certifies (or repairs) global optimality
+    # face scan certifies (or repairs) global optimality. A certified
+    # Cholesky factor of the all-free W means a convex QP.
     if keep.size == 0 and 0 < n <= FACE_ENUM_MAX:
-        w_all = np.linalg.eigvalsh(W)
-        if w_all[0] < -EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w_all)))):
-            obj_loc = float(0.5 * x @ W @ x + g @ x)
-            obj_enum, x_enum, work_enum = _face_enumeration(W, g, lb, ub)
+        f = core.reduced(np.arange(n))
+        if f.chol is None and f.w[0] < -EIG_ZERO_REL * max(
+                1.0, float(np.max(np.abs(f.w)))):
+            obj_loc = core._phi(x)
+            obj_enum, x_enum, work_enum = _face_enumeration(core)
             if x_enum is not None and obj_enum < obj_loc - 1e-12 * (
                     1.0 + abs(obj_loc)):
                 x, work = x_enum, work_enum
-                work[lb == ub] = PINNED
                 mu = W @ x + g
                 mu[work == FREE] = 0.0
                 lam_k = np.zeros(0)

@@ -58,7 +58,6 @@ class TrialData:
     models: ProgressModels
     alpha: float = 1.0            # step fraction actually applied (1 for TR)
     full_step_norm: float = 0.0   # |d|_inf of the unscaled direction
-    step_norm: float = 0.0        # |alpha d|_inf, what the trace shows
     subproblem_feasible: bool = True
     h_resto: Optional[float] = None
 

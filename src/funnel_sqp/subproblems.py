@@ -21,7 +21,7 @@ from .config import SolverConfig, SubproblemParams
 from .errors import RegularizationFailed
 from .linalg import ldlt_factorize, qr_rank
 from .problems import EvalCounters, NcoProblem, evaluate_lagrangian_hessian
-from .qp import QpData, elastic_problem, solve_qp
+from .qp import ELASTIC_TOL, QpData, elastic_problem, solve_qp
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +214,7 @@ class DirectionEngine:
         v = sol.x[n + m:]
         self.resto_lam = sol.lam.copy()
         mu = self._strip_trust_region_multipliers(d, sol.mu[:n], x, delta)
-        feasible = float(np.sum(u) + np.sum(v)) <= sp.elastic_tol
+        feasible = float(np.sum(u) + np.sum(v)) <= ELASTIC_TOL
         return DirectionResult(d=d, lam=sol.lam, mu=mu,
                                W_used=fqp.W[:n, :n],
                                phase=Phase.RESTORATION, eta=eta,

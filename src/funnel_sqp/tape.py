@@ -6,18 +6,19 @@ arithmetic operators and have exp/log/sin/cos/sqrt methods, so a callable
 written for floats builds a tree when it is called with a list of Var nodes
 (numpy's np.exp and friends dispatch to those methods).
 
-Tape compiles one tree into a flat op list over the k variables the tree
-touches. Constant subtrees are folded, constant operands are folded into
-their op and shared subtrees are compiled once, so every slot depends on a
-variable. forward() runs an op list forward-over-forward (Griewank &
-Walther, *Evaluating Derivatives*): for order 0, 1 or 2 each slot carries
-its value, its gradient (k,) and its Hessian (k, k), or None while the slot
-is linear, so a 2-variable constraint costs 2x2 however large n is. The
-pass is vectorized over a batch of tapes with the same ops.
+A Tape only holds one tree and its variable indices. _compile turns a tree
+into a flat op list over the k variables the tree touches. Constant
+subtrees are folded, constant operands are folded into their op and shared
+subtrees are compiled once, so every slot depends on a variable. forward()
+runs an op list forward-over-forward (Griewank & Walther, *Evaluating
+Derivatives*): for order 0, 1 or 2 each slot carries its value, its
+gradient (k,) and its Hessian (k, k), or None while the slot is linear, so
+a 2-variable constraint costs 2x2 however large n is. The pass is
+vectorized over a batch of tapes with the same ops.
 
-TapeSet is what a problem evaluates: it splits each expression into its
-top-level terms and evaluates all terms with the same ops in one batched
-pass. It compiles on its first evaluation, not when a model is loaded.
+TapeSet compiles and evaluates: on its first evaluation (not when a model
+is loaded) it compiles each expression's top-level terms, and it evaluates
+all terms with the same ops in one batched pass.
 
 Every operation runs on float64 arrays, so a domain fault (log of 0, sqrt
 of a negative, 0 ** -1, overflow) gives inf or NaN, never an exception or,
@@ -257,7 +258,14 @@ def _binary_op(ops: list, op: str, a, b):
 
 
 def _compile(expr, env: dict) -> tuple:
-    """(ops, vars, const) of expr; see Tape."""
+    """(ops, vars, const) of expr; env maps variable names to indices.
+
+    vars holds the global indices of the touched variables in local order;
+    ops is a list of (code, fn, a, b): slot i is written by ops[i] from slot
+    a and either slot b (binary ops) or the constant b. VAR ops carry the
+    local index in a and the global index in b. The last slot is the result;
+    an expression without variables has no ops and the value const.
+    """
     ops: list[tuple] = []
     local: dict[int, int] = {}      # global index -> VAR slot
     # id(node) -> its slot (an int) or its folded value (a float)
@@ -303,54 +311,13 @@ def _compile(expr, env: dict) -> tuple:
     return ops, list(local), 0.0
 
 
+@dataclass(frozen=True)
 class Tape:
-    """One expression compiled to a flat op list.
+    """One expression and its env, the map of variable names to global
+    indices. TapeSet compiles and evaluates it."""
 
-    vars holds the global indices of the touched variables in local order;
-    ops is a list of (code, fn, a, b): slot i is written by ops[i] from slot
-    a and either slot b (binary ops) or the constant b. VAR ops carry the
-    local index in a and the global index in b. The last slot is the result;
-    an expression without variables has no ops and the value const.
-    Compilation waits for the first use of any of these.
-    """
-
-    def __init__(self, expr: Expr, env: dict):
-        self.expr = expr
-        self.env = env
-
-    def __getattr__(self, name):
-        # runs only while name is missing: compile on the first use, so a
-        # tape that lowering replaces by a new one is never compiled
-        if name not in ("ops", "const", "vars", "nonlinear"):
-            raise AttributeError(name)
-        self.ops, self.vars, self.const = _compile(self.expr, self.env)
-        self.nonlinear = _curved(self.ops)
-        return getattr(self, name)
-
-    def __call__(self, args) -> float:
-        """Plain value at a point given as a sequence of n numbers."""
-        return float(self.value(args))
-
-    def value(self, x):
-        """Value at x (n numbers), inf or NaN on a domain fault."""
-        return self.derivatives(x, 0)[0]
-
-    def derivatives(self, x, order: int = 2):
-        """(value, gradient (k,), Hessian (k, k)) at x, over self.vars.
-
-        Below order 1 the gradient, and below order 2 the Hessian, is None;
-        the Hessian is also None for a linear expression.
-        """
-        if not self.ops:
-            return self.const, (np.zeros(0) if order else None), None
-        X = np.asarray(x, dtype=float)[self.vars][None, :]
-        with np.errstate(all="ignore"):
-            v, g, H = forward(self.ops, X, order)
-        if g is not None and g.ndim == 2:
-            g = g[0]
-        if H is not None and H.ndim == 3:
-            H = H[0]
-        return v[0], g, H
+    expr: Expr
+    env: dict
 
 
 def _outer(a, b):
@@ -589,10 +556,10 @@ class _Group:
 
 
 def trace(fn, n: int) -> Tape:
-    """Compile a Python callable over a list of n scalars.
+    """The Tape of a Python callable over a list of n scalars.
 
     fn is called once with Var nodes named x[0], ..., x[n-1]; the tree it
-    returns (or the constant) is compiled. fn must not branch on values.
+    returns (or the constant) is the Tape's. fn must not branch on values.
     """
     xs = [Var(f"x[{i}]") for i in range(n)]
     out = fn(xs)

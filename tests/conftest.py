@@ -3,6 +3,8 @@
 The oracles here deliberately avoid the library code paths they check:
 eigenvalues come from plain Jacobi sweeps, QP optima from brute-force
 active-set enumeration or grid search, derivatives from central differences.
+unsplit_value is the reference for TapeSet's term split: the whole tree in
+one op list.
 """
 
 import itertools
@@ -10,6 +12,7 @@ import itertools
 import numpy as np
 
 from funnel_sqp.problems import NcoProblem
+from funnel_sqp.tape import _compile, forward
 
 
 def two_sig(value, target):
@@ -40,6 +43,17 @@ def jacobi_eigenvalues(M, max_sweeps=100):
                 R[q, p] = -s
                 A = R.T @ A @ R
     return np.sort(np.diag(A))
+
+
+def unsplit_value(expr, env, x) -> float:
+    """Value of the whole tree at x, compiled as one op list and evaluated
+    in TapeSet's layout: one batch row gathered by an intp index array."""
+    ops, vars_, const = _compile(expr, env)
+    if not ops:
+        return const
+    with np.errstate(all="ignore"):
+        X = np.asarray(x, dtype=float)[np.array([vars_], np.intp)]
+        return float(forward(ops, X, 0)[0][0])
 
 
 def fd_gradient(f, x, step=1e-6):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient
 from funnel_sqp.dsl import (Binary, Call, Model, Num, Relation, Unary, Var,
-                            compile_expr, format_expr, format_model,
-                            load_file, load_source, model_to_general,
-                            parse_model, tokenize)
+                            format_expr, format_model, load_file, load_source,
+                            model_to_general, parse_model, tokenize)
 from funnel_sqp.errors import (DuplicateDeclaration, ParseError,
                                UndeclaredVariable)
+from funnel_sqp.tape import Tape, TapeSet
 
 CIRCLE_SRC = """
 # toy model
@@ -141,8 +141,8 @@ class TestParser:
 def _eval(src_expr, **vals):
     m = parse_model("var x; var y; minimize " + src_expr + ";")
     env = {"x": 0, "y": 1}
-    return compile_expr(m.objective, env)([vals.get("x", 0.0),
-                                           vals.get("y", 0.0)])
+    return TapeSet([Tape(m.objective, env)], 2, "objective").values(
+        [vals.get("x", 0.0), vals.get("y", 0.0)])[0]
 
 
 class TestPrecedence:
@@ -225,7 +225,8 @@ class TestLowering:
         assert gp.n == 2 and len(gp.con_exprs) == 1
         assert gp.var_names == ["x", "y"]
         assert np.array_equal(gp.x0, [2.0, 2.0])
-        assert gp.f_expr([1.0, 1.0]) == 0.0
+        assert TapeSet([gp.f_expr], 2, "objective").values([1.0, 1.0])[0] \
+            == 0.0
 
     def test_load_source_equality_only(self):
         p = load_source(CIRCLE_SRC, name="circle")

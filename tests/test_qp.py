@@ -488,6 +488,7 @@ class TestOracleBattery:
 
     def test_indefinite_beats_grid(self):
         rng = np.random.default_rng(200)
+        cases = []
         for _ in range(40):
             n = int(rng.integers(1, 5))
             W = rng.standard_normal((n, n))
@@ -495,6 +496,14 @@ class TestOracleBattery:
             g = rng.standard_normal(n)
             lb = rng.uniform(-3.0, -0.5, size=n)
             ub = rng.uniform(0.5, 3.0, size=n)
+            cases.append((W, g, lb, ub))
+        # x2 is pinned and couples to x0: the local solve stops at -0.945,
+        # and the face scan finds x = (0.7, 3, -0.5) at -4.145
+        cases.append((np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0],
+                                [2.0, 0.0, 0.0]]), np.array([0.3, 0.2, 0.0]),
+                      np.array([-2.0, -1.0, -0.5]), np.array([2.0, 3.0, -0.5])))
+        for W, g, lb, ub in cases:
+            n = g.size
             qp = QpData(W=W, g=g, A=np.zeros((n, 0)), b=np.zeros(0),
                         lb=lb, ub=ub)
             sol = solve_qp(qp)

@@ -24,7 +24,6 @@ def trial(phase=Phase.OPTIMALITY, f_k=1.0, h_k=1.0, f_t=0.5, h_t=0.5,
     return TrialData(phase=phase, f_k=f_k, h_k=h_k, f_t=f_t, h_t=h_t,
                      models=models(pred_f=pred_f, pred_h=pred_h),
                      alpha=alpha, full_step_norm=full_step_norm,
-                     step_norm=alpha * full_step_norm,
                      subproblem_feasible=subproblem_feasible,
                      h_resto=h_resto)
 

@@ -7,20 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import unsplit_value
 from funnel_sqp import hyperdual
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
-from funnel_sqp.dsl import (compile_expr, format_expr, load_source,
-                            model_to_general, parse_model)
+from funnel_sqp.dsl import (format_expr, load_source, model_to_general,
+                            parse_model)
 from funnel_sqp.errors import NonFiniteValue
 from funnel_sqp.hyperdual import (HyperDual, hd_cos, hd_exp, hd_log, hd_sin,
                                   hd_sqrt)
 from funnel_sqp.problems import from_expressions, get_problem
 from funnel_sqp.tape import (SIN, Binary, Call, Num, Tape, TapeSet, Unary,
-                             Var, trace)
+                             Var, _compile, trace)
 
 NAMES = ["x0", "x1", "x2", "x3"]
 VARIANTS = [("funnel", "trust-region"), ("funnel", "line-search"),
@@ -82,10 +83,9 @@ def powers_defined(tree, x) -> bool:
     such as x - x would let it take a negative base.
     """
     env = dict(zip(NAMES, range(x.size)))
-    with np.errstate(all="ignore"):
-        return all(Tape(node.left, env).value(x) > 0.0 for node in nodes(tree)
-                   if isinstance(node, Binary) and node.op == "^"
-                   and touched(node.right))
+    return all(unsplit_value(node.left, env, x) > 0.0 for node in nodes(tree)
+               if isinstance(node, Binary) and node.op == "^"
+               and touched(node.right))
 
 
 def _trees(n):
@@ -125,6 +125,9 @@ def _problem(tree, n):
 class TestOracleAgreement:
     @given(_cases())
     @settings(max_examples=150, deadline=None)
+    # numpy's SIMD pow and libm's pow differ in the last bit here
+    @example((1, Binary("^", Binary("^", Num(3.0), Num(-1.0)), Var("x0")),
+              np.array([2.0])))
     def test_value_gradient_hessian_match_oracle(self, case):
         n, tree, x = case
         assume(powers_defined(tree, x))
@@ -137,7 +140,7 @@ class TestOracleAgreement:
         scale = 1.0 + max(abs(v), np.max(np.abs(g)), np.max(np.abs(H)))
         assert abs(p.f(x) - v) <= 1e-12 * scale
         # summing the top-level terms repeats the tree's own additions
-        assert p.f(x) == Tape(tree, dict(zip(NAMES, range(n)))).value(x)
+        assert p.f(x) == unsplit_value(tree, dict(zip(NAMES, range(n))), x)
         assert np.max(np.abs(p.grad_f(x) - g)) <= 1e-12 * scale
         assert np.max(np.abs(p.hess_f(x) - H)) <= 1e-12 * scale
         # outside the touched variables every entry is an exact zero
@@ -197,20 +200,30 @@ class TestSparsity:
         assert np.array_equal(p.jac_c(x)[:, 0], [0.0, 3.0, 2.0, 0.0])
 
     def test_tape_touches_only_its_variables(self):
-        t = Tape(Var("c") * Var("b") + Var("b"), {"a": 0, "b": 1, "c": 2})
-        assert sorted(t.vars) == [1, 2]
-        _, g, H = t.derivatives(np.array([9.0, 2.0, 3.0]))
-        assert g.shape == (2,) and H.shape == (2, 2)
+        env = {"a": 0, "b": 1, "c": 2}
+        expr = Var("c") * Var("b") + Var("b")
+        assert sorted(_compile(expr, env)[1]) == [1, 2]
+        ts = TapeSet([Tape(expr, env)], 3, "objective")
+        # the groups read b and c only, so no derivative is 3-wide
+        assert {int(i) for grp in ts.groups for i in grp.index.ravel()} \
+            == {1, 2}
+        assert max(grp.index.shape[1] for grp in ts.groups) == 2
+        x = np.array([9.0, 2.0, 3.0])
+        assert np.array_equal(ts.jacobian(x)[:, 0], [0.0, 4.0, 2.0])
+        H = ts.hessians(x)[0]
+        assert np.array_equal(H, [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                  [0.0, 1.0, 0.0]])
 
     def test_linear_rows_skip_hessians(self):
-        t = Tape(3.0 * Var("a") - Var("b") / 2.0 + 1.0, {"a": 0, "b": 1})
-        assert not t.nonlinear
-        assert t.derivatives(np.ones(2))[2] is None
+        ts = TapeSet([Tape(3.0 * Var("a") - Var("b") / 2.0 + 1.0,
+                           {"a": 0, "b": 1})], 2, "constraint")
+        assert ts.groups and not any(grp.nonlinear for grp in ts.groups)
+        assert np.array_equal(ts.hessians(np.ones(2)), np.zeros((1, 2, 2)))
 
     def test_constant_expression(self):
-        t = Tape(Num(2.0) ** Num(3.0), {})
-        assert t.ops == [] and t.const == 8.0
-        assert t([]) == 8.0
+        assert _compile(Num(2.0) ** Num(3.0), {}) == ([], [], 8.0)
+        ts = TapeSet([Tape(Num(2.0) ** Num(3.0), {})], 0, "objective")
+        assert ts.groups == [] and ts.values([])[0] == 8.0
 
 
 class TestTracing:
@@ -222,7 +235,8 @@ class TestTracing:
 
     def test_constant_callable(self):
         t = trace(lambda x: 0.0, 3)
-        assert t.ops == [] and t([1.0, 2.0, 3.0]) == 0.0
+        assert _compile(t.expr, t.env)[0] == []
+        assert TapeSet([t], 3, "objective").values([1.0, 2.0, 3.0])[0] == 0.0
 
     def test_non_numeric_result_rejected(self):
         with pytest.raises(TypeError):
@@ -233,10 +247,11 @@ class TestTracing:
             s = hd_sin(x[0] * x[1])
             return s * s + s
         t = trace(fn, 2)
-        assert [op[0] for op in t.ops].count(SIN) == 1
+        assert [op[0] for op in _compile(t.expr, t.env)[0]].count(SIN) == 1
         x = np.array([0.4, 1.3])
         s = np.sin(0.52)
-        assert t(x) == pytest.approx(s * s + s, rel=1e-15)
+        assert unsplit_value(t.expr, t.env, x) == pytest.approx(s * s + s,
+                                                                rel=1e-15)
 
     def test_deep_expression_compiles_without_recursion(self):
         depth = 5 * sys.getrecursionlimit()
@@ -349,7 +364,7 @@ class TestTapeSet:
         p = load_source(src)
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, size=3)
-            assert p.f(x) == gp.f_expr(x)
+            assert p.f(x) == unsplit_value(gp.f_expr.expr, gp.f_expr.env, x)
 
     def test_rows_of_one_shape_share_a_group(self):
         text = "".join(f"var x{i};\n" for i in range(6))
@@ -358,7 +373,7 @@ class TestTapeSet:
         p = load_source(text)
         m = parse_model(text)
         env = {v.name: i for i, v in enumerate(m.variables)}
-        rows = TapeSet([compile_expr(r.body, env) for r in m.constraints],
+        rows = TapeSet([Tape(r.body, env) for r in m.constraints],
                        6, "constraint")
         assert len(rows.groups) == 2       # x^2 * y and 2 * x
         x = np.linspace(0.3, 1.3, 6)
