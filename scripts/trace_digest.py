@@ -8,6 +8,10 @@ repr of every entry of x. With --outcomes, each line instead spells out
 the solve's status, error_kind, outer and inner iteration counts, counters,
 step counts and event types, then f and every entry of x in %.8e, so a
 change that moves only the last bits of f and x shows as an empty diff.
+With --pivots, each line instead counts the solve's directions per phase
+with their QP pivots, and its warm-start hits and misses, from the trace
+records; a direction that entered restoration counts as a restoration QP and
+carries the infeasible optimality QP's pivots.
 The 124 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
@@ -18,7 +22,7 @@ The 124 solves, each under all four strategy/mechanism variants:
     (4);
   - the LICQ failure x + y subject to x^2 + y^2 = 0 (4).
 
-Usage: python3 scripts/trace_digest.py [--outcomes] > digest.txt
+Usage: python3 scripts/trace_digest.py [--outcomes | --pivots] > digest.txt
 """
 
 import argparse
@@ -81,11 +85,28 @@ def outcome(res) -> str:
     return "  ".join(parts)
 
 
+def pivots(res) -> str:
+    """QPs and their pivots per phase, then warm-start hits and misses."""
+    parts = []
+    for phase in ("optimality", "restoration"):
+        qps = [r.qp_pivots for r in res.iterations
+               if r.phase == phase and r.qp_pivots is not None]
+        parts.append(f"{phase}={len(qps)}/{sum(qps)}")
+    warm = [r.warm_start for r in res.iterations]
+    parts.append(f"hit={warm.count('hit')} miss={warm.count('miss')}")
+    return "  ".join(parts)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--outcomes", action="store_true",
-                        help="print each solve's outcome instead of a digest")
-    show = outcome if parser.parse_args().outcomes else digest
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--outcomes", action="store_true",
+                      help="print each solve's outcome instead of a digest")
+    mode.add_argument("--pivots", action="store_true",
+                      help="print each solve's QP counts, pivots and warm "
+                           "starts instead of a digest")
+    args = parser.parse_args()
+    show = outcome if args.outcomes else pivots if args.pivots else digest
     for label, make, max_outer in problems():
         for strategy, mechanism in VARIANTS:
             config = SolverConfig(strategy=strategy, mechanism=mechanism)

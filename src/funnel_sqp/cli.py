@@ -83,6 +83,7 @@ def _load_problem(args):
 
 
 def build_report(result: SolveResult, config: SolverConfig) -> dict:
+    warm = [r.warm_start for r in result.iterations]
     return {
         "schema_version": 1,
         "problem": result.problem_name,
@@ -101,6 +102,9 @@ def build_report(result: SolveResult, config: SolverConfig) -> dict:
         "counters": result.counters.as_dict(),
         "step_counts": dict(result.step_counts),
         "events": result.events,
+        "qp_pivots": sum(r.qp_pivots or 0 for r in result.iterations),
+        "warm_start_hits": warm.count("hit"),
+        "warm_start_misses": warm.count("miss"),
         "error_kind": result.error_kind,
         "message": result.message,
     }

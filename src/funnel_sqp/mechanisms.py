@@ -49,6 +49,10 @@ class IterationRecord:
     grad_lag: Optional[float]
     label: str
     phase: str
+    # on a direction's first trial: its QP pivots and warm start ('hit',
+    # 'miss', None without a hint); None on the trials after it
+    qp_pivots: Optional[int] = None
+    warm_start: Optional[str] = None
 
 
 @dataclass
@@ -78,20 +82,24 @@ class _Mechanism:
         self.counters = counters
 
     def _trial(self, os: OuterState, sstate, dres, alpha: float, k: int,
-               l: int, records: list, reg: Optional[float],
+               l: int, records: list, fresh: bool,
                delta: Optional[float] = None):
         """Evaluate x + alpha d, append its trace row (a row with a radius
-        shows no alpha) and let the strategy judge it. Returns (outcome,
+        shows no alpha; only the direction's first trial, fresh, shows its
+        shift and QP work) and let the strategy judge it. Returns (outcome,
         |d|_inf): outcome is None unless accepted, and then lacks lam, mu."""
         d = dres.d
         dn = float(np.max(np.abs(d), initial=0.0))
         x_t = os.x + alpha * d
         rec = IterationRecord(
             k=k if l == 1 else None, l=l, delta=delta,
-            alpha=alpha if delta is None else None, regularization=reg,
+            alpha=alpha if delta is None else None,
+            regularization=dres.eta if fresh else None,
             tau=self.strategy.trace_value(sstate), step_norm=alpha * dn,
             f_trial=math.nan, h_trial=math.nan, grad_lag=None,
             label=LABEL_REJ_EVAL, phase=dres.phase.value)
+        if fresh:
+            rec.qp_pivots, rec.warm_start = dres.n_pivots, dres.warm_start
         records.append(rec)
         try:
             f_t, c_t = evaluate_functions(self.problem, x_t, self.counters)
@@ -137,7 +145,7 @@ class TrustRegionMechanism(_Mechanism):
             if dres.entered_restoration:
                 os.lam[:] = 0.0
             out, dn = self._trial(os, sstate, dres, 1.0, k, l, records,
-                                  dres.eta, delta=self.delta)
+                                  True, delta=self.delta)
             if out is not None:
                 if dn >= self.delta * (1.0 - tr.activity_tol):
                     self.delta = min(tr.grow * self.delta, tr.delta_max)
@@ -181,7 +189,7 @@ class LineSearchMechanism(_Mechanism):
                 continue
             l += 1
             out, _ = self._trial(os, sstate, dres, alpha, k, l, records,
-                                 dres.eta if fresh else None)
+                                 fresh)
             fresh = False
             if out is not None:
                 out.lam = os.lam + alpha * (dres.lam - os.lam)

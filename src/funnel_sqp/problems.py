@@ -111,8 +111,12 @@ def evaluate_gradients(problem: NcoProblem, x: np.ndarray,
 def evaluate_lagrangian_hessian(problem: NcoProblem, x: np.ndarray,
                                 rho: float, lam: np.ndarray,
                                 counters: EvalCounters | None = None) -> np.ndarray:
-    """W = rho * hess f - sum_j lam_j * hess c_j; bumps n_hess."""
-    W = rho * np.asarray(problem.hess_f(x), dtype=float)
+    """W = rho * hess f - sum_j lam_j * hess c_j; bumps n_hess. At rho = 0
+    (restoration) hess f is not evaluated."""
+    if rho == 0.0:
+        W = np.zeros((problem.n, problem.n))
+    else:
+        W = rho * np.asarray(problem.hess_f(x), dtype=float)
     if problem.m:
         Hc = np.asarray(problem.hess_c(x), dtype=float)
         # one BLAS gemv over the flattened stack, subtracted in place: a new

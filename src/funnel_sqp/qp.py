@@ -19,6 +19,9 @@ Feasibility first tries the origin and then the minimum-norm least-squares
 solution of A^T x = b, each clipped to the box. When neither satisfies the
 equalities, an elastic l1 LP runs; it is the fallback and the only source of
 an infeasibility verdict, its optimal residual serving as the certificate.
+The verdict returns the LP's final point and working set, so that an
+elastic QP over the same constraints (restoration) starts from them. A
+solution reports whether its warm start hit.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
 steps that never pivot. A small nonconvex box-only QP then gets a face
@@ -74,6 +77,11 @@ class QpSolution:
     objective: float
     n_pivots: int
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
+    warm_start: str | None = None    # 'hit' | 'miss', None without a hint
+    # an 'infeasible' verdict of phase 1's elastic LP over every equality
+    # column: the LP's final z = (x, u, v) and working set, a feasible point
+    # and a working set for the elastic QP over the same constraints
+    lp: tuple | None = None
 
 
 def qp_objective(qp: QpData, x: np.ndarray) -> float:
@@ -393,37 +401,40 @@ def _initial_work(x, lb, ub):
 def _phase1(A, b, lb, ub, max_pivots):
     """Feasible point for A^T x = b inside the box.
 
-    Returns ((x, work), pivots) with the elastic LP's pivot count, or
-    (None, pivots) when the LP certifies infeasibility. The clipped origin
-    and the clipped least-squares point are tried first; only the LP may
-    declare the constraints infeasible.
+    Returns (start, pivots, lp): start is (x, work), or None when the
+    elastic LP certifies infeasibility; pivots counts the LP's pivots; lp is
+    the LP's final (z, work) when it ran, else None. The clipped origin and
+    the clipped least-squares point are tried first; only the LP may declare
+    the constraints infeasible.
     """
     n, m = A.shape
     x0 = np.clip(np.zeros(n), lb, ub)
     if m == 0 or np.max(np.abs(A.T @ x0 - b), initial=0.0) <= ELASTIC_TOL:
-        return (x0, _initial_work(x0, lb, ub)), 0
+        return (x0, _initial_work(x0, lb, ub)), 0, None
     x_ls = np.clip(np.linalg.lstsq(A.T, b, rcond=None)[0], lb, ub)
     if np.sum(np.abs(A.T @ x_ls - b)) <= ELASTIC_TOL:
-        return (x_ls, _initial_work(x_ls, lb, ub)), 0
-    x, resid, pivots = _elastic_lp(A, b, lb, ub, max_pivots)
+        return (x_ls, _initial_work(x_ls, lb, ub)), 0, None
+    z, work, resid, pivots = _elastic_lp(A, b, lb, ub, max_pivots)
+    lp = None if z is None else (z, work)
     if resid > ELASTIC_TOL:
-        return None, pivots
+        return None, pivots, lp
     # ties in the LP's ratio test can leave a coordinate a rounding error
     # past its bound
-    x = np.clip(x, lb, ub)
-    return (x, _initial_work(x, lb, ub)), pivots
+    x = np.clip(z[:n], lb, ub)
+    return (x, _initial_work(x, lb, ub)), pivots, lp
 
 
 def _elastic_lp(A, b, lb, ub, max_pivots):
-    """The l1 LP of elastic_problem from its z0. Returns (x, sum(u + v),
-    pivots); the sum is inf when the LP ends unsolved."""
+    """The l1 LP of elastic_problem from its z0. Returns (z, work,
+    sum(u + v), pivots) at its end; z and work are None and the sum inf when
+    the LP ends unsolved."""
     n = A.shape[0]
     lp, z0 = elastic_problem(A, b, lb, ub)
     core = _Core(lp.W, lp.g, lp.A, lp.b, lp.lb, lp.ub, max_pivots)
-    status, z, _, _, _ = core.run(z0, _initial_work(z0, lp.lb, lp.ub))
+    status, z, _, _, work = core.run(z0, _initial_work(z0, lp.lb, lp.ub))
     if status != "optimal":
-        return None, np.inf, core.pivots
-    return z[:n], float(np.sum(z[n:])), core.pivots
+        return None, None, np.inf, core.pivots
+    return z, work, float(np.sum(z[n:])), core.pivots
 
 
 def _face_enumeration(core):
@@ -493,10 +504,11 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
 
     core = _Core(W, g, Ak, bk, lb, ub, max_pivots, qr)
 
-    start = None
+    start = hint = None
     phase1_pivots = 0
     if warm_start is not None:
         start = core.warm_start(warm_start)
+        hint = "miss" if start is None else "hit"
     if start is None and feasible_start is not None:
         x = np.clip(np.asarray(feasible_start, dtype=float), lb, ub)
         ok = keep.size == 0 or np.max(
@@ -505,18 +517,21 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         if ok:
             start = x, _initial_work(x, lb, ub)
     if start is None:
-        start, phase1_pivots = _phase1(Ak, bk, lb, ub, max_pivots)
+        start, phase1_pivots, lp = _phase1(Ak, bk, lb, ub, max_pivots)
         if start is None:
             return QpSolution(status="infeasible", x=np.zeros(n),
                               lam=np.zeros(m), mu=np.zeros(n),
-                              objective=np.inf, n_pivots=phase1_pivots)
+                              objective=np.inf, n_pivots=phase1_pivots,
+                              warm_start=hint,
+                              lp=None if drop.size else lp)
 
     status, x, lam_k, mu, work = core.run(*start)
     core.pivots += phase1_pivots
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, lam=np.zeros(m),
                           mu=np.zeros(n), objective=-np.inf,
-                          n_pivots=core.pivots, active=work.copy())
+                          n_pivots=core.pivots, active=work.copy(),
+                          warm_start=hint)
 
     # active-set iteration is local; on small box-only nonconvex problems a
     # face scan certifies (or repairs) global optimality. A certified
@@ -540,9 +555,9 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
                 1.0 + np.max(np.abs(b), initial=0.0)):
             return QpSolution(status="infeasible", x=x, lam=np.zeros(m),
                               mu=np.zeros(n), objective=np.inf,
-                              n_pivots=core.pivots)
+                              n_pivots=core.pivots, warm_start=hint)
     lam = np.zeros(m)
     lam[keep] = lam_k
     return QpSolution(status="optimal", x=x, lam=lam, mu=mu,
                       objective=qp_objective(qp, x), n_pivots=core.pivots,
-                      active=work.copy())
+                      active=work.copy(), warm_start=hint)

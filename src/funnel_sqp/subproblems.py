@@ -5,7 +5,10 @@ Hessian (trust-region variant) or an inertia-corrected one (line-search
 variant). When its linearization is infeasible the engine switches itself to
 restoration and works on the elastic feasibility QP instead, whose Hessian
 uses the restoration multipliers (zero right after entry, then the previous
-elastic QP's own multipliers).
+elastic QP's own multipliers). Each QP warm-starts from the working set of
+the last QP of its phase. The first elastic QP after an infeasible verdict
+starts where phase 1's elastic LP, over the same constraints and step box,
+stopped: from its final point and working set.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ class DirectionResult:
     subproblem_feasible: bool = True
     elastic_u: Optional[np.ndarray] = None
     elastic_v: Optional[np.ndarray] = None
-    n_pivots: int = 0
+    n_pivots: int = 0            # QP pivots, an infeasible optimality QP's included
+    warm_start: Optional[str] = None   # the direction QP's QpSolution.warm_start
 
 
 class DirectionEngine:
@@ -126,6 +130,8 @@ class DirectionEngine:
         self.x_resto: Optional[np.ndarray] = None
         self.h_resto: Optional[float] = None
         self.resto_lam = np.zeros(problem.m)
+        # the working set of the phase's last QP, the next one's warm start;
+        # entry and exit clear it, so a phase never sees the other's codes
         self.warm_codes: Optional[np.ndarray] = None
         self.pending_events: list[dict] = []
         self.convexify_directions = config.mechanism == "line-search"
@@ -168,18 +174,24 @@ class DirectionEngine:
     def compute(self, x, c, h, grad_f, J, lam,
                 delta: Optional[float]) -> DirectionResult:
         entered = False
+        lp, pivots = None, 0
         if self.phase is Phase.OPTIMALITY:
             res = self._optimality_direction(x, c, grad_f, J, lam, delta)
-            if res is not None:
+            if isinstance(res, DirectionResult):
                 return res
-            # linearization infeasible: fall through to restoration
+            # linearization infeasible: fall through to restoration, which
+            # starts where phase 1's elastic LP left the same constraints
             self.enter_restoration(x, h, source="infeasible_qp")
             entered = True
-        res = self._restoration_direction(x, c, grad_f, J, delta)
+            lp, pivots = res.lp, res.n_pivots
+        res = self._restoration_direction(x, c, grad_f, J, delta, lp)
         res.entered_restoration = entered
+        res.n_pivots += pivots
         return res
 
     def _optimality_direction(self, x, c, grad_f, J, lam, delta):
+        """The optimality direction, or the QP's solution when the
+        linearization is infeasible."""
         prob = self.problem
         W = evaluate_lagrangian_hessian(prob, x, 1.0, lam, self.counters)
         qp = build_optimality_qp(x, grad_f, J, c, prob.lb, prob.ub, W, delta)
@@ -189,14 +201,17 @@ class DirectionEngine:
         sol, eta = self._solve(qp, W, eta, delta, None,
                                warm_start=self.warm_codes)
         if sol.status == "infeasible":
-            return None
+            return sol
         self.warm_codes = sol.active
         mu = self._strip_trust_region_multipliers(sol.x, sol.mu, x, delta)
         return DirectionResult(d=sol.x, lam=sol.lam, mu=mu, W_used=qp.W,
                                phase=Phase.OPTIMALITY, eta=eta,
-                               n_pivots=sol.n_pivots)
+                               n_pivots=sol.n_pivots,
+                               warm_start=sol.warm_start)
 
-    def _restoration_direction(self, x, c, grad_f, J, delta):
+    def _restoration_direction(self, x, c, grad_f, J, delta, lp=None):
+        """The elastic QP's direction, warm-started from the previous elastic
+        QP's working set, or from lp = (z, working set) of phase 1."""
         prob = self.problem
         sp = self.config.subproblem
         W = evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
@@ -205,9 +220,13 @@ class DirectionEngine:
         if self.convexify_directions:
             W0, eta = convexify(W, J, sp)
         fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
-        sol, eta = self._solve(fqp, W, eta, delta, z0)
+        if lp is not None:
+            z0, self.warm_codes = lp
+        sol, eta = self._solve(fqp, W, eta, delta, z0,
+                               warm_start=self.warm_codes)
         if sol.status != "optimal":
             raise RegularizationFailed("elastic subproblem unsolvable")
+        self.warm_codes = sol.active
         n, m = prob.n, prob.m
         d = sol.x[:n]
         u = sol.x[n:n + m]
@@ -220,7 +239,8 @@ class DirectionEngine:
                                phase=Phase.RESTORATION, eta=eta,
                                subproblem_feasible=feasible,
                                elastic_u=u, elastic_v=v,
-                               n_pivots=sol.n_pivots)
+                               n_pivots=sol.n_pivots,
+                               warm_start=sol.warm_start)
 
     def _solve(self, qp, W, eta, delta, start, warm_start=None):
         """Solve qp; while it is unbounded (only an unbounded step box

@@ -22,6 +22,7 @@ subject_to x1 + x2 == 1;
 REPORT_KEYS = {"schema_version", "problem", "strategy", "mechanism", "tol",
                "status", "success", "n_outer", "n_inner", "f", "h", "x",
                "lam", "mu", "counters", "step_counts", "events",
+               "qp_pivots", "warm_start_hits", "warm_start_misses",
                "error_kind", "message"}
 
 
@@ -236,3 +237,17 @@ class TestReport:
         text = json.dumps(report)
         assert "restoration_entry" in text
         assert "restoration_exit" in text
+
+    def test_qp_totals_sum_the_records(self):
+        result = solve(get_problem("line-circle"), SolverConfig().validated())
+        report = build_report(result, SolverConfig())
+        rows = result.iterations
+        assert report["qp_pivots"] == sum(r.qp_pivots or 0 for r in rows)
+        assert report["warm_start_hits"] == sum(
+            r.warm_start == "hit" for r in rows)
+        assert report["warm_start_misses"] == sum(
+            r.warm_start == "miss" for r in rows)
+        # restoration continues from phase 1's LP and then from each
+        # elastic QP before it
+        assert report["warm_start_hits"] > 40
+        assert report["qp_pivots"] > 0

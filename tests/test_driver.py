@@ -8,6 +8,7 @@ import pytest
 
 from conftest import two_sig
 import funnel_sqp.driver as driver_mod
+import funnel_sqp.subproblems as subproblems
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.driver import (complementarity, format_trace,
                                lagrangian_gradient, solve)
@@ -290,6 +291,39 @@ class TestBookkeeping:
         assert res.strategy == "filter"
         # filter traces report the envelope size, not a width
         assert res.iterations[0].tau == 0.0
+
+    @pytest.mark.parametrize("name, mechanism", [
+        ("line-circle", "trust-region"), ("line-circle", "line-search"),
+        ("maratos-fletcher", "line-search")])
+    def test_qp_telemetry_on_first_trials(self, monkeypatch, name,
+                                          mechanism):
+        # every QP pivot the solve spends shows on the first trial of the
+        # direction it was spent for, an infeasible optimality QP's included
+        real = subproblems.solve_qp
+        pivots = []
+
+        def counted(qp, **kwargs):
+            sol = real(qp, **kwargs)
+            pivots.append(sol.n_pivots)
+            return sol
+
+        monkeypatch.setattr(subproblems, "solve_qp", counted)
+        res = _solve(name, mechanism=mechanism)
+        rows = res.iterations[1:]
+        # every trust-region trial has its own direction; a line-search
+        # direction's first trial is the one showing its shift
+        fresh = [r for r in rows if mechanism == "trust-region"
+                 or r.regularization is not None]
+        assert res.iterations[0].qp_pivots is None
+        assert all(r.qp_pivots is not None for r in fresh)
+        assert all(r.qp_pivots is None and r.warm_start is None
+                   for r in rows if r not in fresh)
+        assert sum(r.qp_pivots for r in fresh) == sum(pivots)
+        assert {r.warm_start for r in rows} <= {"hit", "miss", None}
+        # only the first direction and one after each restoration entry or
+        # exit may start without a hint
+        assert [r.warm_start for r in fresh].count(None) \
+            <= 1 + len(res.events)
 
     def test_kkt_zero_step_counted(self):
         prob = from_expressions("pinned", 1, lambda x: x[0] ** 2,

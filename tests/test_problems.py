@@ -153,6 +153,26 @@ class TestEvaluators:
         W = evaluate_lagrangian_hessian(p, x, 0.0, np.zeros(1))
         assert np.allclose(W, np.zeros((2, 2)))
 
+    def test_rho_zero_never_evaluates_objective_hessian(self):
+        # restoration's Hessian has rho = 0: an objective Hessian that is
+        # not finite (or costly) is never asked for; rho = 1 still checks it
+        calls = []
+
+        def hess_f(x):
+            calls.append(x)
+            return np.full((2, 2), np.inf)
+
+        Hc = np.array([[[2.0, 1.0], [1.0, 0.0]]])
+        p = self._stack_problem(np.zeros((2, 2)), Hc)
+        p.hess_f = hess_f
+        counters = EvalCounters()
+        W = evaluate_lagrangian_hessian(p, np.zeros(2), 0.0, [0.5], counters)
+        assert np.array_equal(W, -0.5 * Hc[0])
+        assert calls == [] and counters.n_hess == 1
+        with pytest.raises(NonFiniteValue):
+            evaluate_lagrangian_hessian(p, np.zeros(2), 1.0, [0.5])
+        assert len(calls) == 1
+
     def test_nonfinite_objective_raises(self):
         p = get_problem("powellbs")
         # exp(-x0) overflows for very negative x0

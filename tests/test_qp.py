@@ -14,7 +14,8 @@ from funnel_sqp import qp as qp_module
 from funnel_sqp.errors import DimensionMismatch, MaxPivots
 from funnel_sqp.qp import (ELASTIC_TOL, FREE, LOWER, PINNED, UPPER, QpData,
                            QpSolution, _Core, _elastic_lp, _initial_work,
-                           _phase1, kkt_residual, qp_objective, solve_qp)
+                           _phase1, elastic_problem, kkt_residual,
+                           qp_objective, solve_qp)
 
 INF = np.inf
 
@@ -194,6 +195,16 @@ class TestStarts:
         sol = solve_qp(qp, feasible_start=np.array([2.0, 0.0]))
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 1.0])
+
+    def test_warm_start_reports_hit_or_miss(self):
+        qp = box_qp(np.eye(1), [-2.0], lb=[0.0], ub=[1.0])
+        assert solve_qp(qp).warm_start is None
+        # the free face's minimizer x = 2 leaves the box; the upper face holds
+        miss = solve_qp(qp, warm_start=np.array([FREE]))
+        hit = solve_qp(qp, warm_start=np.array([UPPER]))
+        assert (miss.warm_start, hit.warm_start) == ("miss", "hit")
+        assert miss.x[0] == hit.x[0] == 1.0
+        assert hit.n_pivots == 0
 
     def test_warm_start_resolve_few_pivots(self):
         rng = np.random.default_rng(21)
@@ -559,7 +570,7 @@ class TestPhase1:
         b = np.array([3.0, -1.0])
         lb, ub = np.full(5, -INF), np.full(5, INF)
         monkeypatch.setattr(qp_module, "_Core", _NoLp)
-        start, pivots = _phase1(A, b, lb, ub, 100)
+        start, pivots, _ = _phase1(A, b, lb, ub, 100)
         x, work = start
         assert pivots == 0
         assert np.array_equal(x, np.linalg.lstsq(A.T, b, rcond=None)[0])
@@ -577,7 +588,7 @@ class TestPhase1:
         # lstsq gives (1, 1); clipping x0 to 1.5 breaks x0 + x1 = 2
         A, b = np.array([[1.0], [1.0]]), np.array([2.0])
         lb, ub = np.array([1.5, -5.0]), np.full(2, INF)
-        start, lp_pivots = _phase1(A, b, lb, ub, 100)
+        start, lp_pivots, _ = _phase1(A, b, lb, ub, 100)
         x, _ = start
         assert lp_pivots > 0
         assert np.all(x >= lb) and np.all(x <= ub)
@@ -594,9 +605,9 @@ class TestPhase1:
         b = np.array([1.0, 0.0, 0.0])
         lb = np.array([-INF, -INF, -1.0, -2.0])
         ub = np.array([2.0, 2.0, 0.0, -2.0])
-        x_lp, _, _ = _elastic_lp(A, b, lb, ub, 100)
+        x_lp, _, _, _ = _elastic_lp(A, b, lb, ub, 100)
         assert x_lp[0] > ub[0]
-        (x, work), _ = _phase1(A, b, lb, ub, 100)
+        (x, work), _, _ = _phase1(A, b, lb, ub, 100)
         assert np.all(x >= lb) and np.all(x <= ub)
         assert work[0] == UPPER
         assert np.sum(np.abs(A.T @ x - b)) <= ELASTIC_TOL
@@ -605,7 +616,7 @@ class TestPhase1:
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([1.0, 2.0])
         lb, ub = np.full(2, -INF), np.full(2, INF)
-        start, pivots = _phase1(A, b, lb, ub, 100)
+        start, pivots, _ = _phase1(A, b, lb, ub, 100)
         assert start is None
         assert pivots > 0
         sol = solve_qp(probe_qp(A, b, lb, ub))
@@ -614,10 +625,36 @@ class TestPhase1:
     def test_infeasible_solve_counts_lp_pivots(self):
         A, b = np.array([[1.0], [1.0]]), np.array([10.0])
         lb, ub = np.zeros(2), np.ones(2)
-        start, lp_pivots = _phase1(A, b, lb, ub, 100)
+        start, lp_pivots, _ = _phase1(A, b, lb, ub, 100)
         sol = solve_qp(probe_qp(A, b, lb, ub))
         assert start is None and sol.status == "infeasible"
         assert sol.n_pivots == lp_pivots > 0
+
+    def test_infeasible_verdict_hands_over_the_lp(self):
+        # the LP's final z and working set start the elastic QP over the
+        # same constraints: z is feasible for it and the hint hits
+        A, b = np.array([[1.0], [1.0]]), np.array([10.0])
+        lb, ub = np.zeros(2), np.ones(2)
+        sol = solve_qp(box_qp(np.eye(2), [1.0, -1.0], lb, ub, A, b))
+        assert sol.status == "infeasible" and sol.lp is not None
+        z, work = sol.lp
+        elastic, z0 = elastic_problem(A, b, lb, ub, np.eye(2))
+        assert z.shape == work.shape == (4,)
+        assert np.allclose(elastic.A.T @ z, b)
+        assert np.all(z >= elastic.lb) and np.all(z <= elastic.ub)
+        cold = solve_qp(elastic, feasible_start=z0)
+        warm = solve_qp(elastic, warm_start=work, feasible_start=z)
+        assert warm.warm_start == "hit" and cold.warm_start is None
+        assert warm.n_pivots == 0 < cold.n_pivots
+        assert np.allclose(warm.x, cold.x)
+
+    def test_dropped_column_hands_over_nothing(self):
+        # the LP ran over the kept column only, so its z has other shape
+        A = np.array([[1.0, 2.0], [1.0, 2.0]])
+        lb, ub = np.zeros(2), np.ones(2)
+        sol = solve_qp(probe_qp(A, [10.0, 20.0], lb, ub))
+        assert sol.status == "infeasible" and sol.n_pivots > 0
+        assert sol.lp is None
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -637,9 +674,9 @@ class TestPhase1:
                        if lo == -INF else
                        lo + data.draw(st.sampled_from([0.0, 1.0, 3.0, INF]))
                        for lo in lb])
-        _, resid, _ = _elastic_lp(A, b, lb, ub, 50 * (n + 3 * m))
+        _, _, resid, _ = _elastic_lp(A, b, lb, ub, 50 * (n + 3 * m))
         assert np.isfinite(resid)
-        start, _ = _phase1(A, b, lb, ub, 50 * (n + 3 * m))
+        start, _, _ = _phase1(A, b, lb, ub, 50 * (n + 3 * m))
         assert (start is None) == (resid > ELASTIC_TOL)
         if start is not None:
             x, work = start

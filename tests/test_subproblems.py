@@ -1,6 +1,8 @@
 """Regularization, subproblem assembly, and the direction engine."""
 
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import funnel_sqp.subproblems as sp
 from funnel_sqp.config import (SolverConfig, SubproblemParams,
                                apply_overrides)
+from funnel_sqp.driver import solve
 from funnel_sqp.errors import RegularizationFailed
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
@@ -228,6 +231,25 @@ class TestDirectionEngine:
         assert not res.subproblem_feasible
         assert np.isclose(res.elastic_u[0] + res.elastic_v[0], 1.0)
 
+    def test_restoration_warm_codes_cleared_on_entry_and_exit(self):
+        # each elastic QP hands its working set to the next one; entering
+        # or leaving restoration forgets it
+        engine, prob, x, c, g, J = _engine("line-circle")
+        N = prob.n + 2 * prob.m
+
+        def restore():
+            engine.compute(x, c, infeasibility(c), g, J,
+                           prob.start_multipliers(), delta=10.0)
+            assert engine.phase is Phase.RESTORATION
+            assert engine.warm_codes.shape == (N,)
+
+        restore()
+        engine.enter_restoration(x, infeasibility(c), source="test")
+        assert engine.warm_codes is None
+        restore()
+        engine.exit_restoration()
+        assert engine.warm_codes is None
+
     def test_exit_restores_optimality_state(self):
         engine, prob, x, c, g, J = _engine("line-circle")
         engine.enter_restoration(x, 4.0, source="test")
@@ -325,3 +347,65 @@ class TestDirectionEngine:
         assert res.phase is Phase.RESTORATION
         assert len(calls) == unbounded_calls + 1
         assert engine.counters.n_hess == before + 1
+
+
+def _bench_chain():
+    bench = str(Path(__file__).resolve().parents[1] / "solverbench")
+    sys.path.insert(0, bench)
+    try:
+        import chain
+    finally:
+        sys.path.remove(bench)
+    return chain
+
+
+class TestRestorationWarmStart:
+    """Restoration's elastic QPs start from the last answer over the same
+    constraints: the previous elastic QP's working set, and right after an
+    infeasible verdict phase 1's elastic LP."""
+
+    @staticmethod
+    def _logged_solve(monkeypatch, problem, strategy, mechanism):
+        """Solve, returning (result, [(elastic?, status, pivots)] per QP)."""
+        real = sp.solve_qp
+        log = []
+
+        def logged(qp, **kwargs):
+            sol = real(qp, **kwargs)
+            log.append((qp.n > problem.n, sol.status, sol.n_pivots))
+            return sol
+
+        monkeypatch.setattr(sp, "solve_qp", logged)
+        res = solve(problem, SolverConfig(strategy=strategy,
+                                          mechanism=mechanism))
+        return res, log
+
+    @pytest.mark.parametrize("name, strategy, cap", [
+        ("powellbs", "filter", 10),       # 107 elastic QPs, 214 pivots cold
+        ("line-circle", "funnel", 20),    # 49 elastic QPs, 96 pivots cold
+        ("line-circle", "filter", 20),
+    ])
+    def test_restoration_pivots(self, monkeypatch, name, strategy, cap):
+        res, log = self._logged_solve(monkeypatch, get_problem(name),
+                                      strategy, "trust-region")
+        assert res.status == "kkt_point"
+        elastic = [p for is_elastic, _, p in log if is_elastic]
+        assert len(elastic) > 40
+        assert sum(elastic) <= cap
+
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    def test_first_restoration_qp_continues_phase1(self, monkeypatch,
+                                                   strategy):
+        # the bounded n=24 chain: one optimality QP is infeasible, and its
+        # phase-1 LP already sits at the elastic QP's optimal vertex
+        chain = _bench_chain()
+        problem = chain.analytic_problem(chain.start_point(24, 0))
+        problem.ub[:] = 1.0
+        res, log = self._logged_solve(monkeypatch, problem, strategy,
+                                      "line-search")
+        assert res.status == "kkt_point"
+        i = next(i for i, (_, status, _) in enumerate(log)
+                 if status == "infeasible")
+        assert log[i][2] > 0
+        assert log[i + 1][:2] == (True, "optimal")
+        assert log[i + 1][2] == 0
