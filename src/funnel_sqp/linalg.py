@@ -22,7 +22,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionMismatch, NotSymmetric
 
-# |eigenvalue| <= ZERO_EIG_REL * ||M||_inf counts as zero in the inertia
+# |eigenvalue| <= ZERO_EIG_REL * (the matrix's scale) counts as zero: in the
+# LDL^T inertia and in the QP's reduced-Hessian classification
 ZERO_EIG_REL = 1e-12
 # |R_ii| <= RANK_REL * |R_00| counts as a dependent column in QR
 RANK_REL = 1e-10
@@ -58,7 +59,7 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
     if n == 0:
         return LdltFactors(inertia=(0, 0, 0))
     if (M == M.T).all():
-        # exactly symmetric, as every KKT matrix convexify builds; a NaN
+        # exactly symmetric, as every reduced Hessian convexify builds; a NaN
         # compares unequal and takes the checked path below
         norm = np.abs(M).max()
     else:
@@ -227,11 +228,3 @@ def r_rank(R: np.ndarray) -> int:
         return 0
     return int(np.sum(rdiag > RANK_REL * rdiag[0]))
 
-
-def qr_rank(A: np.ndarray) -> int:
-    """Numerical rank via the same column-pivoted QR threshold as nullspace_basis."""
-    A = np.asarray(A, dtype=float)
-    n, m = A.shape
-    if m == 0 or n == 0 or not np.any(A):
-        return 0
-    return r_rank(pivoted_qr(A)[0])

@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxPivots
-from .linalg import (NullspaceFactors, certified_cholesky, cholesky_solve,
-                     nullspace_basis, pivoted_qr, r_rank)
+from .linalg import (ZERO_EIG_REL, NullspaceFactors, certified_cholesky,
+                     cholesky_solve, nullspace_basis, pivoted_qr, r_rank)
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
 GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
-EIG_ZERO_REL = 1e-12         # reduced-Hessian eigenvalue zero band
 STATIONARY_REL = 1e-10       # reduced-gradient zero test
 MU_SIGN_REL = 1e-9           # bound-multiplier sign tolerance
 DROP_ROW_REL = 1e-8          # post-solve residual bound for dropped equalities
@@ -218,7 +217,7 @@ class _Core:
             else:
                 Wf = self.W if every else self.W[np.ix_(free, free)]
                 H = fac.Z.T @ Wf @ fac.Z
-                chol = certified_cholesky(H, EIG_ZERO_REL)
+                chol = certified_cholesky(H, ZERO_EIG_REL)
                 factors = _Reduced(fac, chol) if chol is not None else \
                     _Reduced(fac, None, *np.linalg.eigh(0.5 * (H + H.T)))
             self._factored = key, factors
@@ -251,7 +250,7 @@ class _Core:
             return None
         xf, Z = xf0, f.qr.Z
         if Z.shape[1]:
-            if f.chol is None and f.w[0] <= EIG_ZERO_REL * max(
+            if f.chol is None and f.w[0] <= ZERO_EIG_REL * max(
                     1.0, float(np.max(np.abs(f.w)))):
                 return None
             gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
@@ -282,7 +281,7 @@ class _Core:
             pz = f.newton(q)
         else:
             w, V = f.w, f.V
-            eig_tol = EIG_ZERO_REL * max(1.0, float(np.max(np.abs(w))))
+            eig_tol = ZERO_EIG_REL * max(1.0, float(np.max(np.abs(w))))
             neg = w < -eig_tol
             zero = np.abs(w) <= eig_tol
             if np.any(neg):
@@ -538,7 +537,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # Cholesky factor of the all-free W means a convex QP.
     if keep.size == 0 and 0 < n <= FACE_ENUM_MAX:
         f = core.reduced(np.arange(n))
-        if f.chol is None and f.w[0] < -EIG_ZERO_REL * max(
+        if f.chol is None and f.w[0] < -ZERO_EIG_REL * max(
                 1.0, float(np.max(np.abs(f.w)))):
             obj_loc = core._phi(x)
             obj_enum, x_enum, work_enum = _face_enumeration(core)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SolverConfig, SubproblemParams
 from .errors import RegularizationFailed
-from .linalg import ldlt_factorize, qr_rank
+from .linalg import ldlt_factorize, nullspace_basis
 from .problems import EvalCounters, NcoProblem, evaluate_lagrangian_hessian
 from .qp import ELASTIC_TOL, QpData, elastic_problem, solve_qp
 
@@ -36,44 +36,31 @@ class Phase(enum.Enum):
 
 def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
     """Smallest diagonal shift making W + eta*I positive definite on the
-    null space of A^T, detected through the KKT-matrix inertia.
+    null space of A^T, detected through the reduced-Hessian inertia.
+
+    Z is nullspace_basis(A).Z, split at the pivoted-QR rank by which
+    solve_qp drops dependent equality columns of the same A. A rung passes
+    when the k x k matrix Z^T W Z + eta*I has inertia (k, 0, 0). For the
+    KKT matrix K of W + eta*I and A, inertia(K) = inertia(Z^T (W + eta*I) Z)
+    + (r, r, m - r) (Gould 1985; Nocedal & Wright, Thm 16.3), so this is
+    K's inertia test without forming K.
 
     Tries sp.eta0, then multiplies by sp.eta_growth while the shift stays
     within sp.eta_max. Returns (W + eta*I, eta). Raises
     RegularizationFailed when no rung gives the inertia.
     """
-    n = W.shape[0]
-    m = A.shape[1] if A.ndim == 2 else 0
-    # Normalizing each gradient column is a congruence of the KKT matrix
-    # (the scale hits one multiplier coordinate symmetrically), so the
-    # inertia is unchanged while wildly different constraint scales stop
-    # drowning small Schur-complement eigenvalues in the zero band. The
-    # rank target comes from the same normalized matrix the factorization
-    # sees.
-    if m:
-        col = np.linalg.norm(A, axis=0)
-        An = A / np.where(col > 0.0, col, 1.0)
-        r = qr_rank(An)
-    else:
-        An = A
-        r = 0
-    target = (n, r, m - r)
+    Z = nullspace_basis(A).Z
+    R = Z.T @ W @ Z
+    R = 0.5 * (R + R.T)
+    k = R.shape[0]
     eta = sp.eta0
-    while True:
-        H = W + eta * np.eye(n)
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = H
-        if m:
-            s = np.sqrt(max(1.0, float(np.max(np.abs(H)))))
-            K[:n, n:] = s * An
-            K[n:, :n] = s * An.T
-        if ldlt_factorize(K).inertia == target:
-            return H, eta
+    while ldlt_factorize(R + eta * np.eye(k)).inertia != (k, 0, 0):
         eta *= sp.eta_growth
         if eta > sp.eta_max:
             raise RegularizationFailed(
                 f"no diagonal shift up to {sp.eta_max:g} gives the required"
                 " inertia")
+    return W + eta * np.eye(W.shape[0]), eta
 
 
 def step_box(x, lb, ub, delta: Optional[float]):

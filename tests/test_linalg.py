@@ -12,7 +12,7 @@ from conftest import jacobi_eigenvalues
 from funnel_sqp.errors import DimensionMismatch, NotSymmetric
 from funnel_sqp.linalg import (ZERO_EIG_REL, certified_cholesky,
                                cholesky_solve, ldlt_factorize,
-                               nullspace_basis, pivoted_qr, qr_rank, r_rank)
+                               nullspace_basis, pivoted_qr, r_rank)
 from funnel_sqp.qp import _independent_columns
 
 
@@ -114,7 +114,7 @@ class TestNonFinite:
             ldlt_factorize(np.array([[1.0, bad], [bad, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("fn", [nullspace_basis, qr_rank])
+    @pytest.mark.parametrize("fn", [nullspace_basis, pivoted_qr])
     def test_qr_rejects(self, fn, bad):
         with pytest.raises(ValueError):
             fn(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 2.0]]))
@@ -143,7 +143,7 @@ class TestNullspace:
         Z = nullspace_basis(A).Z
         assert Z.shape == (3, 2)
         assert np.max(np.abs(A.T @ Z)) <= 1e-12 * np.max(np.abs(A))
-        assert qr_rank(A) == 1
+        assert nullspace_basis(A).rank == 1
 
     @given(st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=3),
@@ -153,7 +153,7 @@ class TestNullspace:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, m)) if m else np.zeros((n, 0))
         Z = nullspace_basis(A).Z
-        r = qr_rank(A)
+        r = np.linalg.matrix_rank(A) if m else 0
         assert Z.shape == (n, n - r)
         if Z.shape[1]:
             assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), atol=1e-12)
@@ -227,7 +227,7 @@ class TestScipyOracle:
         A = matrix_with_dependent_columns(n, m, kinds, seed)
         Q, R, _ = scipy.linalg.qr(A, mode="full", pivoting=True)
         assert np.array_equal(nullspace_basis(A).Z, Q[:, r_rank(R):])
-        assert qr_rank(A) == r_rank(R)
+        assert nullspace_basis(A).rank == r_rank(R)
         keep, drop, _ = _independent_columns(A)
         want_keep, want_drop = scipy_split(A)
         assert np.array_equal(keep, want_keep)

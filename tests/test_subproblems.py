@@ -12,6 +12,7 @@ from funnel_sqp.config import (SolverConfig, SubproblemParams,
                                apply_overrides)
 from funnel_sqp.driver import solve
 from funnel_sqp.errors import RegularizationFailed
+from funnel_sqp.linalg import nullspace_basis
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
                                  get_problem, infeasibility)
@@ -73,8 +74,8 @@ class TestConvexify:
         assert eta == 1e-4
 
     def test_badly_scaled_constraint_column(self):
-        # column norms spread over five orders of magnitude; per-column
-        # normalization keeps the Schur eigenvalue out of the zero band
+        # column norms spread over five orders of magnitude; the reduced
+        # Hessian sees only the null-space direction, never the norms
         A = np.array([[7.8e4], [1e-3]])
         W = np.diag([0.0, -5.0])
         H, eta = convexify(W, A, self.SP)
@@ -103,6 +104,88 @@ class TestConvexify:
         with pytest.raises(RegularizationFailed):
             convexify(np.diag([-10.0]), np.zeros((1, 0)),
                       SubproblemParams(eta_max=1.0))
+
+    def test_huge_positive_definite_w_passes_first_rung(self):
+        # the Schur eigenvalue -a^T W^-1 a = -1e-12 of the KKT matrix lies
+        # in a zero band 1e-12 * max|W|; the reduced Hessian has no such
+        # eigenvalue, so no band scaled by W can swallow it
+        H, eta = convexify(1e12 * np.eye(2), np.array([[1.0], [0.0]]),
+                           self.SP)
+        assert eta == self.SP.eta0
+
+    def test_licq_line_search_pair_passes_first_rung(self):
+        # W and J where both LICQ line-search solves used to fail every rung
+        W = 1.4614595594653926e12 * np.eye(2)
+        A = np.array([[-1.4668658361100015e-12], [-7.4740548408791608e-13]])
+        H, eta = convexify(W, A, self.SP)
+        assert eta == self.SP.eta0
+        assert np.array_equal(H, W + self.SP.eta0 * np.eye(2))
+
+
+def kkt_oracle_eta(W, A, rank, sp, band=1e-8):
+    """The smallest rung at which eigvalsh of the unscaled KKT matrix
+    [[W + eta*I, A], [A^T, 0]] has inertia (n, r, m - r), None when no rung
+    up to sp.eta_max does, or "skip" when a tested rung has an eigenvalue
+    within band * max|eig| of zero beyond the m - r that A's dependent
+    columns put there."""
+    n, m = A.shape
+    K = np.zeros((n + m, n + m))
+    K[:n, n:] = A
+    K[n:, :n] = A.T
+    eta = sp.eta0
+    while eta <= sp.eta_max or eta == sp.eta0:
+        K[:n, :n] = W + eta * np.eye(n)
+        eigs = np.linalg.eigvalsh(K)
+        tol = band * np.max(np.abs(eigs))
+        if np.sum(np.abs(eigs) <= tol) != m - rank:
+            return "skip"
+        if (np.sum(eigs > tol), np.sum(eigs < -tol)) == (n, rank):
+            return eta
+        eta *= sp.eta_growth
+    return None
+
+
+def random_convexify_case(seed):
+    """(W, A) with n <= 6 and m <= n: a random symmetric W of random scale,
+    and an A of Gaussian columns, with no columns, or with a duplicated or a
+    zero column."""
+    rng = np.random.default_rng([7, seed])
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, n + 1))
+    M = rng.standard_normal((n, n))
+    W = 0.5 * (M + M.T) * 10.0 ** rng.uniform(-2.0, 1.0)
+    A = rng.standard_normal((n, m))
+    kind = seed % 3
+    if m >= 2 and kind == 1:
+        A[:, -1] = A[:, rng.integers(m - 1)]
+    elif m >= 1 and kind == 2:
+        A[:, rng.integers(m)] = 0.0
+    return W, A
+
+
+class TestConvexifyKktOracle:
+    """The reduced-Hessian ladder against the KKT matrix's eigenvalues."""
+
+    def test_eta_is_the_smallest_rung_with_kkt_inertia(self):
+        sp_ = SubproblemParams()
+        checked, kinds = 0, set()
+        for seed in range(240):
+            W, A = random_convexify_case(seed)
+            rank = nullspace_basis(A).rank
+            want = kkt_oracle_eta(W, A, rank, sp_)
+            if want == "skip":
+                continue
+            H, eta = convexify(W, A, sp_)
+            assert eta == want, seed
+            assert np.array_equal(H, W + eta * np.eye(W.shape[0]))
+            checked += 1
+            m = A.shape[1]
+            kinds.add("no column" if m == 0
+                      else "zero column" if not np.all(np.any(A, axis=0))
+                      else "dependent" if rank < m else "independent")
+        assert checked >= 200
+        assert kinds == {"no column", "zero column", "dependent",
+                         "independent"}
 
 
 class TestBuilders:

@@ -151,16 +151,18 @@ class TestOracleAgreement:
 
     @given(_cases())
     @settings(max_examples=100, deadline=None)
+    # a constant subtree that overflows: 4 ^ 525.2 is inf in float64
+    @example((1, Binary("^", Binary("+", Num(1.0), Num(3.0)),
+                        Binary("^", Binary("+", Num(0.5), Num(3.0)),
+                               Binary("+", Num(2.0), Num(3.0)))),
+              np.array([1.0])))
     def test_traced_callable_equals_nco_model(self, case):
         n, tree, x = case
-        try:
-            with np.errstate(all="ignore"):
-                traced = from_expressions(
-                    "traced", n, lambda xs: interpret(tree, xs), [])
-        except (ZeroDivisionError, TypeError):
-            # Python folds a constant subtree like 1/0 or (-1)^0.5 while
-            # tracing; the model text keeps it for the tape
-            assume(False)
+        # np.float64 constants fold a constant subtree like 1/0, (-1)^0.5
+        # or 4^525 while tracing as the tape folds it: to inf or NaN
+        with np.errstate(all="ignore"):
+            traced = from_expressions(
+                "traced", n, lambda xs: interpret(tree, xs, np.float64), [])
         text = "".join(f"var {v} start {float(xi)!r};\n" for v, xi in
                        zip(NAMES, x))
         nco = load_source(text + f"minimize {format_expr(tree)};\n")
@@ -325,7 +327,9 @@ class TestDomainFaults:
 
 def test_benchmark_tracer_patches_existing_names():
     """The benchmark tracer patches these names; fail here if one goes, or
-    if a solve of any variant no longer passes through a traced layer."""
+    if a solve of any variant no longer passes through a traced layer, or
+    a line-search solve no longer factors its convexify rungs through the
+    patched ldlt_factorize."""
     bench = str(Path(__file__).resolve().parents[1] / "solverbench")
     sys.path.insert(0, bench)
     try:
@@ -342,11 +346,18 @@ def test_benchmark_tracer_patches_existing_names():
         finally:
             tracer.uninstall()
         assert (hyperdual.gradient, hyperdual.hessian) == originals
-        for i in range(len(VARIANTS)):
-            names = {span[layers.NAME] for span in tracer.spans
+        spans = tracer.spans
+        for i, (_, mechanism) in enumerate(VARIANTS):
+            names = {span[layers.NAME] for span in spans
                      if span[layers.SOLVE] == i}
             assert {"mechanisms.run", "strategies.decide",
                     "subproblems.compute", "qp.solve"} <= names
+            # the eta_tries metric counts the rungs convexify factors
+            rungs = [span for span in spans if span[layers.SOLVE] == i
+                     and span[layers.NAME] == "linalg.ldlt"
+                     and spans[span[layers.PARENT]][layers.NAME]
+                     == "subproblems.convexify"]
+            assert bool(rungs) == (mechanism == "line-search")
     finally:
         sys.path.remove(bench)
 
