@@ -164,12 +164,11 @@ class NullspaceFactors:
         return lam
 
 
-def nullspace_basis(A: np.ndarray, qr=None) -> NullspaceFactors:
+def nullspace_basis(A: np.ndarray) -> NullspaceFactors:
     """The pivoted QR factors of A (n x m) split at its numerical rank.
 
     Z has shape n x (n - r), so A^T Z = 0 and Z^T Z = I. For a zero or empty
-    A, Z is the n x n identity and r = 0. qr, when given, is pivoted_qr(A),
-    already computed on the same matrix.
+    A, Z is the n x n identity and r = 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -178,7 +177,7 @@ def nullspace_basis(A: np.ndarray, qr=None) -> NullspaceFactors:
     if m == 0 or not np.any(A):
         return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)),
                                 np.arange(m), 0)
-    qr, piv, tau = pivoted_qr(A) if qr is None else qr
+    qr, piv, tau = pivoted_qr(A)
     rank = r_rank(qr)
     # orgqr forms the n x n Q from the reflectors in its leading columns; it
     # works on a copy, so qr still holds R

@@ -6,22 +6,24 @@ A holds the equality gradients column-wise (n x m). The working set is the
 equalities plus a subset of active bounds; steps live in the null space of
 the free-row Jacobian. Each working set is factored once, and its factors
 serve every pass (and the warm start) that sees it unchanged. One pivoted QR
-of the free rows of A gives the null-space basis Z, the warm start's
-minimum-norm point and, at full column rank, the equality multipliers; with
-every variable free it is the QR that already split off dependent
-equalities. The reduced Hessian Z^T W Z is first tried as a Cholesky factor
-that certifies every eigenvalue above the zero band: such a block gives
-Newton steps. Otherwise it is classified by eigenvalue: positive definite
-blocks still give Newton steps, negative or zero curvature gives a ray
-walked to its blocking bound (no bound means the QP is unbounded). With W
-identically zero (phase-1 LPs) the reduced Hessian needs no factorization.
+of the free rows of A, split at its numerical rank, gives the null-space
+basis Z, the warm start's minimum-norm point and, at full column rank, the
+equality multipliers; a rank-deficient working set gets the minimum-norm
+multipliers of lstsq, so dependent equalities need no other handling. The
+reduced Hessian Z^T W Z is first tried as a Cholesky factor that certifies
+every eigenvalue above the zero band: such a block gives Newton steps.
+Otherwise it is classified by eigenvalue: positive definite blocks still
+give Newton steps, negative or zero curvature gives a ray walked to its
+blocking bound (no bound means the QP is unbounded). With W identically
+zero (phase-1 LPs) the reduced Hessian needs no factorization.
 Feasibility first tries the origin and then the minimum-norm least-squares
 solution of A^T x = b, each clipped to the box. When neither satisfies the
-equalities, an elastic l1 LP runs; it is the fallback and the only source of
-an infeasibility verdict, its optimal residual serving as the certificate.
-The verdict returns the LP's final point and working set, so that an
-elastic QP over the same constraints (restoration) starts from them. A
-solution reports whether its warm start hit.
+equalities, an elastic l1 LP over every equality column runs; it is the
+fallback and the only source of an infeasibility verdict, its optimal
+residual serving as the certificate. Every verdict returns the LP's final
+point and working set, so that an elastic QP over the same constraints
+(restoration) starts from them. A solution reports whether its warm start
+hit.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
 steps that never pivot. A small nonconvex box-only QP then gets a face
@@ -37,13 +39,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxPivots
 from .linalg import (ZERO_EIG_REL, NullspaceFactors, certified_cholesky,
-                     cholesky_solve, nullspace_basis, pivoted_qr, r_rank)
+                     cholesky_solve, nullspace_basis)
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
 GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
 STATIONARY_REL = 1e-10       # reduced-gradient zero test
 MU_SIGN_REL = 1e-9           # bound-multiplier sign tolerance
-DROP_ROW_REL = 1e-8          # post-solve residual bound for dropped equalities
 FACE_ENUM_MAX = 6            # box-only nonconvex polish up to 3^6 faces
 
 FREE, LOWER, UPPER, PINNED = 0, -1, 1, 2
@@ -77,9 +78,9 @@ class QpSolution:
     n_pivots: int
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
     warm_start: str | None = None    # 'hit' | 'miss', None without a hint
-    # an 'infeasible' verdict of phase 1's elastic LP over every equality
-    # column: the LP's final z = (x, u, v) and working set, a feasible point
-    # and a working set for the elastic QP over the same constraints
+    # with an 'infeasible' verdict: phase 1's elastic LP's final
+    # z = (x, u, v) and working set, a feasible point and a working set for
+    # the elastic QP over the same constraints
     lp: tuple | None = None
 
 
@@ -149,10 +150,9 @@ class _Reduced:
 
 
 class _Core:
-    """Active-set iteration on a feasible point. qr, when given, is
-    pivoted_qr(A), which the working set with every variable free reuses."""
+    """Active-set iteration on a feasible point."""
 
-    def __init__(self, W, g, A, b, lb, ub, max_pivots, qr=None):
+    def __init__(self, W, g, A, b, lb, ub, max_pivots):
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
@@ -160,7 +160,6 @@ class _Core:
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
-        self._qr = qr
         self._factored = None, None
 
     def run(self, x, work):
@@ -208,8 +207,7 @@ class _Core:
         key = free.tobytes()
         if self._factored[0] != key:
             every = free.size == self.n
-            fac = nullspace_basis(self.A, self._qr) if every \
-                else nullspace_basis(self.A[free])
+            fac = nullspace_basis(self.A if every else self.A[free])
             k = fac.Z.shape[1]
             if self.w_zero or k == 0:
                 # eigh of the zero matrix: the same values, without the solve
@@ -456,23 +454,6 @@ def _face_enumeration(core):
     return best
 
 
-def _independent_columns(A: np.ndarray):
-    """Split A's column indices into (keep, drop, qr), keep and drop sorted:
-    keep is a linearly independent set of the pivoted-QR rank, drop is the
-    rest. qr is A's pivoted QR when it was computed and nothing is dropped,
-    else None."""
-    m = A.shape[1]
-    if m and not np.any(A):
-        return np.zeros(0, dtype=int), np.arange(m), None
-    qr = None
-    if m > 1:
-        qr = pivoted_qr(A)
-        rank = r_rank(qr[0])
-        if rank < m:
-            return np.sort(qr[1][:rank]), np.sort(qr[1][rank:]), None
-    return np.arange(m), np.zeros(0, dtype=int), qr
-
-
 def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
              feasible_start: np.ndarray | None = None,
              max_pivots: int | None = None) -> QpSolution:
@@ -497,11 +478,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
-    # drop linearly dependent equality columns; verify them post-solve
-    keep, drop, qr = _independent_columns(A)
-    Ak, bk = A[:, keep], b[keep]
-
-    core = _Core(W, g, Ak, bk, lb, ub, max_pivots, qr)
+    core = _Core(W, g, A, b, lb, ub, max_pivots)
 
     start = hint = None
     phase1_pivots = 0
@@ -510,21 +487,18 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         hint = "miss" if start is None else "hit"
     if start is None and feasible_start is not None:
         x = np.clip(np.asarray(feasible_start, dtype=float), lb, ub)
-        ok = keep.size == 0 or np.max(
-            np.abs(Ak.T @ x - bk), initial=0.0) <= 1e-8 * (
-                1.0 + np.max(np.abs(bk), initial=0.0))
-        if ok:
+        if np.max(np.abs(A.T @ x - b), initial=0.0) <= 1e-8 * (
+                1.0 + np.max(np.abs(b), initial=0.0)):
             start = x, _initial_work(x, lb, ub)
     if start is None:
-        start, phase1_pivots, lp = _phase1(Ak, bk, lb, ub, max_pivots)
+        start, phase1_pivots, lp = _phase1(A, b, lb, ub, max_pivots)
         if start is None:
             return QpSolution(status="infeasible", x=np.zeros(n),
                               lam=np.zeros(m), mu=np.zeros(n),
                               objective=np.inf, n_pivots=phase1_pivots,
-                              warm_start=hint,
-                              lp=None if drop.size else lp)
+                              warm_start=hint, lp=lp)
 
-    status, x, lam_k, mu, work = core.run(*start)
+    status, x, lam, mu, work = core.run(*start)
     core.pivots += phase1_pivots
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, lam=np.zeros(m),
@@ -535,7 +509,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # active-set iteration is local; on small box-only nonconvex problems a
     # face scan certifies (or repairs) global optimality. A certified
     # Cholesky factor of the all-free W means a convex QP.
-    if keep.size == 0 and 0 < n <= FACE_ENUM_MAX:
+    if not np.any(A) and 0 < n <= FACE_ENUM_MAX:
         f = core.reduced(np.arange(n))
         if f.chol is None and f.w[0] < -ZERO_EIG_REL * max(
                 1.0, float(np.max(np.abs(f.w)))):
@@ -546,17 +520,8 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
                 x, work = x_enum, work_enum
                 mu = W @ x + g
                 mu[work == FREE] = 0.0
-                lam_k = np.zeros(0)
+                lam = np.zeros(m)
 
-    if drop.size:
-        resid = np.abs(A[:, drop].T @ x - b[drop])
-        if np.max(resid, initial=0.0) > DROP_ROW_REL * (
-                1.0 + np.max(np.abs(b), initial=0.0)):
-            return QpSolution(status="infeasible", x=x, lam=np.zeros(m),
-                              mu=np.zeros(n), objective=np.inf,
-                              n_pivots=core.pivots, warm_start=hint)
-    lam = np.zeros(m)
-    lam[keep] = lam_k
     return QpSolution(status="optimal", x=x, lam=lam, mu=mu,
                       objective=qp_objective(qp, x), n_pivots=core.pivots,
                       active=work.copy(), warm_start=hint)

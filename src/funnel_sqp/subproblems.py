@@ -39,7 +39,7 @@ def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
     null space of A^T, detected through the reduced-Hessian inertia.
 
     Z is nullspace_basis(A).Z, split at the pivoted-QR rank by which
-    solve_qp drops dependent equality columns of the same A. A rung passes
+    solve_qp splits each working set of the same A. A rung passes
     when the k x k matrix Z^T W Z + eta*I has inertia (k, 0, 0). For the
     KKT matrix K of W + eta*I and A, inertia(K) = inertia(Z^T (W + eta*I) Z)
     + (r, r, m - r) (Gould 1985; Nocedal & Wright, Thm 16.3), so this is

@@ -13,6 +13,7 @@ from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.driver import (complementarity, format_trace,
                                lagrangian_gradient, solve)
 from funnel_sqp.dsl import load_source
+import funnel_sqp.problems as problems_mod
 from funnel_sqp.problems import NcoProblem, from_expressions, get_problem
 from funnel_sqp.strategies import (LABEL_H_TYPE, LABEL_INFEASIBLE,
                                    LABEL_OPTIMAL, FunnelStrategy, StepVerdict)
@@ -423,6 +424,41 @@ class TestKnownLimits:
         res = solve(load_source(self.LICQ), _config(strategy, mechanism))
         assert (res.status, res.error_kind, res.n_outer) == \
             (status, kind, n_outer)
+
+
+def _duplicated_rows(name):
+    """The registry problem with every constraint twice, lambda0 halved on
+    both copies: the same problem with a rank-deficient Jacobian."""
+    n, f, cons, arrays = problems_mod._REGISTRY[name]
+    arrays = {k: v.copy() for k, v in arrays.items()}
+    if "lambda0" in arrays:
+        half = 0.5 * arrays["lambda0"]
+        arrays["lambda0"] = np.concatenate([half, half])
+    return from_expressions(name, n, f, cons + cons, **arrays)
+
+
+class TestMetamorphic:
+    """Duplicating every constraint changes no solution: every direction
+    then works with a rank-deficient Jacobian, end to end."""
+
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    @pytest.mark.parametrize("name", [
+        name for name in problems_mod.problem_names()
+        if get_problem(name).m >= 1])
+    def test_duplicated_rows_same_solution(self, name, strategy, mechanism):
+        config = _config(strategy, mechanism)
+        res = solve(get_problem(name), config)
+        dup = solve(_duplicated_rows(name), config)
+        assert dup.status == res.status
+        if name == "line-circle" and mechanism == "trust-region":
+            # two KKT points, (2, -1) and (-1, 2); the doubled h takes the
+            # funnel and the filter down another path
+            assert dup.status == "kkt_point"
+            assert min(np.max(np.abs(dup.x - p)) for p in
+                       ([2.0, -1.0], [-1.0, 2.0])) <= 1e-6
+        else:
+            assert np.max(np.abs(dup.x - res.x)) <= 1e-6
 
 
 class TestFormatTrace:

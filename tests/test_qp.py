@@ -159,14 +159,15 @@ class TestHandCases:
 
 class TestRankDeficiency:
     def test_duplicate_row_consistent(self):
-        # the same plane twice; second multiplier reported as zero
+        # the same plane twice; the multipliers are the minimum-norm ones
         A = np.array([[1.0, 2.0], [1.0, 2.0]])
         qp = box_qp(2.0 * np.eye(2), [0.0, 0.0], A=A, b=[2.0, 4.0])
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 1.0])
         assert np.isclose(sol.lam[0] + 2.0 * sol.lam[1], 2.0)
-        assert np.count_nonzero(sol.lam) <= 1
+        assert np.allclose(sol.lam, np.linalg.pinv(A) @ (
+            qp.W @ sol.x + qp.g - sol.mu))
         assert_kkt(qp, sol)
 
     def test_duplicate_row_inconsistent(self):
@@ -630,16 +631,15 @@ class TestPhase1:
         assert start is None and sol.status == "infeasible"
         assert sol.n_pivots == lp_pivots > 0
 
-    def test_infeasible_verdict_hands_over_the_lp(self):
-        # the LP's final z and working set start the elastic QP over the
-        # same constraints: z is feasible for it and the hint hits
-        A, b = np.array([[1.0], [1.0]]), np.array([10.0])
-        lb, ub = np.zeros(2), np.ones(2)
-        sol = solve_qp(box_qp(np.eye(2), [1.0, -1.0], lb, ub, A, b))
+    @staticmethod
+    def assert_hands_over_the_lp(sol, A, b, lb, ub):
+        """The LP's final z and working set start the elastic QP over the
+        same constraints: z is feasible for it and the hint hits."""
+        n, m = A.shape
         assert sol.status == "infeasible" and sol.lp is not None
         z, work = sol.lp
-        elastic, z0 = elastic_problem(A, b, lb, ub, np.eye(2))
-        assert z.shape == work.shape == (4,)
+        elastic, z0 = elastic_problem(A, b, lb, ub, np.eye(n))
+        assert z.shape == work.shape == (n + 2 * m,)
         assert np.allclose(elastic.A.T @ z, b)
         assert np.all(z >= elastic.lb) and np.all(z <= elastic.ub)
         cold = solve_qp(elastic, feasible_start=z0)
@@ -648,13 +648,19 @@ class TestPhase1:
         assert warm.n_pivots == 0 < cold.n_pivots
         assert np.allclose(warm.x, cold.x)
 
-    def test_dropped_column_hands_over_nothing(self):
-        # the LP ran over the kept column only, so its z has other shape
-        A = np.array([[1.0, 2.0], [1.0, 2.0]])
+    def test_infeasible_verdict_hands_over_the_lp(self):
+        A, b = np.array([[1.0], [1.0]]), np.array([10.0])
         lb, ub = np.zeros(2), np.ones(2)
-        sol = solve_qp(probe_qp(A, [10.0, 20.0], lb, ub))
-        assert sol.status == "infeasible" and sol.n_pivots > 0
-        assert sol.lp is None
+        sol = solve_qp(box_qp(np.eye(2), [1.0, -1.0], lb, ub, A, b))
+        self.assert_hands_over_the_lp(sol, A, b, lb, ub)
+
+    def test_dependent_columns_hand_over_the_lp(self):
+        # the same row twice: the LP runs over both columns
+        A, b = np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([10.0, 20.0])
+        lb, ub = np.zeros(2), np.ones(2)
+        sol = solve_qp(probe_qp(A, b, lb, ub))
+        assert sol.n_pivots > 0
+        self.assert_hands_over_the_lp(sol, A, b, lb, ub)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -492,3 +492,14 @@ class TestRestorationWarmStart:
         assert log[i][2] > 0
         assert log[i + 1][:2] == (True, "optimal")
         assert log[i + 1][2] == 0
+
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    def test_dependent_gradients_keep_the_handoff(self, strategy):
+        # at x0 = (1, 1) the two constraint gradients are parallel: the
+        # phase-1 LP runs over both columns, and the first restoration QP
+        # starts from it
+        res = solve(get_problem("line-circle"),
+                    SolverConfig(strategy=strategy, mechanism="line-search"))
+        first = next(r for r in res.iterations
+                     if r.phase == "restoration" and r.qp_pivots is not None)
+        assert first.warm_start == "hit"
