@@ -12,7 +12,7 @@ With --pivots, each line instead counts the solve's directions per phase
 with their QP pivots, and its warm-start hits and misses, from the trace
 records; a direction that entered restoration counts as a restoration QP and
 carries the infeasible optimality QP's pivots.
-The 124 solves, each under all four strategy/mechanism variants:
+The 128 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
   - the chained Rosenbrock of solverbench/chain.py from the starts of seeds
@@ -20,7 +20,9 @@ The 124 solves, each under all four strategy/mechanism variants:
     form at n=200 (60);
   - the n=24 .nco chain from the Armijo-rounding-cycle start, max_outer=100
     (4);
-  - the LICQ failure x + y subject to x^2 + y^2 = 0 (4).
+  - the LICQ failure x + y subject to x^2 + y^2 = 0 (4);
+  - a fuzz model whose line-search elastic QPs can be unbounded below, so
+    that the elastic re-solve is covered (4).
 
 Usage: python3 scripts/trace_digest.py [--outcomes | --pivots] > digest.txt
 """
@@ -46,6 +48,12 @@ VARIANTS = list(itertools.product(("funnel", "filter"),
 SEEDS = (0, 1, 2, 3, 4099)
 LICQ = ("var x start 1; var y start 1; minimize x + y; "
         "subject_to x^2 + y^2 == 0;")
+UNBOUNDED_ELASTIC = (
+    "var x start -0.38; var y start -0.51; "
+    "minimize -0.48 * sin(x) + -0.55 * cos(y + x); "
+    "subject_to -0.61 * exp(0.4 * y) + 1.26 * cos(x + x) + -1.34 * x == -0.88; "
+    "subject_to 0.91 * x * x + 1.21 * exp(0.4 * x) + -0.68 * cos(x + y) "
+    "+ 0.49 * cos(y + y) == 0.54;")
 
 
 def problems():
@@ -66,6 +74,8 @@ def problems():
     x0 = base + np.random.default_rng([22, 1]).uniform(-0.1, 0.1, 24)
     yield ("armijo-cycle", lambda: load_source(chain.nco_text(x0)), 100)
     yield "licq-failure", lambda: load_source(LICQ), None
+    yield ("unbounded-elastic", lambda: load_source(UNBOUNDED_ELASTIC),
+           None)
 
 
 def digest(res) -> str:

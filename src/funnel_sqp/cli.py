@@ -22,7 +22,7 @@ import sys
 from .config import SolverConfig, apply_overrides
 from .driver import SolveResult, format_trace, solve
 from .dsl import load_file
-from .errors import FunnelSqpError, ParseError, UnknownProblem
+from .errors import ParseError, UnknownProblem
 from .problems import get_problem, problem_names
 
 log = logging.getLogger("funnel_sqp")
@@ -67,8 +67,6 @@ def _make_config(args) -> SolverConfig:
         cfg.tol = args.tol
     if getattr(args, "max_iter", None) is not None:
         cfg.max_outer = args.max_iter
-    if getattr(args, "gould_update", False):
-        cfg.funnel.gould_update = True
     cfg = apply_overrides(cfg, _parse_overrides(getattr(args, "seed_params",
                                                         None)))
     return cfg.validated()
@@ -154,13 +152,7 @@ def _run_grid(problems, args):
         for strategy, mechanism in COMBOS:
             cfg = _make_config(args)
             cfg.strategy, cfg.mechanism = strategy, mechanism
-            try:
-                result = solve(problem, cfg)
-            except FunnelSqpError as e:   # defensive; solve reports errors
-                log.warning("%s %s/%s raised %s", problem.name, strategy,
-                            mechanism, e)
-                continue
-            rows.append(result)
+            rows.append(solve(problem, cfg))
     return rows
 
 
@@ -259,11 +251,10 @@ def _add_common(p, single_problem):
                        help="registry subset (default: whole registry)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--gould-update", action="store_true",
-                   help="use the max-form funnel width update")
     p.add_argument("--seed-params", nargs="*", metavar="KEY=VAL",
                    help="dotted config overrides, e.g. funnel.kappa=0.4")
-    p.add_argument("--csv", help="CSV output path")
+    if not single_problem:
+        p.add_argument("--csv", help="CSV output path")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -88,11 +88,16 @@ class SolverConfig:
         return self
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
 def apply_overrides(config: SolverConfig, overrides: dict[str, str]) -> SolverConfig:
     """Apply dotted KEY=VAL overrides, e.g. {"funnel.kappa": "0.4", "tol": "1e-8"}.
 
-    Values are parsed with the target field's current type (bool accepts
-    true/false/1/0). Unknown keys raise ValueError.
+    Values are parsed with the target field's current type; a bool takes
+    true/false, 1/0, yes/no or on/off in any case. Unknown keys and values
+    that do not parse raise ValueError.
     """
     cfg = copy.deepcopy(config)
     for key, raw in overrides.items():
@@ -108,7 +113,9 @@ def apply_overrides(config: SolverConfig, overrides: dict[str, str]) -> SolverCo
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(obj, leaf)
         if isinstance(current, bool):
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
+            value = _BOOLS.get(raw.strip().lower())
+            if value is None:
+                raise ValueError(f"{key} takes true or false, not {raw!r}")
         elif isinstance(current, int):
             value = int(raw)
         elif isinstance(current, float):

@@ -144,8 +144,8 @@ class GeneralProblem:
     Each expression is a Tape (a tree and its variable indices) or a Python
     callable over a list of n scalars. A callable is traced once into an
     expression tree (tape.trace), so it must be written with operator
-    arithmetic and the hd_* helpers or numpy's exp/log/sin/cos/sqrt, and
-    must not branch on values.
+    arithmetic and numpy's exp/log/sin/cos/sqrt (which dispatch to the tree
+    nodes' methods), and must not branch on values.
     """
     name: str
     n: int

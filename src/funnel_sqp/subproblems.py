@@ -9,6 +9,11 @@ elastic QP's own multipliers). Each QP warm-starts from the working set of
 the last QP of its phase. The first elastic QP after an infeasible verdict
 starts where phase 1's elastic LP, over the same constraints and step box,
 stopped: from its final point and working set.
+
+convexify is the only eta ladder. In the elastic QP u and v absorb any
+J^T d, so d is free in all of R^n: an unbounded line-search elastic QP is
+solved once more with its d block convexified on all of R^n. Any other
+unbounded QP raises RegularizationFailed.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
 
     Tries sp.eta0, then multiplies by sp.eta_growth while the shift stays
     within sp.eta_max. Returns (W + eta*I, eta). Raises
-    RegularizationFailed when no rung gives the inertia.
+    RegularizationFailed when no rung gives the inertia. An A with no
+    columns asks for W + eta*I positive definite on all of R^n.
     """
     Z = nullspace_basis(A).Z
     R = Z.T @ W @ Z
@@ -185,10 +191,11 @@ class DirectionEngine:
         eta = None
         if self.convexify_directions:
             qp.W, eta = convexify(W, J, self.config.subproblem)
-        sol, eta = self._solve(qp, W, eta, delta, None,
-                               warm_start=self.warm_codes)
+        sol = solve_qp(qp, warm_start=self.warm_codes)
         if sol.status == "infeasible":
             return sol
+        if sol.status == "unbounded":
+            raise RegularizationFailed("optimality subproblem unbounded")
         self.warm_codes = sol.active
         mu = self._strip_trust_region_multipliers(sol.x, sol.mu, x, delta)
         return DirectionResult(d=sol.x, lam=sol.lam, mu=mu, W_used=qp.W,
@@ -209,12 +216,17 @@ class DirectionEngine:
         fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
         if lp is not None:
             z0, self.warm_codes = lp
-        sol, eta = self._solve(fqp, W, eta, delta, z0,
-                               warm_start=self.warm_codes)
+        sol = solve_qp(fqp, warm_start=self.warm_codes, feasible_start=z0)
+        n, m = prob.n, prob.m
+        pivots = 0
+        if sol.status == "unbounded" and self.convexify_directions:
+            # u and v absorb any J^T d, so d is free in all of R^n
+            pivots = sol.n_pivots
+            fqp.W[:n, :n], eta = convexify(W, J[:, :0], sp)
+            sol = solve_qp(fqp, feasible_start=z0)
         if sol.status != "optimal":
             raise RegularizationFailed("elastic subproblem unsolvable")
         self.warm_codes = sol.active
-        n, m = prob.n, prob.m
         d = sol.x[:n]
         u = sol.x[n:n + m]
         v = sol.x[n + m:]
@@ -226,30 +238,8 @@ class DirectionEngine:
                                phase=Phase.RESTORATION, eta=eta,
                                subproblem_feasible=feasible,
                                elastic_u=u, elastic_v=v,
-                               n_pivots=sol.n_pivots,
+                               n_pivots=sol.n_pivots + pivots,
                                warm_start=sol.warm_start)
-
-    def _solve(self, qp, W, eta, delta, start, warm_start=None):
-        """Solve qp; while it is unbounded (only an unbounded step box
-        allows that) set its d block to W plus a growing diagonal shift.
-        Returns (solution, shift)."""
-        sp = self.config.subproblem
-        n = self.problem.n
-        sol = solve_qp(qp, warm_start=warm_start, feasible_start=start)
-        retries = 0
-        while sol.status == "unbounded":
-            if delta is not None or retries >= 10:
-                raise RegularizationFailed(
-                    "subproblem stayed unbounded under regularization")
-            retries += 1
-            eta = (eta or sp.eta0) * sp.eta_growth
-            if eta > sp.eta_max:
-                raise RegularizationFailed(
-                    f"no diagonal shift up to {sp.eta_max:g} bounds the subproblem")
-            qp.W = qp.W.copy()      # the optimality QP's W is W itself
-            qp.W[:n, :n] = W + eta * np.eye(n)
-            sol = solve_qp(qp, feasible_start=start)
-        return sol, eta
 
     def _strip_trust_region_multipliers(self, d, mu, x, delta):
         """Zero bound multipliers created by the trust region itself: the

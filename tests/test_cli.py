@@ -6,9 +6,9 @@ import logging
 
 import pytest
 
-from funnel_sqp.cli import (COMBOS, CSV_FIELDS, build_report, main,
-                            make_parser, performance_profile)
-from funnel_sqp.config import SolverConfig
+from funnel_sqp.cli import (COMBOS, CSV_FIELDS, _make_config, build_report,
+                            main, make_parser, performance_profile)
+from funnel_sqp.config import FunnelParams, SolverConfig, apply_overrides
 from funnel_sqp.driver import solve
 from funnel_sqp.problems import get_problem
 
@@ -55,6 +55,22 @@ class TestParser:
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args(["run", "--strategy", "penalty"])
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("TRUE", True), (" 1 ", True), ("Yes", True),
+        ("on", True), ("false", False), ("0", False), ("NO", False),
+        ("Off", False)])
+    def test_bool_spellings(self, raw, value):
+        cfg = apply_overrides(SolverConfig(funnel=FunnelParams(
+            gould_update=not value)), {"funnel.gould_update": raw})
+        assert cfg.funnel.gould_update is value
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "y", "enabled"])
+    def test_unknown_bool_spelling_raises(self, raw):
+        with pytest.raises(ValueError, match="gould_update"):
+            apply_overrides(SolverConfig(), {"funnel.gould_update": raw})
 
 
 class TestRun:
@@ -133,8 +149,21 @@ class TestRun:
     def test_max_iter_flag(self):
         assert main(["run", "--problem", "hs26", "--max-iter", "2"]) == 1
 
-    def test_gould_update_flag(self):
-        assert main(["run", "--problem", "powellbs", "--gould-update"]) == 0
+    def test_gould_update_seed_param(self):
+        argv = ["run", "--problem", "powellbs",
+                "--seed-params", "funnel.gould_update=true"]
+        assert _make_config(make_parser().parse_args(argv)).funnel.gould_update
+        assert main(argv) == 0
+
+    def test_misspelt_bool_seed_param_exit_two(self):
+        assert main(["run", "--problem", "circle",
+                     "--seed-params", "funnel.gould_update=ture"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--csv", "x"], ["--gould-update"]])
+    def test_unknown_run_flag_exit_two(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "circle", *flag])
+        assert exc.value.code == 2
 
     def test_quiet_log_suppresses_trace(self, capsys, monkeypatch):
         monkeypatch.setenv("FUNNEL_SQP_LOG", "quiet")

@@ -9,7 +9,8 @@ import pytest
 from conftest import two_sig
 import funnel_sqp.driver as driver_mod
 import funnel_sqp.subproblems as subproblems
-from funnel_sqp.config import SolverConfig, apply_overrides
+from funnel_sqp.config import (SolverConfig, TrustRegionParams,
+                               apply_overrides)
 from funnel_sqp.driver import (complementarity, format_trace,
                                lagrangian_gradient, solve)
 from funnel_sqp.dsl import load_source
@@ -194,6 +195,20 @@ class TestTermination:
         assert res.status == "max_iterations"
         assert not res.success
         assert res.n_outer == 3
+
+    @pytest.mark.parametrize("name, status, error_kind", [
+        ("bounded-lp", "small_feasible_step", None),
+        ("circle", "error", "small_step_infeasible"),
+    ])
+    def test_radius_below_its_floor(self, name, status, error_kind):
+        # the first radius 10 is already under delta_min: a feasible start
+        # ends small_feasible_step, an infeasible one is an error
+        config = SolverConfig(trust_region=TrustRegionParams(delta_min=20.0))
+        res = solve(get_problem(name), config)
+        assert res.status == status
+        assert res.error_kind == error_kind
+        assert res.n_outer == 0
+        assert not res.success
 
     def test_line_search_lands_on_infeasible_point(self):
         res = _solve("line-circle", mechanism="line-search")

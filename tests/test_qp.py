@@ -1,6 +1,8 @@
 """Active-set QP solver against hand cases and brute-force oracles."""
 
+import inspect
 import signal
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -249,6 +251,48 @@ class TestStarts:
             lambda self, x, grad, free: (np.full(self.n, 1e-6), False))
         with returns_within(10), pytest.raises(MaxPivots):
             solve_qp(qp, max_pivots=10)
+
+    @pytest.mark.parametrize("warm, max_pivots, method, bland, pivots", [
+        # cold: 5 pivots, each adding a bound; from the fourth on the ratio
+        # test picks its blocking bound by Bland's rule
+        (None, 5, "_ratio", "block = min(near", 5),
+        # from the lower vertex the drops run past half the budget too
+        (-1, 8, "_multipliers", "drop = int(np.flatnonzero(", 7),
+    ])
+    def test_blands_rule_past_half_the_budget(self, warm, max_pivots, method,
+                                              bland, pivots):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((6, 6))
+        W = M @ M.T + 0.1 * np.eye(6)
+        g = 10.0 * rng.standard_normal(6)
+        qp = box_qp(W, g, lb=-np.ones(6), ub=np.ones(6))
+        code = getattr(_Core, method).__code__
+        source, first = inspect.getsourcelines(code)
+        target = first + next(i for i, line in enumerate(source)
+                              if bland in line)
+        ran = set()
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     lines if frame.f_code is code else None)
+        try:
+            sol = solve_qp(qp, max_pivots=max_pivots,
+                           warm_start=None if warm is None
+                           else np.full(6, warm))
+        finally:
+            sys.settrace(previous)
+        assert target in ran
+        assert sol.status == "optimal"
+        assert sol.n_pivots == pivots
+        ref, _ = enumerate_qp_optimum(W, g, np.zeros((6, 0)), np.zeros(0),
+                                      -np.ones(6), np.ones(6))
+        assert np.isclose(sol.objective, ref, rtol=1e-10)
+        assert_kkt(qp, sol)
 
 
 def _counted(monkeypatch, owner, name):

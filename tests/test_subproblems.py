@@ -11,6 +11,7 @@ import funnel_sqp.subproblems as sp
 from funnel_sqp.config import (SolverConfig, SubproblemParams,
                                apply_overrides)
 from funnel_sqp.driver import solve
+from funnel_sqp.dsl import load_source
 from funnel_sqp.errors import RegularizationFailed
 from funnel_sqp.linalg import nullspace_basis
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
@@ -395,7 +396,7 @@ class TestDirectionEngine:
                              prob.start_multipliers(), delta=None)
         assert res.phase is Phase.OPTIMALITY
         assert len(calls) == 1
-        assert calls[0]["feasible_start"] is None
+        assert calls[0].get("feasible_start") is None
 
     def test_counters_track_hessians(self):
         engine, prob, x, c, g, J = _engine("circle")
@@ -404,32 +405,142 @@ class TestDirectionEngine:
                        prob.start_multipliers(), delta=10.0)
         assert engine.counters.n_hess == before + 1
 
-    @pytest.mark.parametrize("unbounded_calls", [1, 3])
-    def test_elastic_retry_counts_hessians(self, monkeypatch, unbounded_calls):
-        # the retries reuse the Hessian the first elastic QP was built from
+
+# a fuzz model whose filter line-search solve meets elastic QPs that are
+# unbounded below; the first one's d block has the eigenvalue -0.0076 at
+# eta = 1 and needs eta = 10
+UNBOUNDED_ELASTIC = """
+var x start -0.38;
+var y start -0.51;
+minimize -0.48 * sin(x) + -0.55 * cos(y + x);
+subject_to -0.61 * exp(0.4 * y) + 1.26 * cos(x + x) + -1.34 * x == -0.88;
+subject_to 0.91 * x * x + 1.21 * exp(0.4 * x) + -0.68 * cos(x + y) + 0.49 * cos(y + y) == 0.54;
+"""
+
+
+def _unbounded(qp, **kwargs):
+    n = qp.g.shape[0]
+    return QpSolution(status="unbounded", x=np.zeros(n),
+                      lam=np.zeros(qp.b.shape[0]), mu=np.zeros(n),
+                      objective=-np.inf, n_pivots=3)
+
+
+class TestUnboundedQp:
+    """convexify is the only eta ladder: an unbounded line-search elastic QP
+    is solved once more with its d block convex on all of R^n, and every
+    other unbounded QP raises."""
+
+    @staticmethod
+    def _stub(monkeypatch, unbounded_calls):
+        """Count solve_qp calls; the first unbounded_calls are unbounded."""
         real = sp.solve_qp
         calls = []
 
-        def flaky(qp, **kwargs):
-            calls.append(qp)
+        def stub(qp, **kwargs):
+            calls.append(kwargs)
             if len(calls) <= unbounded_calls:
-                n = qp.g.shape[0]
-                return QpSolution(status="unbounded", x=np.zeros(n),
-                                  lam=np.zeros(qp.b.shape[0]),
-                                  mu=np.zeros(n), objective=-np.inf,
-                                  n_pivots=0)
+                return _unbounded(qp)
             return real(qp, **kwargs)
 
-        engine, prob, x, c, g, J = _engine("line-circle",
-                                              mechanism="line-search")
+        monkeypatch.setattr(sp, "solve_qp", stub)
+        return calls
+
+    @staticmethod
+    def _restoring(mechanism):
+        engine, prob, x, c, g, J = _engine("line-circle", mechanism=mechanism)
         engine.enter_restoration(x, infeasibility(c), source="test")
-        monkeypatch.setattr(sp, "solve_qp", flaky)
+        return engine, prob, x, c, g, J
+
+    def test_resolved_elastic_directions_are_convex(self, monkeypatch):
+        # the re-solved d block is positive definite on all of R^n, so the
+        # re-solve cannot stop at a local minimizer of an unbounded QP
+        problem = load_source(UNBOUNDED_ELASTIC, name="unbounded-elastic")
+        real_solve, real_compute = sp.solve_qp, DirectionEngine.compute
+        verdicts, resolved = [], []
+
+        def logged_solve(qp, **kwargs):
+            sol = real_solve(qp, **kwargs)
+            verdicts.append(sol.status)
+            return sol
+
+        def logged_compute(engine, *args, **kwargs):
+            verdicts.clear()
+            res = real_compute(engine, *args, **kwargs)
+            if "unbounded" in verdicts:
+                resolved.append(res)
+            return res
+
+        monkeypatch.setattr(sp, "solve_qp", logged_solve)
+        monkeypatch.setattr(DirectionEngine, "compute", logged_compute)
+        solve(problem, SolverConfig(strategy="filter",
+                                    mechanism="line-search"))
+        assert resolved
+        for res in resolved:
+            assert res.phase is Phase.RESTORATION
+            assert np.linalg.eigvalsh(res.W_used)[0] > 0.0
+
+    def test_unbounded_elastic_qp_is_resolved_once(self, monkeypatch):
+        engine, prob, x, c, g, J = self._restoring("line-search")
+        calls = self._stub(monkeypatch, 1)
         before = engine.counters.n_hess
         res = engine.compute(x, c, infeasibility(c), g, J,
                              prob.start_multipliers(), delta=None)
         assert res.phase is Phase.RESTORATION
-        assert len(calls) == unbounded_calls + 1
+        assert len(calls) == 2
         assert engine.counters.n_hess == before + 1
+        assert np.linalg.eigvalsh(res.W_used)[0] > 0.0
+        # the same start, without the working set the first solve was given
+        assert calls[1].get("warm_start") is None
+        assert np.array_equal(calls[1]["feasible_start"],
+                              calls[0]["feasible_start"])
+        assert res.n_pivots >= 3    # the discarded solve's pivots count
+
+    def test_second_unbounded_verdict_raises(self, monkeypatch):
+        engine, prob, x, c, g, J = self._restoring("line-search")
+        calls = self._stub(monkeypatch, 2)
+        with pytest.raises(RegularizationFailed):
+            engine.compute(x, c, infeasibility(c), g, J,
+                           prob.start_multipliers(), delta=None)
+        assert len(calls) == 2
+
+    def test_second_unbounded_verdict_ends_the_solve(self, monkeypatch):
+        # line-circle's first optimality QP is infeasible, so the next QPs
+        # are elastic; both of them come back unbounded
+        problem = get_problem("line-circle")
+        real = sp.solve_qp
+        elastic = []
+
+        def stub(qp, **kwargs):
+            if qp.n == problem.n:
+                return real(qp, **kwargs)
+            elastic.append(kwargs)
+            return _unbounded(qp)
+
+        monkeypatch.setattr(sp, "solve_qp", stub)
+        res = solve(problem, SolverConfig(mechanism="line-search"))
+        assert res.status == "error"
+        assert res.error_kind == "regularization_failed"
+        assert len(elastic) == 2
+
+    def test_trust_region_elastic_qp_raises_at_once(self, monkeypatch):
+        engine, prob, x, c, g, J = self._restoring("trust-region")
+        calls = self._stub(monkeypatch, 1)
+        with pytest.raises(RegularizationFailed):
+            engine.compute(x, c, infeasibility(c), g, J,
+                           prob.start_multipliers(), delta=10.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mechanism, delta", [("line-search", None),
+                                                  ("trust-region", 10.0)])
+    def test_unbounded_optimality_qp_raises(self, monkeypatch, mechanism,
+                                            delta):
+        engine, prob, x, c, g, J = _engine("circle", mechanism=mechanism)
+        calls = self._stub(monkeypatch, 1)
+        with pytest.raises(RegularizationFailed):
+            engine.compute(x, c, infeasibility(c), g, J,
+                           prob.start_multipliers(), delta=delta)
+        assert len(calls) == 1
+        assert engine.phase is Phase.OPTIMALITY
 
 
 def _bench_chain():
