@@ -12,6 +12,11 @@ With --pivots, each line instead counts the solve's directions per phase
 with their QP pivots, and its warm-start hits and misses, from the trace
 records; a direction that entered restoration counts as a restoration QP and
 carries the infeasible optimality QP's pivots.
+With --factors, each line instead counts the solve's pivoted QRs (calls of
+linalg.pivoted_qr, which every nullspace_basis of a nonzero matrix makes)
+and the working sets the QP factored itself (calls of qp.nullspace_basis);
+convexify's QR of J, which seeds the line-search optimality QP's all-free
+working set, counts as a QR only.
 The 128 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
@@ -24,10 +29,13 @@ The 128 solves, each under all four strategy/mechanism variants:
   - a fuzz model whose line-search elastic QPs can be unbounded below, so
     that the elastic re-solve is covered (4).
 
-Usage: python3 scripts/trace_digest.py [--outcomes | --pivots] > digest.txt
+Usage: python3 scripts/trace_digest.py [--outcomes | --pivots | --factors]
+           > digest.txt
 """
 
 import argparse
+import collections
+import functools
 import hashlib
 import itertools
 import sys
@@ -40,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench")]
 
 import chain  # noqa: E402
 from funnel_sqp import SolverConfig, format_trace, solve  # noqa: E402
+from funnel_sqp import linalg, qp  # noqa: E402
 from funnel_sqp.dsl import load_file, load_source  # noqa: E402
 from funnel_sqp.problems import get_problem, problem_names  # noqa: E402
 
@@ -107,6 +116,20 @@ def pivots(res) -> str:
     return "  ".join(parts)
 
 
+def factors(counts, res) -> str:
+    """Pivoted QRs and QP working sets factored, counted over the solve."""
+    return f"qr={counts['qr']}  qp_sets={counts['sets']}"
+
+
+def counted(fn, counts, key):
+    """fn, adding one to counts[key] per call."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
@@ -115,13 +138,22 @@ def main():
     mode.add_argument("--pivots", action="store_true",
                       help="print each solve's QP counts, pivots and warm "
                            "starts instead of a digest")
+    mode.add_argument("--factors", action="store_true",
+                      help="print each solve's pivoted QRs and QP working "
+                           "sets factored instead of a digest")
     args = parser.parse_args()
     show = outcome if args.outcomes else pivots if args.pivots else digest
+    counts = collections.Counter()
+    if args.factors:
+        linalg.pivoted_qr = counted(linalg.pivoted_qr, counts, "qr")
+        qp.nullspace_basis = counted(qp.nullspace_basis, counts, "sets")
+        show = functools.partial(factors, counts)
     for label, make, max_outer in problems():
         for strategy, mechanism in VARIANTS:
             config = SolverConfig(strategy=strategy, mechanism=mechanism)
             if max_outer is not None:
                 config.max_outer = max_outer
+            counts.clear()
             res = solve(make(), config)
             print(f"{show(res)}  {label} {strategy} {mechanism}")
 

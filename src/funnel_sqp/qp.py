@@ -15,7 +15,10 @@ every eigenvalue above the zero band: such a block gives Newton steps.
 Otherwise it is classified by eigenvalue: positive definite blocks still
 give Newton steps, negative or zero curvature gives a ray walked to its
 blocking bound (no bound means the QP is unbounded). With W identically
-zero (phase-1 LPs) the reduced Hessian needs no factorization.
+zero (phase-1 LPs) the reduced Hessian needs no factorization. A caller
+that has already factored A and Z^T W Z (convexify does) passes them as
+the factors of the working set with every variable free; they are
+classified only if the solve reaches that set before any other.
 Feasibility first tries the origin and then the minimum-norm least-squares
 solution of A^T x = b, each clipped to the box. When neither satisfies the
 equalities, an elastic l1 LP over every equality column runs; it is the
@@ -152,7 +155,7 @@ class _Reduced:
 class _Core:
     """Active-set iteration on a feasible point."""
 
-    def __init__(self, W, g, A, b, lb, ub, max_pivots):
+    def __init__(self, W, g, A, b, lb, ub, max_pivots, free_factors=None):
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
@@ -160,7 +163,11 @@ class _Core:
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
+        # the last working set's key and its _Reduced, or its (qr, H) pair
+        # until reduced() first asks for it
         self._factored = None, None
+        if free_factors is not None:
+            self._factored = np.arange(self.n).tobytes(), free_factors
 
     def run(self, x, work):
         """Iterate to optimality. Returns (status, x, lam, mu, work)."""
@@ -203,23 +210,30 @@ class _Core:
 
     def reduced(self, free):
         """The _Reduced factors of the working set with free variables
-        `free`. The last working set's factors are kept."""
+        `free`. The last working set's factors are kept; free_factors
+        pre-fill them for the working set with every variable free."""
         key = free.tobytes()
         if self._factored[0] != key:
             every = free.size == self.n
             fac = nullspace_basis(self.A if every else self.A[free])
+            H = None
+            if not self.w_zero and fac.Z.shape[1]:
+                Wf = self.W if every else self.W[np.ix_(free, free)]
+                H = fac.Z.T @ Wf @ fac.Z
+            self._factored = key, (fac, H)
+        factors = self._factored[1]
+        if isinstance(factors, tuple):
+            fac, H = factors
             k = fac.Z.shape[1]
             if self.w_zero or k == 0:
                 # eigh of the zero matrix: the same values, without the solve
                 factors = _Reduced(fac, None, np.zeros(k), np.eye(k))
             else:
-                Wf = self.W if every else self.W[np.ix_(free, free)]
-                H = fac.Z.T @ Wf @ fac.Z
                 chol = certified_cholesky(H, ZERO_EIG_REL)
                 factors = _Reduced(fac, chol) if chol is not None else \
                     _Reduced(fac, None, *np.linalg.eigh(0.5 * (H + H.T)))
             self._factored = key, factors
-        return self._factored[1]
+        return factors
 
     def warm_start(self, codes):
         """Jump straight to the equality QP on a hinted active set.
@@ -456,10 +470,14 @@ def _face_enumeration(core):
 
 def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
              feasible_start: np.ndarray | None = None,
-             max_pivots: int | None = None) -> QpSolution:
+             max_pivots: int | None = None,
+             free_factors: tuple | None = None) -> QpSolution:
     """Solve the QP. warm_start hints an active set (codes -1/0/+1 per
     variable); feasible_start supplies a point already satisfying all
-    constraints, skipping the elastic phase."""
+    constraints, skipping the elastic phase. free_factors = (qr, H), the
+    nullspace_basis of qp.A and the k x k reduced Hessian Z^T W Z, as
+    convexify returns them, are the factors of the working set with every
+    variable free; they serve it until another working set is factored."""
     n, m = qp.n, qp.m
     W = 0.5 * (qp.W + qp.W.T)
     g = np.asarray(qp.g, dtype=float)
@@ -478,7 +496,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
-    core = _Core(W, g, A, b, lb, ub, max_pivots)
+    core = _Core(W, g, A, b, lb, ub, max_pivots, free_factors)
 
     start = hint = None
     phase1_pivots = 0

@@ -13,7 +13,10 @@ stopped: from its final point and working set.
 convexify is the only eta ladder. In the elastic QP u and v absorb any
 J^T d, so d is free in all of R^n: an unbounded line-search elastic QP is
 solved once more with its d block convexified on all of R^n. Any other
-unbounded QP raises RegularizationFailed.
+unbounded QP raises RegularizationFailed. convexify's pivoted QR of J and
+the reduced Hessian its last rung certified are the factors of the
+optimality QP's working set with every variable free, so line search hands
+them to solve_qp and factors J once per direction.
 """
 
 from __future__ import annotations
@@ -51,22 +54,28 @@ def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
     K's inertia test without forming K.
 
     Tries sp.eta0, then multiplies by sp.eta_growth while the shift stays
-    within sp.eta_max. Returns (W + eta*I, eta). Raises
-    RegularizationFailed when no rung gives the inertia. An A with no
-    columns asks for W + eta*I positive definite on all of R^n.
+    within sp.eta_max. Returns (W + eta*I, eta, (factors, H)): factors is
+    nullspace_basis(A), and H = R + eta*I_k, with R the symmetrized Z^T W Z,
+    is the matrix the passing rung certified. They are the factors of a QP
+    working set with every variable free, and solve_qp takes them as
+    free_factors. Raises RegularizationFailed when no rung gives the
+    inertia. An A with no columns asks for W + eta*I positive definite on
+    all of R^n.
     """
-    Z = nullspace_basis(A).Z
-    R = Z.T @ W @ Z
+    factors = nullspace_basis(A)
+    R = factors.Z.T @ W @ factors.Z
     R = 0.5 * (R + R.T)
     k = R.shape[0]
     eta = sp.eta0
-    while ldlt_factorize(R + eta * np.eye(k)).inertia != (k, 0, 0):
+    while True:
+        H = R + eta * np.eye(k)
+        if ldlt_factorize(H).inertia == (k, 0, 0):
+            return W + eta * np.eye(W.shape[0]), eta, (factors, H)
         eta *= sp.eta_growth
         if eta > sp.eta_max:
             raise RegularizationFailed(
                 f"no diagonal shift up to {sp.eta_max:g} gives the required"
                 " inertia")
-    return W + eta * np.eye(W.shape[0]), eta
 
 
 def step_box(x, lb, ub, delta: Optional[float]):
@@ -188,10 +197,11 @@ class DirectionEngine:
         prob = self.problem
         W = evaluate_lagrangian_hessian(prob, x, 1.0, lam, self.counters)
         qp = build_optimality_qp(x, grad_f, J, c, prob.lb, prob.ub, W, delta)
-        eta = None
+        eta = free = None
         if self.convexify_directions:
-            qp.W, eta = convexify(W, J, self.config.subproblem)
-        sol = solve_qp(qp, warm_start=self.warm_codes)
+            # J's factors serve the QP's all-free working set too
+            qp.W, eta, free = convexify(W, J, self.config.subproblem)
+        sol = solve_qp(qp, warm_start=self.warm_codes, free_factors=free)
         if sol.status == "infeasible":
             return sol
         if sol.status == "unbounded":
@@ -212,7 +222,7 @@ class DirectionEngine:
                                         self.counters)
         W0, eta = W, None
         if self.convexify_directions:
-            W0, eta = convexify(W, J, sp)
+            W0, eta, _ = convexify(W, J, sp)
         fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
         if lp is not None:
             z0, self.warm_codes = lp
@@ -222,7 +232,7 @@ class DirectionEngine:
         if sol.status == "unbounded" and self.convexify_directions:
             # u and v absorb any J^T d, so d is free in all of R^n
             pivots = sol.n_pivots
-            fqp.W[:n, :n], eta = convexify(W, J[:, :0], sp)
+            fqp.W[:n, :n], eta, _ = convexify(W, J[:, :0], sp)
             sol = solve_qp(fqp, feasible_start=z0)
         if sol.status != "optimal":
             raise RegularizationFailed("elastic subproblem unsolvable")

@@ -8,6 +8,8 @@ one op list.
 """
 
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,17 @@ from funnel_sqp.tape import _compile, forward
 def two_sig(value, target):
     """Agreement to 2 significant digits, absolute floor for zeros."""
     return abs(value - target) <= 0.05 * abs(target) + 1e-12
+
+
+def bench_chain():
+    """The chained Rosenbrock module of the benchmark, solverbench/chain.py."""
+    bench = str(Path(__file__).resolve().parents[1] / "solverbench")
+    sys.path.insert(0, bench)
+    try:
+        import chain
+    finally:
+        sys.path.remove(bench)
+    return chain
 
 
 def jacobi_eigenvalues(M, max_sweeps=100):

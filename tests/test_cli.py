@@ -6,8 +6,9 @@ import logging
 
 import pytest
 
-from funnel_sqp.cli import (COMBOS, CSV_FIELDS, _make_config, build_report,
-                            main, make_parser, performance_profile)
+from funnel_sqp.cli import (COMBOS, CSV_FIELDS, _make_config, _metric_value,
+                            build_report, main, make_parser,
+                            performance_profile)
 from funnel_sqp.config import FunnelParams, SolverConfig, apply_overrides
 from funnel_sqp.driver import solve
 from funnel_sqp.problems import get_problem
@@ -149,6 +150,17 @@ class TestRun:
     def test_max_iter_flag(self):
         assert main(["run", "--problem", "hs26", "--max-iter", "2"]) == 1
 
+    def test_tol_flag(self, tmp_path):
+        argv = ["run", "--problem", "hs26", "--tol", "1e-3"]
+        assert _make_config(make_parser().parse_args(argv)).tol == 1e-3
+        out = tmp_path / "r.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        loose = json.loads(out.read_text())
+        assert main(["run", "--problem", "hs26", "--json", str(out)]) == 0
+        default = json.loads(out.read_text())
+        assert (loose["tol"], default["tol"]) == (1e-3, SolverConfig().tol)
+        assert loose["n_outer"] < default["n_outer"]
+
     def test_gould_update_seed_param(self):
         argv = ["run", "--problem", "powellbs",
                 "--seed-params", "funnel.gould_update=true"]
@@ -230,6 +242,15 @@ class TestProfile:
         rows = self._rows(tmp_path, extra=("--metric", "evals"))
         assert {r["solver"] for r in rows} == \
             {f"{s}+{m}" for s, m in COMBOS}
+
+    def test_gradients_metric(self, tmp_path):
+        rows = self._rows(tmp_path, extra=("--metric", "gradients"))
+        assert {r["solver"] for r in rows} == \
+            {f"{s}+{m}" for s, m in COMBOS}
+        res = solve(get_problem("hs6"), SolverConfig())
+        cnt = res.counters.as_dict()
+        assert _metric_value(res, "gradients") == \
+            cnt["n_grad_f"] + cnt["n_jac_c"] > 1
 
 
 class TestProfileMath:

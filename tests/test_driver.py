@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import two_sig
+from conftest import bench_chain, two_sig
 import funnel_sqp.driver as driver_mod
 import funnel_sqp.subproblems as subproblems
 from funnel_sqp.config import (SolverConfig, TrustRegionParams,
@@ -452,9 +452,50 @@ def _duplicated_rows(name):
     return from_expressions(name, n, f, cons + cons, **arrays)
 
 
+def _rows(label, reverse):
+    """A registry problem or the n=24 .nco chain from the start of a seed
+    ("dsl-chain-24/seed-S"), its constraint rows (and lambda0) in reverse
+    order when reverse is set."""
+    order = slice(None, None, -1 if reverse else 1)
+    if label.startswith("dsl-chain-24/seed-"):
+        chain = bench_chain()
+        x0 = chain.start_point(24, int(label.rpartition("-")[2]))
+        lines = chain.nco_text(x0).splitlines()
+        rows = [ln for ln in lines if ln.startswith("subject_to")]
+        rest = [ln for ln in lines if not ln.startswith("subject_to")]
+        return load_source("\n".join(rest + rows[order]) + "\n")
+    n, f, cons, arrays = problems_mod._REGISTRY[label]
+    arrays = {k: v.copy() for k, v in arrays.items()}
+    if "lambda0" in arrays:
+        arrays["lambda0"] = arrays["lambda0"][order]
+    return from_expressions(label, n, f, cons[order], **arrays)
+
+
 class TestMetamorphic:
-    """Duplicating every constraint changes no solution: every direction
-    then works with a rank-deficient Jacobian, end to end."""
+    """Duplicating every constraint or reversing their order changes no
+    solution: the first makes every Jacobian rank-deficient, the second
+    moves every QR's column pivots, end to end."""
+
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    @pytest.mark.parametrize("label", [
+        name for name in problems_mod.problem_names()
+        if get_problem(name).m >= 2] + ["dsl-chain-24/seed-0",
+                                        "dsl-chain-24/seed-4099"])
+    def test_permuted_rows_same_solution(self, label, strategy, mechanism):
+        config = _config(strategy, mechanism)
+        res = solve(_rows(label, reverse=False), config)
+        rev = solve(_rows(label, reverse=True), config)
+        assert (rev.status, rev.n_outer) == (res.status, res.n_outer)
+        if label == "line-circle" and mechanism == "trust-region":
+            # two KKT points, (2, -1) and (-1, 2); the reversed rows take
+            # the funnel and the filter to the other one
+            assert rev.status == "kkt_point"
+            assert min(np.max(np.abs(rev.x - p)) for p in
+                       ([2.0, -1.0], [-1.0, 2.0])) <= 1e-6
+        else:
+            assert np.max(np.abs(rev.x - res.x)) <= 1e-10
+            assert np.max(np.abs(rev.lam[::-1] - res.lam)) <= 1e-10
 
     @pytest.mark.parametrize("strategy", ["funnel", "filter"])
     @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])

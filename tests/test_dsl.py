@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradient
 from funnel_sqp.dsl import (Binary, Call, Model, Num, Relation, Unary, Var,
-                            format_expr, format_model, load_file, load_source,
-                            model_to_general, parse_model, tokenize)
+                            VarDecl, format_expr, format_model, load_file,
+                            load_source, model_to_general, parse_model,
+                            tokenize)
 from funnel_sqp.errors import (DuplicateDeclaration, ParseError,
                                UndeclaredVariable)
 from funnel_sqp.tape import Tape, TapeSet
@@ -77,6 +78,23 @@ class TestParser:
         # expr-vs-expr folds into body - rhs relative to 0
         assert (rs[4].lo, rs[4].hi) == (-np.inf, 0.0)
         assert isinstance(rs[4].body, Binary) and rs[4].body.op == "-"
+
+    def test_equality_between_expressions(self):
+        # neither side is a literal: the row is lhs - rhs == 0
+        r = parse_model("var x; var y; subject_to x * y == x + y;") \
+            .constraints[0]
+        assert (r.lo, r.hi) == (0.0, 0.0)
+        assert r.body == Binary("-", Binary("*", Var("x"), Var("y")),
+                                Binary("+", Var("x"), Var("y")))
+
+    def test_greater_equal_with_expression_on_the_right(self):
+        lit, both = parse_model(
+            "var x; var y; subject_to 1.0 >= x; subject_to x >= y * y;"
+        ).constraints
+        assert (lit.lo, lit.hi, lit.body) == (-np.inf, 1.0, Var("x"))
+        assert (both.lo, both.hi) == (0.0, np.inf)
+        assert both.body == Binary("-", Var("x"),
+                                   Binary("*", Var("y"), Var("y")))
 
     def test_literal_on_left_of_inequality(self):
         m = parse_model("var x; subject_to 2.0 <= x;")
@@ -217,6 +235,21 @@ class TestPrinter:
         out = format_model(m)
         assert "subject_to x <= 2.0;" in out
         assert "subject_to x >= 1.0;" in out
+
+
+    def test_ranged_row_printed_with_both_ends(self):
+        out = format_model(parse_model(
+            "var x; var y; subject_to 0.5 <= x + y <= 2.0;"))
+        assert out.splitlines()[-1] == "subject_to 0.5 <= x + y <= 2.0;"
+        assert format_model(parse_model(out)) == out
+
+    def test_vacuous_row_not_printed(self):
+        # -inf <= body <= inf constrains nothing; the language has no
+        # spelling for it, so the printer leaves it out
+        m = Model("m", variables=[VarDecl("x")],
+                  constraints=[Relation(Var("x"), -np.inf, np.inf),
+                               Relation(Var("x"), -np.inf, 1.0)])
+        assert format_model(m) == "var x;\nsubject_to x <= 1.0;\n"
 
 
 class TestLowering:

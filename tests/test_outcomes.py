@@ -8,11 +8,11 @@ pipeline must leave every row as it is.
 """
 
 import itertools
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import bench_chain
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import load_file, load_source
@@ -179,12 +179,7 @@ def test_outcome_pinned(key):
 
 @pytest.mark.parametrize("strategy, mechanism", VARIANTS, ids="/".join)
 def test_chain_outcome_pinned(strategy, mechanism):
-    bench = str(ROOT / "solverbench")
-    sys.path.insert(0, bench)
-    try:
-        import chain
-    finally:
-        sys.path.remove(bench)
+    chain = bench_chain()
     problem = load_source(chain.nco_text(chain.start_point(24, 0)))
     res = solve(problem, SolverConfig(strategy=strategy, mechanism=mechanism))
     assert _outcome(res) == CHAIN_OUTCOME

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_qp_optimum, grid_qp_minimum
 from funnel_sqp import qp as qp_module
+from funnel_sqp.config import SubproblemParams
 from funnel_sqp.errors import DimensionMismatch, MaxPivots
 from funnel_sqp.qp import (ELASTIC_TOL, FREE, LOWER, PINNED, UPPER, QpData,
                            QpSolution, _Core, _elastic_lp, _initial_work,
                            _phase1, elastic_problem, kkt_residual,
                            qp_objective, solve_qp)
+from funnel_sqp.subproblems import convexify
 
 INF = np.inf
 
@@ -418,6 +420,81 @@ class TestFactorCache:
         sol = solve_qp(box_qp(W, g, lb=np.full(2, -1.0), ub=np.full(2, 1.0)))
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [0.0, -1.0])
+
+
+class TestFreeFactors:
+    """free_factors, convexify's factors of A, pre-fill the factors of the
+    working set with every variable free."""
+
+    @given(st.integers(1, 8), st.integers(0, 10),
+           st.sampled_from(["full", "deficient", "zero"]), st.booleans(),
+           st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_seed_gives_the_unseeded_solution(self, n, m, kind, boxed, seed):
+        # m >= n leaves no null space (k = 0); "deficient" and m > n give a
+        # rank-deficient A
+        rng = np.random.default_rng(seed)
+        if kind == "deficient" and min(n, m) < 2:
+            kind = "zero"
+        A = _deficient_columns(rng, n, m, kind)
+        M = rng.standard_normal((n, n))
+        x_feas = rng.standard_normal(n)
+        lb, ub = np.full(n, -INF), np.full(n, INF)
+        if boxed:
+            lb = x_feas - rng.uniform(0.1, 2.0, n)
+            ub = x_feas + rng.uniform(0.1, 2.0, n)
+        W, _, free = convexify(0.5 * (M + M.T), A, SubproblemParams())
+        qp = box_qp(W, rng.standard_normal(n), lb, ub, A=A, b=A.T @ x_feas)
+        plain = solve_qp(qp)
+        seeded = solve_qp(qp, free_factors=free)
+        assert seeded.status == plain.status
+
+        def close(got, want):
+            return np.max(np.abs(got - want), initial=0.0) <= 1e-10 * (
+                1.0 + np.max(np.abs(want), initial=0.0))
+
+        for got, want in [(seeded.x, plain.x), (seeded.lam, plain.lam),
+                          (seeded.mu, plain.mu)]:
+            assert close(got, want)
+
+    def test_all_free_qp_factors_no_working_set(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n = 6
+        M = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, 2))
+        W, _, free = convexify(0.5 * (M + M.T), A, SubproblemParams())
+        qp = box_qp(W, rng.standard_normal(n), A=A, b=[1.0, -1.0])
+        qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
+        sol = solve_qp(qp, free_factors=free)
+        assert sol.status == "optimal" and np.all(sol.active == FREE)
+        assert_kkt(qp, sol)
+        assert len(qr_calls) == 0
+
+    def test_pinned_variable_leaves_the_seed_unused(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 5
+        M = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, 2))
+        x_feas = rng.standard_normal(n)
+        lb, ub = x_feas - 0.5, x_feas + 0.5
+        lb[1] = ub[1] = x_feas[1]
+        W, _, free = convexify(0.5 * (M + M.T), A, SubproblemParams())
+        qp = box_qp(W, 5.0 * rng.standard_normal(n), lb, ub, A=A,
+                    b=A.T @ x_feas)
+        qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
+        chol_calls = _counted(monkeypatch, qp_module, "certified_cholesky")
+        plain = solve_qp(qp)
+        counts = len(qr_calls), len(chol_calls)
+        seeded = solve_qp(qp, free_factors=free)
+        assert (len(qr_calls), len(chol_calls)) == (2 * counts[0],
+                                                    2 * counts[1])
+        assert all(H is not free[1] for H, _ in chol_calls)
+        assert plain.status == seeded.status == "optimal"
+        assert plain.n_pivots == seeded.n_pivots > 0
+        assert plain.objective == seeded.objective
+        for field_ in ("x", "lam", "mu", "active"):
+            assert np.array_equal(getattr(seeded, field_),
+                                  getattr(plain, field_))
 
 
 def _deficient_columns(rng, rows, m, kind):

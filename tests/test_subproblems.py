@@ -1,12 +1,12 @@
 """Regularization, subproblem assembly, and the direction engine."""
 
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import bench_chain
+import funnel_sqp.qp as qp_module
 import funnel_sqp.subproblems as sp
 from funnel_sqp.config import (SolverConfig, SubproblemParams,
                                apply_overrides)
@@ -36,20 +36,20 @@ class TestConvexify:
         # positive definite without constraints: the first rung passes, so
         # no shift beyond the floor eta0 is added
         W = np.array([[2.0, 0.3], [0.3, 1.0]])
-        H, eta = convexify(W, np.zeros((2, 0)), self.SP)
+        H, eta, _ = convexify(W, np.zeros((2, 0)), self.SP)
         assert eta == self.SP.eta0
         assert np.array_equal(H, W + self.SP.eta0 * np.eye(2))
 
     def test_floor_is_always_applied(self):
         # the floor comes from the parameters, even when W needs none
         W = 2.0 * np.eye(2)
-        H, eta = convexify(W, np.zeros((2, 0)), SubproblemParams(eta0=1e-2))
+        H, eta, _ = convexify(W, np.zeros((2, 0)), SubproblemParams(eta0=1e-2))
         assert eta == 1e-2
         assert np.allclose(H, W + 1e-2 * np.eye(2))
 
     def test_ladder_picks_smallest_sufficient_rung(self):
         W = np.diag([-1.0, 2.0])
-        H, eta = convexify(W, np.zeros((2, 0)), self.SP)
+        H, eta, _ = convexify(W, np.zeros((2, 0)), self.SP)
         # eta = 1 leaves a zero eigenvalue, so the next rung must win
         assert eta == 10.0
         assert np.allclose(np.linalg.eigvalsh(H), [9.0, 12.0])
@@ -58,20 +58,20 @@ class TestConvexify:
         # indefinite W but positive curvature on the constraint null space
         W = np.diag([-1.0, 1.0])
         A = np.array([[1.0], [0.0]])
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         assert eta == 1e-4
 
     def test_huge_negative_curvature(self):
         # the shift must dwarf the Hessian scale without inertia misreads
         W = np.diag([-1e7, -1e7])
         A = np.array([[1.0], [0.0]])
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         assert eta == 1e8
         assert H[1, 1] > 0.0
 
     def test_full_rank_constraints_leave_no_null_space(self):
         # n = m with independent columns: any W is vacuously reduced-PD
-        H, eta = convexify(np.diag([-1e7]), np.array([[1.0]]), self.SP)
+        H, eta, _ = convexify(np.diag([-1e7]), np.array([[1.0]]), self.SP)
         assert eta == 1e-4
 
     def test_badly_scaled_constraint_column(self):
@@ -79,26 +79,26 @@ class TestConvexify:
         # Hessian sees only the null-space direction, never the norms
         A = np.array([[7.8e4], [1e-3]])
         W = np.diag([0.0, -5.0])
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         assert eta == 10.0
 
     def test_mixed_scales_pd_reduced(self):
         A = np.array([[7.8e4, 0.1], [1e-3, 0.126]])
         W = 1e-2 * np.eye(2)
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         assert eta == 1e-4
 
     def test_rank_deficient_columns(self):
         # duplicated column: rank 1, so one multiplier direction is slack
         A = np.array([[1.0, 1.0], [0.0, 0.0]])
         W = np.diag([-0.5, 3.0])
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         # curvature along the null direction e2 is already positive
         assert eta == 1e-4
 
     def test_first_rung_is_tried_past_the_cap(self):
-        H, eta = convexify(2.0 * np.eye(2), np.zeros((2, 0)),
-                           SubproblemParams(eta0=10.0, eta_max=1.0))
+        H, eta, _ = convexify(2.0 * np.eye(2), np.zeros((2, 0)),
+                              SubproblemParams(eta0=10.0, eta_max=1.0))
         assert eta == 10.0
 
     def test_exhausted_ladder_raises(self):
@@ -110,15 +110,15 @@ class TestConvexify:
         # the Schur eigenvalue -a^T W^-1 a = -1e-12 of the KKT matrix lies
         # in a zero band 1e-12 * max|W|; the reduced Hessian has no such
         # eigenvalue, so no band scaled by W can swallow it
-        H, eta = convexify(1e12 * np.eye(2), np.array([[1.0], [0.0]]),
-                           self.SP)
+        H, eta, _ = convexify(1e12 * np.eye(2), np.array([[1.0], [0.0]]),
+                              self.SP)
         assert eta == self.SP.eta0
 
     def test_licq_line_search_pair_passes_first_rung(self):
         # W and J where both LICQ line-search solves used to fail every rung
         W = 1.4614595594653926e12 * np.eye(2)
         A = np.array([[-1.4668658361100015e-12], [-7.4740548408791608e-13]])
-        H, eta = convexify(W, A, self.SP)
+        H, eta, _ = convexify(W, A, self.SP)
         assert eta == self.SP.eta0
         assert np.array_equal(H, W + self.SP.eta0 * np.eye(2))
 
@@ -176,9 +176,16 @@ class TestConvexifyKktOracle:
             want = kkt_oracle_eta(W, A, rank, sp_)
             if want == "skip":
                 continue
-            H, eta = convexify(W, A, sp_)
+            H, eta, (fac, H_free) = convexify(W, A, sp_)
             assert eta == want, seed
             assert np.array_equal(H, W + eta * np.eye(W.shape[0]))
+            # the factors of the all-free working set: the QR of A and the
+            # reduced Hessian the last rung certified
+            n, k = W.shape[0], W.shape[0] - rank
+            assert fac.rank == rank and fac.Z.shape == (n, k)
+            assert np.array_equal(fac.Z, nullspace_basis(A).Z)
+            R = fac.Z.T @ W @ fac.Z
+            assert np.array_equal(H_free, 0.5 * (R + R.T) + eta * np.eye(k))
             checked += 1
             m = A.shape[1]
             kinds.add("no column" if m == 0
@@ -543,14 +550,59 @@ class TestUnboundedQp:
         assert engine.phase is Phase.OPTIMALITY
 
 
-def _bench_chain():
-    bench = str(Path(__file__).resolve().parents[1] / "solverbench")
-    sys.path.insert(0, bench)
-    try:
-        import chain
-    finally:
-        sys.path.remove(bench)
-    return chain
+class TestFreeFactors:
+    """Line search factors J once per optimality direction: convexify's
+    null-space factors and reduced Hessian seed the optimality QP."""
+
+    @staticmethod
+    def _analytic_chain():
+        chain = bench_chain()
+        return chain.analytic_problem(chain.start_point(24, 0))
+
+    @pytest.mark.parametrize("name", ["hs26", "analytic-chain-24"])
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    def test_one_factorization_per_direction(self, monkeypatch, name,
+                                             strategy):
+        # both problems have no bounds: every working set is all-free
+        factored, starts, per_direction = [], [], []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                factored.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sp, "nullspace_basis",
+                            counted(sp.nullspace_basis))
+        monkeypatch.setattr(qp_module, "nullspace_basis",
+                            counted(qp_module.nullspace_basis))
+        run = qp_module._Core.run
+
+        def logged_run(self, x, work):
+            starts.append(work.copy())
+            return run(self, x, work)
+
+        monkeypatch.setattr(qp_module._Core, "run", logged_run)
+        direction = DirectionEngine._optimality_direction
+
+        def counted_direction(self, *args):
+            factored.clear()
+            starts.clear()
+            res = direction(self, *args)
+            # one core run (no phase-1 LP) from the all-free working set
+            if isinstance(res, sp.DirectionResult) and len(starts) == 1 \
+                    and np.all(starts[0] == qp_module.FREE):
+                per_direction.append(len(factored))
+            return res
+
+        monkeypatch.setattr(DirectionEngine, "_optimality_direction",
+                            counted_direction)
+        problem = get_problem(name) if name == "hs26" \
+            else self._analytic_chain()
+        res = solve(problem, _config("line-search", strategy=strategy))
+        assert res.status == "kkt_point"
+        assert len(per_direction) >= 5
+        assert per_direction == [1] * len(per_direction)
 
 
 class TestRestorationWarmStart:
@@ -592,7 +644,7 @@ class TestRestorationWarmStart:
                                                    strategy):
         # the bounded n=24 chain: one optimality QP is infeasible, and its
         # phase-1 LP already sits at the elastic QP's optimal vertex
-        chain = _bench_chain()
+        chain = bench_chain()
         problem = chain.analytic_problem(chain.start_point(24, 0))
         problem.ub[:] = 1.0
         res, log = self._logged_solve(monkeypatch, problem, strategy,
