@@ -17,7 +17,7 @@ linalg.pivoted_qr, which every nullspace_basis of a nonzero matrix makes)
 and the working sets the QP factored itself (calls of qp.nullspace_basis);
 convexify's QR of J, which seeds the line-search optimality QP's all-free
 working set, counts as a QR only.
-The 128 solves, each under all four strategy/mechanism variants:
+The 132 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
   - the chained Rosenbrock of solverbench/chain.py from the starts of seeds
@@ -27,7 +27,9 @@ The 128 solves, each under all four strategy/mechanism variants:
     (4);
   - the LICQ failure x + y subject to x^2 + y^2 = 0 (4);
   - a fuzz model whose line-search elastic QPs can be unbounded below, so
-    that the elastic re-solve is covered (4).
+    that the elastic re-solve is covered (4);
+  - fuzz-164 of scripts/fuzz_sweep.py, whose filter line-search solve ends
+    restoration_stall (4).
 
 Usage: python3 scripts/trace_digest.py [--outcomes | --pivots | --factors]
            > digest.txt
@@ -63,6 +65,11 @@ UNBOUNDED_ELASTIC = (
     "subject_to -0.61 * exp(0.4 * y) + 1.26 * cos(x + x) + -1.34 * x == -0.88; "
     "subject_to 0.91 * x * x + 1.21 * exp(0.4 * x) + -0.68 * cos(x + y) "
     "+ 0.49 * cos(y + y) == 0.54;")
+RESTORATION_STALL = (
+    "var x start -0.19; var y start -0.97; "
+    "minimize 0.47 * y * x + -0.43 * cos(x + x); "
+    "subject_to -0.5 * x * x + -0.65 * exp(0.4 * y) == 0.51; "
+    "subject_to -0.83 * y * y + -1.9 * cos(y + x) == -0.53;")
 
 
 def problems():
@@ -84,6 +91,8 @@ def problems():
     yield ("armijo-cycle", lambda: load_source(chain.nco_text(x0)), 100)
     yield "licq-failure", lambda: load_source(LICQ), None
     yield ("unbounded-elastic", lambda: load_source(UNBOUNDED_ELASTIC),
+           None)
+    yield ("restoration-stall", lambda: load_source(RESTORATION_STALL),
            None)
 
 

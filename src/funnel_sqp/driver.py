@@ -57,35 +57,34 @@ def lagrangian_gradient(grad_f, J, lam, mu, rho=1.0) -> np.ndarray:
     return rho * grad_f - J @ lam - mu
 
 
-def _check_termination(os: OuterState, direction, problem: NcoProblem,
+def _grad_lag_norm(os: OuterState, rho=1.0) -> float:
+    """|grad L|_2 at the iterate; past the float range it reads inf."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(
+            lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho)))
+
+
+def _check_termination(os: OuterState, grad_lag: float, direction,
+                       problem: NcoProblem,
                        config: SolverConfig) -> Optional[str]:
+    """grad_lag is the iterate's |grad L|_2, the norm the trace reports."""
     tol = config.tol
     cmax = float(np.max(np.abs(os.c), initial=0.0))
     if os.f < config.unbounded_threshold and cmax <= tol:
         return "unbounded"
     comp = complementarity(os.x, problem.lb, problem.ub, os.mu)
-    # the stationarity residual is tested in the same norm the trace reports
-    gl = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
-    if float(np.linalg.norm(gl)) <= tol and cmax <= tol and comp <= tol:
+    if grad_lag <= tol and cmax <= tol and comp <= tol:
         return "kkt_point"
     if direction.phase is Phase.RESTORATION:
         u, v = direction.elastic_u, direction.elastic_v
-        gl0 = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho=0.0)
         comp_r = comp
         if u.size:
             comp_r = max(comp_r, float(np.max(np.abs(u * (1.0 + os.lam)))),
                          float(np.max(np.abs(v * (1.0 - os.lam)))))
-        if float(np.linalg.norm(gl0)) <= tol and cmax > tol \
+        if _grad_lag_norm(os, rho=0.0) <= tol and cmax > tol \
                 and comp_r <= tol:
             return "infeasible_stationary"
     return None
-
-
-def _drain_events(engine: DirectionEngine, events: list, k: int):
-    for ev in engine.pending_events:
-        ev["k"] = k
-        events.append(ev)
-    engine.pending_events.clear()
 
 
 def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResult:
@@ -123,17 +122,16 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
                 if config.strategy == "funnel"
                 else FilterStrategy(config.filter, zero_tol))
     sstate = strategy.init_state(os.h)
-    engine = DirectionEngine(problem, config, counters)
+    engine = DirectionEngine(problem, config, counters, events)
     tr = config.mechanism == "trust-region"
     mech = (TrustRegionMechanism if tr else LineSearchMechanism)(
         problem, config, engine, strategy, counters)
 
-    gl0 = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
     records.append(IterationRecord(
         k=0, l=None, delta=config.trust_region.delta_init if tr else None,
         alpha=None, regularization=None,
         tau=strategy.trace_value(sstate), step_norm=None, f_trial=os.f,
-        h_trial=os.h, grad_lag=float(np.linalg.norm(gl0)),
+        h_trial=os.h, grad_lag=_grad_lag_norm(os),
         label=LABEL_INITIAL, phase=engine.phase.value))
     log.info("solve %s: strategy=%s mechanism=%s n=%d m=%d",
              problem.name, config.strategy, config.mechanism,
@@ -153,20 +151,16 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
             n_outer = k
             verdict = outcome.verdict
             sstate = strategy.commit(sstate, verdict)
-            engine.apply_verdict(verdict, outcome.record)
+            engine.apply_verdict(verdict, outcome.record, k)
         except FunnelSqpError as e:
             log.info("solve %s stopped: %s", problem.name, e)
             return result("error", e)
-        finally:
-            # also after an error return: the result holds this same list
-            _drain_events(engine, events, k)
         step_counts[verdict.step_type.replace("-", "_")] += 1
-        gl = lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu)
-        outcome.record.grad_lag = float(np.linalg.norm(gl))
+        outcome.record.grad_lag = grad_lag = _grad_lag_norm(os)
         log.debug("k=%d accepted %s: f=%.8e h=%.3e |gradL|=%.3e",
-                  k, verdict.step_type, os.f, os.h,
-                  outcome.record.grad_lag)
-        term = _check_termination(os, outcome.direction, problem, config)
+                  k, verdict.step_type, os.f, os.h, grad_lag)
+        term = _check_termination(os, grad_lag, outcome.direction, problem,
+                                  config)
         if term is not None:
             status = term
             if term == "kkt_point":

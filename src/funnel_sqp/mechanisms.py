@@ -2,8 +2,8 @@
 
 One call to run() produces exactly one committed outer iterate (or a
 terminal signal). The mechanism owns its control state across outer
-iterations: the trust region keeps its radius, the line search keeps its
-consecutive-restoration-entry counter.
+iterations: the trust region keeps its radius. Restoration entry, with its
+multiplier reset and stall rule, belongs to the DirectionEngine.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolverConfig
-from .errors import NonFiniteValue, RestorationStall, SmallStepInfeasible
+from .errors import NonFiniteValue, SmallStepInfeasible
 from .problems import EvalCounters, NcoProblem, evaluate_functions, infeasibility
 from .strategies import LABEL_REJ_EVAL, TrialData, progress_models
 from .subproblems import DirectionEngine
@@ -140,10 +140,7 @@ class TrustRegionMechanism(_Mechanism):
                     f"radius collapsed to {self.delta:.2e} at violation "
                     f"{os.h:.2e}")
             l += 1
-            dres = self.engine.compute(os.x, os.c, os.h, os.grad_f,
-                                       os.J, os.lam, delta=self.delta)
-            if dres.entered_restoration:
-                os.lam[:] = 0.0
+            dres = self.engine.compute(os, k, self.delta)
             out, dn = self._trial(os, sstate, dres, 1.0, k, l, records,
                                   True, delta=self.delta)
             if out is not None:
@@ -157,33 +154,18 @@ class TrustRegionMechanism(_Mechanism):
 class LineSearchMechanism(_Mechanism):
     """Backtracking on a fixed direction with interpolated multipliers."""
 
-    consecutive_entries = 0     # becomes per instance at the first entry
-
-    def _note_entry(self):
-        self.consecutive_entries += 1
-        if self.consecutive_entries >= 2:
-            raise RestorationStall(
-                "two restoration entries without an accepted step")
-
     def run(self, os: OuterState, sstate, k: int,
             records: list) -> InnerOutcome:
         ls = self.config.line_search
-        dres = self.engine.compute(os.x, os.c, os.h, os.grad_f, os.J,
-                                   os.lam, delta=None)
-        if dres.entered_restoration:
-            self._note_entry()
-            os.lam[:] = 0.0
+        dres = self.engine.compute(os, k, None)
         fresh = True
         alpha = 1.0
         l = 0
         while True:
             if alpha < ls.alpha_min:
                 # direction exhausted: drop to restoration from here
-                self._note_entry()
-                self.engine.enter_restoration(os.x, os.h, source="alpha_min")
-                os.lam[:] = 0.0
-                dres = self.engine.compute(os.x, os.c, os.h, os.grad_f,
-                                           os.J, os.lam, delta=None)
+                self.engine.enter_restoration(os, k, "alpha_min")
+                dres = self.engine.compute(os, k, None)
                 fresh = True
                 alpha = 1.0
                 continue
@@ -194,6 +176,5 @@ class LineSearchMechanism(_Mechanism):
             if out is not None:
                 out.lam = os.lam + alpha * (dres.lam - os.lam)
                 out.mu = os.mu + alpha * (dres.mu - os.mu)
-                self.consecutive_entries = 0
                 return out
             alpha *= ls.backtrack

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .config import SolverConfig, SubproblemParams
-from .errors import RegularizationFailed
+from .errors import RegularizationFailed, RestorationStall
 from .linalg import ldlt_factorize, nullspace_basis
 from .problems import EvalCounters, NcoProblem, evaluate_lagrangian_hessian
 from .qp import ELASTIC_TOL, QpData, elastic_problem, solve_qp
@@ -111,7 +111,6 @@ class DirectionResult:
     W_used: np.ndarray           # Hessian the subproblem actually saw (d block)
     phase: Phase
     eta: Optional[float] = None  # diagonal shift, None when none was applied
-    entered_restoration: bool = False
     subproblem_feasible: bool = True
     elastic_u: Optional[np.ndarray] = None
     elastic_v: Optional[np.ndarray] = None
@@ -121,117 +120,118 @@ class DirectionResult:
 
 class DirectionEngine:
     """Owns the solver phase and everything the subproblems remember
-    between calls: restoration anchor, restoration multipliers, warm starts."""
+    between calls: restoration anchor, restoration multipliers, warm starts.
+    It alone enters and leaves restoration, and appends each entry and exit
+    event, stamped with its outer iteration k, to the solve's event list."""
 
     def __init__(self, problem: NcoProblem, config: SolverConfig,
-                 counters: EvalCounters):
+                 counters: EvalCounters, events: list):
         self.problem = problem
         self.config = config
         self.counters = counters
-        self.phase = Phase.OPTIMALITY
-        self.x_resto: Optional[np.ndarray] = None
-        self.h_resto: Optional[float] = None
-        self.resto_lam = np.zeros(problem.m)
-        # the working set of the phase's last QP, the next one's warm start;
-        # entry and exit clear it, so a phase never sees the other's codes
-        self.warm_codes: Optional[np.ndarray] = None
-        self.pending_events: list[dict] = []
+        self.events = events
+        self.entries = 0        # restoration entries since the last accept
         self.convexify_directions = config.mechanism == "line-search"
+        self._set_phase(Phase.OPTIMALITY)
 
     # -- phase bookkeeping --
 
-    def enter_restoration(self, x: np.ndarray, h: float, source: str):
-        self.phase = Phase.RESTORATION
-        self.x_resto = np.asarray(x, dtype=float).copy()
-        self.h_resto = float(h)
+    def _set_phase(self, phase: Phase, x_resto=None, h_resto=None):
+        self.phase, self.x_resto, self.h_resto = phase, x_resto, h_resto
         self.resto_lam = np.zeros(self.problem.m)
-        self.warm_codes = None
-        self.pending_events.append({
+        # the working set of the phase's last QP, the next one's warm start;
+        # entry and exit clear it, so a phase never sees the other's codes
+        self.warm_codes: Optional[np.ndarray] = None
+
+    def enter_restoration(self, os, k: int, source: str):
+        """Anchor restoration at the iterate os and zero os.lam in place. A
+        second entry since the last accepted step raises RestorationStall.
+        Only line search can meet that rule: trust region enters only from
+        the optimality phase, which only an accepted step returns to."""
+        self.entries += 1
+        if self.entries >= 2:
+            raise RestorationStall(
+                "two restoration entries without an accepted step")
+        self._set_phase(Phase.RESTORATION,
+                        np.asarray(os.x, dtype=float).copy(), float(os.h))
+        os.lam[:] = 0.0
+        self.events.append({
             "type": "restoration_entry", "source": source,
             "x_resto": self.x_resto.tolist(), "h_resto": self.h_resto,
-            "lambda_reset": True})
-        log.debug("restoration entry (%s) at h=%.3e", source, h)
+            "lambda_reset": True, "k": k})
+        log.debug("restoration entry (%s) at h=%.3e", source, os.h)
 
-    def exit_restoration(self):
-        self.phase = Phase.OPTIMALITY
-        self.x_resto = None
-        self.h_resto = None
-        self.resto_lam = np.zeros(self.problem.m)
-        self.warm_codes = None
-
-    def apply_verdict(self, verdict, record):
-        """Leave restoration if the verdict of the accepted record says so."""
+    def apply_verdict(self, verdict, record, k: int):
+        """Note the accepted step of outer iteration k, and leave restoration
+        if its verdict says so."""
+        self.entries = 0
         if verdict.new_phase is Phase.OPTIMALITY and \
                 self.phase is Phase.RESTORATION:
-            self.pending_events.append({
+            self.events.append({
                 "type": "restoration_exit", "h_trial": record.h_trial,
                 "tau_before": record.tau,
                 "tau_after": (record.tau if verdict.new_tau is None
                               else verdict.new_tau),
-                "h_resto": self.h_resto})
-            self.exit_restoration()
+                "h_resto": self.h_resto, "k": k})
+            self._set_phase(Phase.OPTIMALITY)
 
     # -- direction computation --
 
-    def compute(self, x, c, h, grad_f, J, lam,
-                delta: Optional[float]) -> DirectionResult:
-        entered = False
-        lp, pivots = None, 0
+    def compute(self, os, k: int, delta: Optional[float]) -> DirectionResult:
+        """The direction at the iterate os of outer iteration k."""
         if self.phase is Phase.OPTIMALITY:
-            res = self._optimality_direction(x, c, grad_f, J, lam, delta)
-            if isinstance(res, DirectionResult):
-                return res
-            # linearization infeasible: fall through to restoration, which
-            # starts where phase 1's elastic LP left the same constraints
-            self.enter_restoration(x, h, source="infeasible_qp")
-            entered = True
-            lp, pivots = res.lp, res.n_pivots
-        res = self._restoration_direction(x, c, grad_f, J, delta, lp)
-        res.entered_restoration = entered
-        res.n_pivots += pivots
-        return res
+            return self._optimality_direction(os, k, delta)
+        return self._restoration_direction(os, delta)
 
-    def _optimality_direction(self, x, c, grad_f, J, lam, delta):
-        """The optimality direction, or the QP's solution when the
-        linearization is infeasible."""
+    def _optimality_direction(self, os, k, delta):
+        """The optimality direction; when the linearization is infeasible,
+        the first restoration direction instead."""
         prob = self.problem
-        W = evaluate_lagrangian_hessian(prob, x, 1.0, lam, self.counters)
-        qp = build_optimality_qp(x, grad_f, J, c, prob.lb, prob.ub, W, delta)
+        W = evaluate_lagrangian_hessian(prob, os.x, 1.0, os.lam,
+                                        self.counters)
+        qp = build_optimality_qp(os.x, os.grad_f, os.J, os.c, prob.lb,
+                                 prob.ub, W, delta)
         eta = free = None
         if self.convexify_directions:
             # J's factors serve the QP's all-free working set too
-            qp.W, eta, free = convexify(W, J, self.config.subproblem)
+            qp.W, eta, free = convexify(W, os.J, self.config.subproblem)
         sol = solve_qp(qp, warm_start=self.warm_codes, free_factors=free)
         if sol.status == "infeasible":
-            return sol
+            # restoration starts where phase 1's elastic LP left the same
+            # constraints
+            self.enter_restoration(os, k, "infeasible_qp")
+            return self._restoration_direction(os, delta, sol.lp,
+                                               sol.n_pivots)
         if sol.status == "unbounded":
             raise RegularizationFailed("optimality subproblem unbounded")
         self.warm_codes = sol.active
-        mu = self._strip_trust_region_multipliers(sol.x, sol.mu, x, delta)
+        mu = self._strip_trust_region_multipliers(sol.x, sol.mu, os.x, delta)
         return DirectionResult(d=sol.x, lam=sol.lam, mu=mu, W_used=qp.W,
                                phase=Phase.OPTIMALITY, eta=eta,
                                n_pivots=sol.n_pivots,
                                warm_start=sol.warm_start)
 
-    def _restoration_direction(self, x, c, grad_f, J, delta, lp=None):
+    def _restoration_direction(self, os, delta, lp=None, pivots=0):
         """The elastic QP's direction, warm-started from the previous elastic
-        QP's working set, or from lp = (z, working set) of phase 1."""
+        QP's working set, or from lp = (z, working set) of phase 1. pivots
+        are earlier QPs' pivots that the direction counts as its own."""
         prob = self.problem
         sp = self.config.subproblem
+        x, J = os.x, os.J
         W = evaluate_lagrangian_hessian(prob, x, 0.0, self.resto_lam,
                                         self.counters)
         W0, eta = W, None
         if self.convexify_directions:
             W0, eta, _ = convexify(W, J, sp)
-        fqp, z0 = build_feasibility_qp(x, J, c, prob.lb, prob.ub, W0, delta)
+        fqp, z0 = build_feasibility_qp(x, J, os.c, prob.lb, prob.ub, W0,
+                                       delta)
         if lp is not None:
             z0, self.warm_codes = lp
         sol = solve_qp(fqp, warm_start=self.warm_codes, feasible_start=z0)
         n, m = prob.n, prob.m
-        pivots = 0
         if sol.status == "unbounded" and self.convexify_directions:
             # u and v absorb any J^T d, so d is free in all of R^n
-            pivots = sol.n_pivots
+            pivots += sol.n_pivots
             fqp.W[:n, :n], eta, _ = convexify(W, J[:, :0], sp)
             sol = solve_qp(fqp, feasible_start=z0)
         if sol.status != "optimal":

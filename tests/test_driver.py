@@ -241,6 +241,11 @@ class TestRestorationEvents:
         # the gate that let the solver leave restoration
         assert ev["h_trial"] <= 0.99 * min(ev["tau_before"], ev["h_resto"])
 
+    def test_k_is_the_last_key(self, line_circle_tr):
+        assert len(line_circle_tr.events) == 2
+        for ev in line_circle_tr.events:
+            assert list(ev)[-1] == "k"
+
     def test_entry_precedes_exit_in_one_iteration(self, monkeypatch):
         class ExitAtOnce(FunnelStrategy):
             def decide(self, state, trial):
@@ -414,6 +419,22 @@ class TestDomainFaults:
             res = solve(load_source(src), _config(strategy, mechanism))
         assert res.status == "error"
         assert res.error_kind == "non_finite_value"
+
+
+class TestOverflow:
+    """A Lagrangian gradient past the float range's square root: its norm
+    reads inf in the trace, and no warning escapes solve()."""
+
+    SRC = ("var x in [0, 1] start 0.5; var y start 0; "
+           "minimize 1e160 * x + y^2;")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    def test_gradient_norm_overflow(self, strategy):
+        res = solve(load_source(self.SRC), _config(strategy, "line-search"))
+        assert (res.status, res.n_outer) == ("kkt_point", 1)
+        assert np.array_equal(res.x, [0.0, 0.0])
+        assert math.isinf(res.iterations[0].grad_lag)
 
 
 class TestKnownLimits:

@@ -23,7 +23,7 @@ def _setup(problem, mechanism="trust-region"):
         problem = get_problem(problem)
     config = apply_overrides(SolverConfig(), {"mechanism": mechanism})
     counters = EvalCounters()
-    engine = DirectionEngine(problem, config, counters)
+    engine = DirectionEngine(problem, config, counters, [])
     strategy = FunnelStrategy(config.funnel, config.subproblem.zero_step_tol)
     cls = TrustRegionMechanism if mechanism == "trust-region" \
         else LineSearchMechanism
@@ -163,7 +163,7 @@ class TestTrustRegion:
         os.lam, os.mu = out.lam, out.mu
         os.grad_f, os.J = evaluate_gradients(mech.problem, os.x)
         sstate = mech.strategy.commit(sstate, out.verdict)
-        mech.engine.apply_verdict(out.verdict, out.record)
+        mech.engine.apply_verdict(out.verdict, out.record, 1)
         records2 = []
         mech.run(os, sstate, k=2, records=records2)
         assert records2[0].delta == pytest.approx(0.25, rel=1e-8)
@@ -204,7 +204,8 @@ class TestLineSearch:
         config = apply_overrides(SolverConfig(),
                                  {"mechanism": "line-search"})
         counters = EvalCounters()
-        engine = DirectionEngine(problem, config, counters)
+        events = []
+        engine = DirectionEngine(problem, config, counters, events)
         mech = LineSearchMechanism(problem, config, engine,
                                    _AlwaysReject(), counters)
         x = problem.start_point()
@@ -216,10 +217,10 @@ class TestLineSearch:
         records = []
         with pytest.raises(RestorationStall):
             mech.run(os, None, k=1, records=records)
-        events = [e for e in engine.pending_events
-                  if e["type"] == "restoration_entry"]
-        assert len(events) == 1
-        assert events[0]["source"] == "alpha_min"
+        entries = [e for e in events if e["type"] == "restoration_entry"]
+        assert len(entries) == 1
+        assert entries[0]["source"] == "alpha_min"
+        assert entries[0]["k"] == 1
         assert np.array_equal(os.lam, np.zeros(problem.m))
         # ~30 halvings from 1.0 down to 1e-9, twice
         assert len(records) > 40
@@ -228,7 +229,10 @@ class TestLineSearch:
         mech, os, sstate = _setup("line-circle", mechanism="line-search")
         out = mech.run(os, sstate, k=1, records=[])
         assert out.verdict.accepted
-        assert mech.consecutive_entries == 0
+        assert mech.engine.entries == 1
+        # the driver applies the accepted step's verdict, which resets it
+        mech.engine.apply_verdict(out.verdict, out.record, 1)
+        assert mech.engine.entries == 0
         assert out.direction.phase is Phase.RESTORATION
 
     def test_infeasible_probe_enters_restoration(self):
@@ -236,7 +240,8 @@ class TestLineSearch:
         os.lam = np.array([1.0, 1.0])
         records = []
         out = mech.run(os, sstate, k=1, records=records)
-        assert out.direction.entered_restoration
+        assert out.direction.phase is Phase.RESTORATION
         assert np.array_equal(os.lam, [0.0, 0.0])
-        events = mech.engine.pending_events
+        events = mech.engine.events
         assert events and events[0]["source"] == "infeasible_qp"
+        assert events[0]["k"] == 1

@@ -184,3 +184,38 @@ def test_chain_outcome_pinned(strategy, mechanism):
     res = solve(problem, SolverConfig(strategy=strategy, mechanism=mechanism))
     assert _outcome(res) == CHAIN_OUTCOME
     assert res.f == pytest.approx(CHAIN_F, rel=1e-12, abs=0.0)
+
+
+# fuzz-164 of scripts/fuzz_sweep.py. Under filter line search the direction
+# from restoration's anchor is exhausted too, and that second restoration
+# entry without an accepted step ends the solve as a stall. Each row is the
+# outcome row above, error_kind, then the events' (type, k).
+STALL = ("var x start -0.19; var y start -0.97; "
+         "minimize 0.47 * y * x + -0.43 * cos(x + x); "
+         "subject_to -0.5 * x * x + -0.65 * exp(0.4 * y) == 0.51; "
+         "subject_to -0.83 * y * y + -1.9 * cos(y + x) == -0.53;")
+ENTRY, EXIT = "restoration_entry", "restoration_exit"
+STALL_OUTCOMES = {
+    ("funnel", "trust-region"):
+        (("infeasible_stationary", 9, 11, (0, 3, 6, 0),
+          (12, 12, 10, 10, 12)), None, [(ENTRY, 4)]),
+    ("funnel", "line-search"):
+        (("infeasible_stationary", 23, 160, (2, 15, 6, 0),
+          (161, 161, 24, 24, 26)), None,
+         [(ENTRY, 6), (EXIT, 6), (ENTRY, 11), (EXIT, 11), (ENTRY, 18)]),
+    ("filter", "trust-region"):
+        (("infeasible_stationary", 5, 8, (0, 0, 5, 0), (9, 9, 6, 6, 9)),
+         None, [(ENTRY, 1)]),
+    ("filter", "line-search"):
+        (("error", 3, 80, (0, 3, 0, 0), (81, 81, 4, 4, 5)),
+         "restoration_stall", [(ENTRY, 4)]),
+}
+
+
+@pytest.mark.parametrize("strategy, mechanism", VARIANTS, ids="/".join)
+def test_restoration_stall_outcome_pinned(strategy, mechanism):
+    res = solve(load_source(STALL, name="fuzz-164"),
+                SolverConfig(strategy=strategy, mechanism=mechanism))
+    assert (_outcome(res), res.error_kind,
+            [(e["type"], e["k"]) for e in res.events]) == \
+        STALL_OUTCOMES[strategy, mechanism]

@@ -12,8 +12,9 @@ from funnel_sqp.config import (SolverConfig, SubproblemParams,
                                apply_overrides)
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import load_source
-from funnel_sqp.errors import RegularizationFailed
+from funnel_sqp.errors import RegularizationFailed, RestorationStall
 from funnel_sqp.linalg import nullspace_basis
+from funnel_sqp.mechanisms import OuterState
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
                                  get_problem, infeasibility)
@@ -241,27 +242,36 @@ class TestBuilders:
         assert np.allclose(qp.A.T @ z0, qp.b)
 
 
+def _state(problem, x, lam=None):
+    """The outer iterate at x, with lam or the problem's start multipliers."""
+    f, c = evaluate_functions(problem, x)
+    g, J = evaluate_gradients(problem, x)
+    lam = problem.start_multipliers() if lam is None else lam
+    return OuterState(x=x, f=f, c=c, h=infeasibility(c), grad_f=g, J=J,
+                      lam=lam, mu=np.zeros(problem.n))
+
+
 def _engine(name, mechanism="trust-region"):
+    """(engine, problem, outer iterate at the start point)."""
     problem = get_problem(name)
-    config = _config(mechanism)
-    counters = EvalCounters()
-    engine = DirectionEngine(problem, config, counters)
-    x = problem.start_point()
-    c = evaluate_functions(problem, x, counters)[1]
-    g, J = evaluate_gradients(problem, x, counters)
-    return engine, problem, x, c, g, J
+    engine = DirectionEngine(problem, _config(mechanism), EvalCounters(), [])
+    return engine, problem, _state(problem, problem.start_point())
+
+
+_STAY = types.SimpleNamespace(new_phase=None)
+_EXIT = types.SimpleNamespace(new_phase=Phase.OPTIMALITY, new_tau=None)
+_RECORD = types.SimpleNamespace(h_trial=0.1, tau=100.0)
 
 
 class TestDirectionEngine:
     def test_optimality_direction_solves_linearization(self):
-        engine, prob, x, c, g, J = _engine("circle")
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=10.0)
+        engine, prob, os = _engine("circle")
+        res = engine.compute(os, 1, 10.0)
         assert res.phase is Phase.OPTIMALITY
-        assert not res.entered_restoration
-        assert np.max(np.abs(c + J.T @ res.d)) <= 1e-8
+        assert engine.entries == 0
+        assert np.max(np.abs(os.c + os.J.T @ res.d)) <= 1e-8
         assert res.lam.shape == (prob.m,)
-        assert engine.pending_events == []
+        assert engine.events == []
         assert engine.warm_codes is not None
 
     def test_trust_region_multipliers_stripped(self):
@@ -271,53 +281,46 @@ class TestDirectionEngine:
             "lin", 2, lambda x: x[0] + x[1], [],
             lb=np.array([-0.2, -10.0]), ub=np.array([10.0, 10.0]),
             x0=np.zeros(2))
-        engine = DirectionEngine(prob, _config(), EvalCounters())
-        x = prob.start_point()
-        c = evaluate_functions(prob, x)[1]
-        g, J = evaluate_gradients(prob, x)
-        res = engine.compute(x, c, 0.0, g, J, np.zeros(0), delta=0.5)
+        engine = DirectionEngine(prob, _config(), EvalCounters(), [])
+        res = engine.compute(_state(prob, prob.start_point()), 1, 0.5)
         assert np.allclose(res.d, [-0.2, -0.5])
         assert res.mu[0] != 0.0     # problem bound keeps its multiplier
         assert res.mu[1] == 0.0     # trust-region bound is synthetic
 
     def test_infeasible_linearization_enters_restoration(self):
-        engine, prob, x, c, g, J = _engine("line-circle")
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=10.0)
-        assert res.entered_restoration
+        engine, prob, os = _engine("line-circle")
+        os.lam[:] = 1.0
+        res = engine.compute(os, 3, 10.0)
+        assert engine.entries == 1
         assert res.phase is Phase.RESTORATION
         assert engine.phase is Phase.RESTORATION
-        assert np.array_equal(engine.x_resto, x)
-        assert engine.h_resto == infeasibility(c)
-        events = engine.pending_events
+        assert np.array_equal(engine.x_resto, os.x)
+        assert engine.h_resto == os.h
+        assert np.array_equal(os.lam, np.zeros(prob.m))
+        events = engine.events
         assert len(events) == 1
         assert events[0]["type"] == "restoration_entry"
         assert events[0]["source"] == "infeasible_qp"
         assert events[0]["lambda_reset"] is True
+        assert events[0]["k"] == 3
         assert res.elastic_u is not None and res.elastic_v is not None
 
     def test_restoration_keeps_multiplier_memory(self):
-        engine, prob, x, c, g, J = _engine("line-circle")
-        engine.compute(x, c, infeasibility(c), g, J,
-                       prob.start_multipliers(), delta=10.0)
+        engine, prob, os = _engine("line-circle")
+        engine.compute(os, 1, 10.0)
         lam_first = engine.resto_lam.copy()
         # second call reuses the updated multipliers for the curvature term
-        engine.compute(x, c, infeasibility(c), g, J,
-                       prob.start_multipliers(), delta=10.0)
+        engine.compute(os, 1, 10.0)
         assert engine.resto_lam.shape == lam_first.shape
 
     def test_inconsistent_rows_keep_elastic_mass(self):
         # gradient of x^2+1 vanishes at x=0, so no step reduces the
         # linearized violation and the elastics stay loaded
         prob = get_problem("infeasible-quadratic")
-        engine = DirectionEngine(prob, _config(), EvalCounters())
-        x = np.array([0.0])
-        c = evaluate_functions(prob, x)[1]
-        g, J = evaluate_gradients(prob, x)
-        engine.enter_restoration(x, infeasibility(c), source="test")
-        engine.pending_events.clear()
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             np.zeros(1), delta=10.0)
+        engine = DirectionEngine(prob, _config(), EvalCounters(), [])
+        os = _state(prob, np.array([0.0]), lam=np.zeros(1))
+        engine.enter_restoration(os, 1, source="test")
+        res = engine.compute(os, 1, 10.0)
         assert res.phase is Phase.RESTORATION
         assert not res.subproblem_feasible
         assert np.isclose(res.elastic_u[0] + res.elastic_v[0], 1.0)
@@ -325,65 +328,61 @@ class TestDirectionEngine:
     def test_restoration_warm_codes_cleared_on_entry_and_exit(self):
         # each elastic QP hands its working set to the next one; entering
         # or leaving restoration forgets it
-        engine, prob, x, c, g, J = _engine("line-circle")
+        engine, prob, os = _engine("line-circle")
         N = prob.n + 2 * prob.m
 
         def restore():
-            engine.compute(x, c, infeasibility(c), g, J,
-                           prob.start_multipliers(), delta=10.0)
+            engine.compute(os, 1, 10.0)
             assert engine.phase is Phase.RESTORATION
             assert engine.warm_codes.shape == (N,)
 
         restore()
-        engine.enter_restoration(x, infeasibility(c), source="test")
+        engine.apply_verdict(_STAY, _RECORD, 1)
+        engine.enter_restoration(os, 2, source="test")
         assert engine.warm_codes is None
         restore()
-        engine.exit_restoration()
+        engine.apply_verdict(_EXIT, _RECORD, 2)
         assert engine.warm_codes is None
 
     def test_exit_restores_optimality_state(self):
-        engine, prob, x, c, g, J = _engine("line-circle")
-        engine.enter_restoration(x, 4.0, source="test")
+        engine, prob, os = _engine("line-circle")
+        engine.enter_restoration(os, 1, source="test")
         assert engine.phase is Phase.RESTORATION
-        engine.exit_restoration()
+        engine.apply_verdict(_EXIT, _RECORD, 1)
         assert engine.phase is Phase.OPTIMALITY
         assert engine.x_resto is None and engine.h_resto is None
         assert np.array_equal(engine.resto_lam, np.zeros(prob.m))
 
     def test_apply_verdict_exits_on_phase_change(self):
-        engine, prob, x, c, g, J = _engine("line-circle")
-        engine.enter_restoration(x, 4.0, source="test")
-        verdict = types.SimpleNamespace(new_phase=Phase.OPTIMALITY,
-                                        new_tau=None)
-        record = types.SimpleNamespace(h_trial=0.1, tau=100.0)
-        engine.apply_verdict(verdict, record)
+        engine, prob, os = _engine("line-circle")
+        engine.enter_restoration(os, 1, source="test")
+        engine.apply_verdict(_EXIT, _RECORD, 1)
         assert engine.phase is Phase.OPTIMALITY
-        verdict2 = types.SimpleNamespace(new_phase=None)
-        engine.enter_restoration(x, 4.0, source="test")
-        engine.apply_verdict(verdict2, record)
+        engine.enter_restoration(os, 2, source="test")
+        engine.apply_verdict(_STAY, _RECORD, 2)
         assert engine.phase is Phase.RESTORATION
+        assert [(e["type"], e["k"]) for e in engine.events] == [
+            ("restoration_entry", 1), ("restoration_exit", 1),
+            ("restoration_entry", 2)]
 
     def test_line_search_directions_regularized(self):
-        engine, prob, x, c, g, J = _engine("maratos-fletcher",
-                                              mechanism="line-search")
+        engine, prob, os = _engine("maratos-fletcher",
+                                   mechanism="line-search")
         assert engine.convexify_directions
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=None)
+        res = engine.compute(os, 1, None)
         assert res.eta == 1e-4
 
     def test_trust_region_directions_unregularized(self):
-        engine, prob, x, c, g, J = _engine("maratos-fletcher")
+        engine, prob, os = _engine("maratos-fletcher")
         assert not engine.convexify_directions
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=10.0)
+        res = engine.compute(os, 1, 10.0)
         assert res.eta is None
 
     def test_line_search_probe_routes_to_restoration(self):
-        engine, prob, x, c, g, J = _engine("line-circle",
-                                              mechanism="line-search")
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=None)
-        assert res.entered_restoration
+        engine, prob, os = _engine("line-circle", mechanism="line-search")
+        res = engine.compute(os, 1, None)
+        assert engine.entries == 1
+        assert [e["source"] for e in engine.events] == ["infeasible_qp"]
         assert res.phase is Phase.RESTORATION
 
     def test_line_search_direction_solves_one_qp(self, monkeypatch):
@@ -396,21 +395,63 @@ class TestDirectionEngine:
             calls.append(kwargs)
             return real(qp, **kwargs)
 
-        engine, prob, x, c, g, J = _engine("maratos-fletcher",
-                                              mechanism="line-search")
+        engine, prob, os = _engine("maratos-fletcher",
+                                   mechanism="line-search")
         monkeypatch.setattr(sp, "solve_qp", counted)
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=None)
+        res = engine.compute(os, 1, None)
         assert res.phase is Phase.OPTIMALITY
         assert len(calls) == 1
         assert calls[0].get("feasible_start") is None
 
     def test_counters_track_hessians(self):
-        engine, prob, x, c, g, J = _engine("circle")
+        engine, prob, os = _engine("circle")
         before = engine.counters.n_hess
-        engine.compute(x, c, infeasibility(c), g, J,
-                       prob.start_multipliers(), delta=10.0)
+        engine.compute(os, 1, 10.0)
         assert engine.counters.n_hess == before + 1
+
+
+class TestRestorationEntry:
+    """The engine owns restoration entry: multiplier reset, the stall rule
+    and the events."""
+
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    def test_second_entry_without_accept_stalls(self, mechanism):
+        engine, prob, os = _engine("line-circle", mechanism=mechanism)
+        x_first = os.x.copy()
+        engine.enter_restoration(os, 1, source="test")
+        os.x, os.h = os.x + 1.0, 9.0
+        os.lam[:] = 2.0
+        with pytest.raises(RestorationStall):
+            engine.enter_restoration(os, 1, source="alpha_min")
+        # the stall is raised before the entry changes anything
+        assert np.array_equal(engine.x_resto, x_first)
+        assert np.array_equal(os.lam, [2.0, 2.0])
+        assert [e["source"] for e in engine.events] == ["test"]
+
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    def test_accepted_step_resets_the_count(self, mechanism):
+        engine, prob, os = _engine("line-circle", mechanism=mechanism)
+        engine.compute(os, 1, None if mechanism == "line-search" else 10.0)
+        assert engine.entries == 1
+        engine.apply_verdict(_STAY, _RECORD, 1)
+        assert engine.entries == 0
+        os.lam[:] = 2.0
+        engine.enter_restoration(os, 2, source="alpha_min")
+        assert engine.entries == 1
+        assert np.array_equal(os.lam, [0.0, 0.0])
+        assert [(e["source"], e["k"]) for e in engine.events] == \
+            [("infeasible_qp", 1), ("alpha_min", 2)]
+
+    def test_events_stamped_at_creation_with_k_last(self):
+        engine, prob, os = _engine("line-circle")
+        engine.enter_restoration(os, 4, source="test")
+        assert list(engine.events[0]) == ["type", "source", "x_resto",
+                                          "h_resto", "lambda_reset", "k"]
+        engine.apply_verdict(_EXIT, _RECORD, 7)
+        assert list(engine.events[1]) == ["type", "h_trial", "tau_before",
+                                          "tau_after", "h_resto", "k"]
+        assert [e["k"] for e in engine.events] == [4, 7]
+        assert engine.events[1]["h_resto"] == os.h
 
 
 # a fuzz model whose filter line-search solve meets elastic QPs that are
@@ -454,9 +495,9 @@ class TestUnboundedQp:
 
     @staticmethod
     def _restoring(mechanism):
-        engine, prob, x, c, g, J = _engine("line-circle", mechanism=mechanism)
-        engine.enter_restoration(x, infeasibility(c), source="test")
-        return engine, prob, x, c, g, J
+        engine, prob, os = _engine("line-circle", mechanism=mechanism)
+        engine.enter_restoration(os, 1, source="test")
+        return engine, os
 
     def test_resolved_elastic_directions_are_convex(self, monkeypatch):
         # the re-solved d block is positive definite on all of R^n, so the
@@ -487,11 +528,10 @@ class TestUnboundedQp:
             assert np.linalg.eigvalsh(res.W_used)[0] > 0.0
 
     def test_unbounded_elastic_qp_is_resolved_once(self, monkeypatch):
-        engine, prob, x, c, g, J = self._restoring("line-search")
+        engine, os = self._restoring("line-search")
         calls = self._stub(monkeypatch, 1)
         before = engine.counters.n_hess
-        res = engine.compute(x, c, infeasibility(c), g, J,
-                             prob.start_multipliers(), delta=None)
+        res = engine.compute(os, 1, None)
         assert res.phase is Phase.RESTORATION
         assert len(calls) == 2
         assert engine.counters.n_hess == before + 1
@@ -503,11 +543,10 @@ class TestUnboundedQp:
         assert res.n_pivots >= 3    # the discarded solve's pivots count
 
     def test_second_unbounded_verdict_raises(self, monkeypatch):
-        engine, prob, x, c, g, J = self._restoring("line-search")
+        engine, os = self._restoring("line-search")
         calls = self._stub(monkeypatch, 2)
         with pytest.raises(RegularizationFailed):
-            engine.compute(x, c, infeasibility(c), g, J,
-                           prob.start_multipliers(), delta=None)
+            engine.compute(os, 1, None)
         assert len(calls) == 2
 
     def test_second_unbounded_verdict_ends_the_solve(self, monkeypatch):
@@ -530,22 +569,20 @@ class TestUnboundedQp:
         assert len(elastic) == 2
 
     def test_trust_region_elastic_qp_raises_at_once(self, monkeypatch):
-        engine, prob, x, c, g, J = self._restoring("trust-region")
+        engine, os = self._restoring("trust-region")
         calls = self._stub(monkeypatch, 1)
         with pytest.raises(RegularizationFailed):
-            engine.compute(x, c, infeasibility(c), g, J,
-                           prob.start_multipliers(), delta=10.0)
+            engine.compute(os, 1, 10.0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("mechanism, delta", [("line-search", None),
                                                   ("trust-region", 10.0)])
     def test_unbounded_optimality_qp_raises(self, monkeypatch, mechanism,
                                             delta):
-        engine, prob, x, c, g, J = _engine("circle", mechanism=mechanism)
+        engine, prob, os = _engine("circle", mechanism=mechanism)
         calls = self._stub(monkeypatch, 1)
         with pytest.raises(RegularizationFailed):
-            engine.compute(x, c, infeasibility(c), g, J,
-                           prob.start_multipliers(), delta=delta)
+            engine.compute(os, 1, delta)
         assert len(calls) == 1
         assert engine.phase is Phase.OPTIMALITY
 
@@ -590,7 +627,7 @@ class TestFreeFactors:
             starts.clear()
             res = direction(self, *args)
             # one core run (no phase-1 LP) from the all-free working set
-            if isinstance(res, sp.DirectionResult) and len(starts) == 1 \
+            if res.phase is Phase.OPTIMALITY and len(starts) == 1 \
                     and np.all(starts[0] == qp_module.FREE):
                 per_direction.append(len(factored))
             return res
