@@ -17,7 +17,7 @@ linalg.pivoted_qr, which every nullspace_basis of a nonzero matrix makes)
 and the working sets the QP factored itself (calls of qp.nullspace_basis);
 convexify's QR of J, which seeds the line-search optimality QP's all-free
 working set, counts as a QR only.
-The 132 solves, each under all four strategy/mechanism variants:
+The 136 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
   - the chained Rosenbrock of solverbench/chain.py from the starts of seeds
@@ -29,7 +29,9 @@ The 132 solves, each under all four strategy/mechanism variants:
   - a fuzz model whose line-search elastic QPs can be unbounded below, so
     that the elastic re-solve is covered (4);
   - fuzz-164 of scripts/fuzz_sweep.py, whose filter line-search solve ends
-    restoration_stall (4).
+    restoration_stall (4);
+  - a bounded objective whose gradient's norm overflows, as does the norm
+    of the trust-region QP's zero-curvature ray (4).
 
 Usage: python3 scripts/trace_digest.py [--outcomes | --pivots | --factors]
            > digest.txt
@@ -70,6 +72,8 @@ RESTORATION_STALL = (
     "minimize 0.47 * y * x + -0.43 * cos(x + x); "
     "subject_to -0.5 * x * x + -0.65 * exp(0.4 * y) == 0.51; "
     "subject_to -0.83 * y * y + -1.9 * cos(y + x) == -0.53;")
+GRADIENT_OVERFLOW = ("var x in [0, 1] start 0.5; var y start 0; "
+                     "minimize 1e160 * x + y^2;")
 
 
 def problems():
@@ -93,6 +97,8 @@ def problems():
     yield ("unbounded-elastic", lambda: load_source(UNBOUNDED_ELASTIC),
            None)
     yield ("restoration-stall", lambda: load_source(RESTORATION_STALL),
+           None)
+    yield ("gradient-overflow", lambda: load_source(GRADIENT_OVERFLOW),
            None)
 
 

@@ -59,9 +59,8 @@ def lagrangian_gradient(grad_f, J, lam, mu, rho=1.0) -> np.ndarray:
 
 def _grad_lag_norm(os: OuterState, rho=1.0) -> float:
     """|grad L|_2 at the iterate; past the float range it reads inf."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(
-            lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho)))
+    return float(np.linalg.norm(
+        lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho)))
 
 
 def _check_termination(os: OuterState, grad_lag: float, direction,
@@ -87,6 +86,7 @@ def _check_termination(os: OuterState, grad_lag: float, direction,
     return None
 
 
+@np.errstate(over="ignore")     # an overflow reads inf and never warns
 def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResult:
     config = (config or SolverConfig()).validated()
     counters = EvalCounters()
@@ -140,33 +140,29 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
     status = "max_iterations"
     for k in range(1, config.max_outer + 1):
         try:
-            outcome = mech.run(os, sstate, k, records)
-            if outcome.terminated:
-                status = outcome.status
+            step = mech.run(os, sstate, k, records)
+            if step is None:
+                status = "small_feasible_step"
                 break
-            os.x, os.f, os.c, os.h = outcome.x, outcome.f, outcome.c, outcome.h
-            os.lam = np.asarray(outcome.lam, dtype=float)
-            os.mu = np.asarray(outcome.mu, dtype=float)
+            verdict, record, direction = step
             os.grad_f, os.J = evaluate_gradients(problem, os.x, counters)
             n_outer = k
-            verdict = outcome.verdict
             sstate = strategy.commit(sstate, verdict)
-            engine.apply_verdict(verdict, outcome.record, k)
+            engine.apply_verdict(verdict, record, k)
         except FunnelSqpError as e:
             log.info("solve %s stopped: %s", problem.name, e)
             return result("error", e)
         step_counts[verdict.step_type.replace("-", "_")] += 1
-        outcome.record.grad_lag = grad_lag = _grad_lag_norm(os)
+        record.grad_lag = grad_lag = _grad_lag_norm(os)
         log.debug("k=%d accepted %s: f=%.8e h=%.3e |gradL|=%.3e",
                   k, verdict.step_type, os.f, os.h, grad_lag)
-        term = _check_termination(os, grad_lag, outcome.direction, problem,
-                                  config)
+        term = _check_termination(os, grad_lag, direction, problem, config)
         if term is not None:
             status = term
             if term == "kkt_point":
-                outcome.record.label = LABEL_OPTIMAL
+                record.label = LABEL_OPTIMAL
             elif term == "infeasible_stationary":
-                outcome.record.label = LABEL_INFEASIBLE
+                record.label = LABEL_INFEASIBLE
             break
 
     log.info("solve %s finished: status=%s outer=%d f=%.8e h=%.3e",

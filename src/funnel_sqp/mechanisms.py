@@ -1,9 +1,11 @@
 """Inner-loop step control: trust-region and line-search mechanisms.
 
-One call to run() produces exactly one committed outer iterate (or a
-terminal signal). The mechanism owns its control state across outer
-iterations: the trust region keeps its radius. Restoration entry, with its
-multiplier reset and stall rule, belongs to the DirectionEngine.
+One call to run() moves the iterate to the next accepted trial point,
+multipliers included, and returns that step's (verdict, trace row,
+direction); None when the trust radius collapses at a feasible point. The
+mechanism owns its control state across outer iterations: the trust region
+keeps its radius. Restoration entry, with its multiplier reset and stall
+rule, belongs to the DirectionEngine.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .subproblems import DirectionEngine
 
 @dataclass
 class OuterState:
-    """Committed iterate data the mechanisms read and the driver updates."""
+    """The iterate: the mechanisms move x, f, c, h and the multipliers to an
+    accepted trial point, and the driver evaluates its derivatives."""
     x: np.ndarray
     f: float
     c: np.ndarray
@@ -55,21 +58,6 @@ class IterationRecord:
     warm_start: Optional[str] = None
 
 
-@dataclass
-class InnerOutcome:
-    terminated: bool = False
-    status: Optional[str] = None
-    x: Optional[np.ndarray] = None
-    f: float = math.nan
-    c: Optional[np.ndarray] = None
-    h: float = math.nan
-    lam: Optional[np.ndarray] = None
-    mu: Optional[np.ndarray] = None
-    verdict: object = None
-    record: Optional[IterationRecord] = None
-    direction: object = None
-
-
 class _Mechanism:
     """What both mechanisms share: the trial of one step x + alpha d."""
 
@@ -86,8 +74,9 @@ class _Mechanism:
                delta: Optional[float] = None):
         """Evaluate x + alpha d, append its trace row (a row with a radius
         shows no alpha; only the direction's first trial, fresh, shows its
-        shift and QP work) and let the strategy judge it. Returns (outcome,
-        |d|_inf): outcome is None unless accepted, and then lacks lam, mu."""
+        shift and QP work) and let the strategy judge it. Returns its verdict
+        if accepted, else None. An accepted trial becomes the iterate: its x,
+        f, c and h are written into os, its multipliers left to the caller."""
         d = dres.d
         dn = float(np.max(np.abs(d), initial=0.0))
         x_t = os.x + alpha * d
@@ -104,7 +93,7 @@ class _Mechanism:
         try:
             f_t, c_t = evaluate_functions(self.problem, x_t, self.counters)
         except NonFiniteValue:
-            return None, dn
+            return None
         h_t = infeasibility(c_t)
         models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
         trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
@@ -115,9 +104,9 @@ class _Mechanism:
         verdict = self.strategy.decide(sstate, trial)
         rec.f_trial, rec.h_trial, rec.label = f_t, h_t, verdict.label
         if not verdict.accepted:
-            return None, dn
-        return InnerOutcome(x=x_t, f=f_t, c=c_t, h=h_t, verdict=verdict,
-                            record=rec, direction=dres), dn
+            return None
+        os.x, os.f, os.c, os.h = x_t, f_t, c_t, h_t
+        return verdict
 
 
 class TrustRegionMechanism(_Mechanism):
@@ -127,35 +116,33 @@ class TrustRegionMechanism(_Mechanism):
         super().__init__(*args)
         self.delta = self.config.trust_region.delta_init
 
-    def run(self, os: OuterState, sstate, k: int,
-            records: list) -> InnerOutcome:
+    def run(self, os: OuterState, sstate, k: int, records: list):
         tr = self.config.trust_region
         l = 0
         while True:
             if self.delta < tr.delta_min:
                 if os.h <= self.config.tol:
-                    return InnerOutcome(terminated=True,
-                                        status="small_feasible_step")
+                    return None
                 raise SmallStepInfeasible(
                     f"radius collapsed to {self.delta:.2e} at violation "
                     f"{os.h:.2e}")
             l += 1
             dres = self.engine.compute(os, k, self.delta)
-            out, dn = self._trial(os, sstate, dres, 1.0, k, l, records,
+            verdict = self._trial(os, sstate, dres, 1.0, k, l, records,
                                   True, delta=self.delta)
-            if out is not None:
+            dn = records[-1].step_norm      # alpha = 1: the full |d|_inf
+            if verdict is not None:
                 if dn >= self.delta * (1.0 - tr.activity_tol):
                     self.delta = min(tr.grow * self.delta, tr.delta_max)
-                out.lam, out.mu = dres.lam.copy(), dres.mu.copy()
-                return out
+                os.lam, os.mu = dres.lam.copy(), dres.mu.copy()
+                return verdict, records[-1], dres
             self.delta = tr.shrink * min(self.delta, dn)
 
 
 class LineSearchMechanism(_Mechanism):
     """Backtracking on a fixed direction with interpolated multipliers."""
 
-    def run(self, os: OuterState, sstate, k: int,
-            records: list) -> InnerOutcome:
+    def run(self, os: OuterState, sstate, k: int, records: list):
         ls = self.config.line_search
         dres = self.engine.compute(os, k, None)
         fresh = True
@@ -170,11 +157,11 @@ class LineSearchMechanism(_Mechanism):
                 alpha = 1.0
                 continue
             l += 1
-            out, _ = self._trial(os, sstate, dres, alpha, k, l, records,
-                                 fresh)
+            verdict = self._trial(os, sstate, dres, alpha, k, l, records,
+                                  fresh)
             fresh = False
-            if out is not None:
-                out.lam = os.lam + alpha * (dres.lam - os.lam)
-                out.mu = os.mu + alpha * (dres.mu - os.mu)
-                return out
+            if verdict is not None:
+                os.lam = os.lam + alpha * (dres.lam - os.lam)
+                os.mu = os.mu + alpha * (dres.mu - os.mu)
+                return verdict, records[-1], dres
             alpha *= ls.backtrack

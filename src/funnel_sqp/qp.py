@@ -302,6 +302,8 @@ class _Core:
             if np.any(zero):
                 qz = V[:, zero] @ (V[:, zero].T @ q)
                 if np.max(np.abs(qz), initial=0.0) > q_tol:
+                    if not np.isfinite(np.linalg.norm(qz)):
+                        qz = qz / np.max(np.abs(qz))    # its norm overflowed
                     v = -qz / np.linalg.norm(qz)
                     return self._embed(free, Z @ v), True
             if np.max(np.abs(q), initial=0.0) <= q_tol:

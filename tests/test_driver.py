@@ -423,15 +423,18 @@ class TestDomainFaults:
 
 class TestOverflow:
     """A Lagrangian gradient past the float range's square root: its norm
-    reads inf in the trace, and no warning escapes solve()."""
+    reads inf in the trace, and no warning escapes solve(). Under trust
+    region the QP's zero-curvature ray along x has a norm that overflows
+    too; the ray must still stop at x's bound, not read as unbounded."""
 
     SRC = ("var x in [0, 1] start 0.5; var y start 0; "
            "minimize 1e160 * x + y^2;")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("strategy", ["funnel", "filter"])
-    def test_gradient_norm_overflow(self, strategy):
-        res = solve(load_source(self.SRC), _config(strategy, "line-search"))
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    def test_gradient_norm_overflow(self, strategy, mechanism):
+        res = solve(load_source(self.SRC), _config(strategy, mechanism))
         assert (res.status, res.n_outer) == ("kkt_point", 1)
         assert np.array_equal(res.x, [0.0, 0.0])
         assert math.isinf(res.iterations[0].grad_lag)

@@ -1,4 +1,8 @@
-"""Trust-region and line-search inner loops driven one outer step at a time."""
+"""Trust-region and line-search inner loops driven one outer step at a time.
+
+A run moves the iterate os to the accepted trial point and returns that
+step's (verdict, trace row, direction), or None when the trust radius
+collapses at a feasible point."""
 
 import math
 
@@ -7,8 +11,9 @@ import pytest
 
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.errors import RestorationStall, SmallStepInfeasible
-from funnel_sqp.mechanisms import (InnerOutcome, LineSearchMechanism,
-                                   OuterState, TrustRegionMechanism)
+from funnel_sqp.driver import solve
+from funnel_sqp.mechanisms import (LineSearchMechanism, OuterState,
+                                   TrustRegionMechanism)
 from funnel_sqp.problems import (EvalCounters, NcoProblem, evaluate_functions,
                                  evaluate_gradients, get_problem,
                                  infeasibility)
@@ -78,7 +83,7 @@ class TestTrustRegion:
     def test_golden_first_iteration_radii(self):
         mech, os, sstate = _setup("maratos-fletcher")
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
+        verdict, record, _ = mech.run(os, sstate, k=1, records=records)
         # the start point is written to 9 digits, so radii carry ~1e-10 noise
         assert [r.delta for r in records] == \
             pytest.approx([10.0, 0.25, 0.125], rel=1e-8)
@@ -86,10 +91,10 @@ class TestTrustRegion:
             [LABEL_REJ_ARMIJO, LABEL_REJ_ARMIJO, LABEL_F_TYPE]
         assert [r.l for r in records] == [1, 2, 3]
         assert [r.k for r in records] == [1, None, None]
-        assert out.verdict.accepted
+        assert verdict.accepted
         # the accepted step filled the shrunken radius, so it doubles
         assert mech.delta == pytest.approx(0.25, rel=1e-8)
-        assert out.record is records[-1]
+        assert record is records[-1]
 
     def test_rejection_shrinks_from_step_norm(self):
         mech, os, sstate = _setup("maratos-fletcher")
@@ -103,8 +108,8 @@ class TestTrustRegion:
     def test_accept_at_boundary_grows_radius(self):
         mech, os, sstate = _setup("circle")
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
-        assert out.verdict.accepted
+        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
+        assert verdict.accepted
         dn = records[-1].step_norm
         if dn >= mech.config.trust_region.delta_init * (1 - 1e-8):
             assert mech.delta == 20.0
@@ -114,9 +119,12 @@ class TestTrustRegion:
     def test_small_radius_feasible_terminates(self):
         mech, os, sstate = _setup("maratos-fletcher")   # start is feasible
         mech.delta = 1e-17
-        out = mech.run(os, sstate, k=1, records=[])
-        assert out.terminated
-        assert out.status == "small_feasible_step"
+        assert mech.run(os, sstate, k=1, records=[]) is None
+        # the driver reports a collapse at a feasible point as this status
+        config = apply_overrides(SolverConfig(),
+                                 {"trust_region.delta_init": "1e-17"})
+        res = solve(get_problem("maratos-fletcher"), config)
+        assert (res.status, res.n_outer) == ("small_feasible_step", 0)
 
     def test_small_radius_infeasible_raises(self):
         mech, os, sstate = _setup("line-circle")        # h = 4 at start
@@ -128,20 +136,23 @@ class TestTrustRegion:
     def test_evaluation_failure_rejects_and_shrinks(self):
         mech, os, sstate = _setup(_log_wall_problem())
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
+        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
         assert records[0].label == LABEL_REJ_EVAL
         assert math.isnan(records[0].f_trial)
         assert records[0].k == 1 and records[1].k is None
-        assert out.verdict.accepted
-        assert out.x[0] < 4.0
+        assert verdict.accepted
+        assert os.x[0] < 4.0
 
     def test_restoration_entry_zeroes_multipliers(self):
         mech, os, sstate = _setup("line-circle")
-        os.lam = np.array([3.0, -2.0])
+        os.lam = lam = np.array([3.0, -2.0])
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
-        assert np.array_equal(os.lam, [0.0, 0.0])
-        assert out.direction.phase is Phase.RESTORATION
+        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        # entry zeroed the iterate's multipliers in place; the accepted
+        # step then took the restoration QP's
+        assert np.array_equal(lam, [0.0, 0.0])
+        assert np.array_equal(os.lam, direction.lam)
+        assert direction.phase is Phase.RESTORATION
         assert records[-1].phase == "restoration"
 
     def test_kkt_zero_step(self):
@@ -150,20 +161,18 @@ class TestTrustRegion:
                                 [lambda x: x[0] - 1.0],
                                 x0=np.array([1.0]), lambda0=np.array([2.0]))
         mech, os, sstate = _setup(prob)
-        out = mech.run(os, sstate, k=1, records=[])
-        assert out.verdict.accepted
-        assert out.verdict.step_type == "kkt-zero"
+        verdict, _, _ = mech.run(os, sstate, k=1, records=[])
+        assert verdict.accepted
+        assert verdict.step_type == "kkt-zero"
 
     def test_radius_persists_across_runs(self):
         mech, os, sstate = _setup("maratos-fletcher")
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
+        verdict, record, _ = mech.run(os, sstate, k=1, records=records)
         # commit like the driver would, then run again
-        os.x, os.f, os.c, os.h = out.x, out.f, out.c, out.h
-        os.lam, os.mu = out.lam, out.mu
         os.grad_f, os.J = evaluate_gradients(mech.problem, os.x)
-        sstate = mech.strategy.commit(sstate, out.verdict)
-        mech.engine.apply_verdict(out.verdict, out.record, 1)
+        sstate = mech.strategy.commit(sstate, verdict)
+        mech.engine.apply_verdict(verdict, record, 1)
         records2 = []
         mech.run(os, sstate, k=2, records=records2)
         assert records2[0].delta == pytest.approx(0.25, rel=1e-8)
@@ -173,31 +182,31 @@ class TestLineSearch:
     def test_golden_first_iteration_backtrack(self):
         mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
+        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
         assert [r.alpha for r in records] == [1.0, 0.5]
         assert [r.label for r in records] == [LABEL_REJ_ARMIJO, LABEL_F_TYPE]
         # regularization is reported once per fresh direction
         assert records[0].regularization == 1e-4
         assert records[1].regularization is None
         assert records[0].delta is None
-        assert out.verdict.accepted
+        assert verdict.accepted
 
     def test_step_norm_is_scaled(self):
         mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
-        full = float(np.max(np.abs(out.direction.d)))
+        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        full = float(np.max(np.abs(direction.d)))
         assert records[0].step_norm == pytest.approx(full)
         assert records[1].step_norm == pytest.approx(0.5 * full)
 
     def test_multipliers_interpolated(self):
         mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
         lam0 = os.lam.copy()
-        out = mech.run(os, sstate, k=1, records=[])
-        alpha = out.record.alpha
-        expected = lam0 + alpha * (out.direction.lam - lam0)
-        assert np.allclose(out.lam, expected)
-        assert np.allclose(out.mu, alpha * out.direction.mu)
+        _, record, direction = mech.run(os, sstate, k=1, records=[])
+        alpha = record.alpha
+        expected = lam0 + alpha * (direction.lam - lam0)
+        assert np.allclose(os.lam, expected)
+        assert np.allclose(os.mu, alpha * direction.mu)
 
     def test_alpha_floor_enters_restoration_then_stalls(self):
         problem = get_problem("circle")
@@ -227,21 +236,83 @@ class TestLineSearch:
 
     def test_entry_counter_resets_on_accept(self):
         mech, os, sstate = _setup("line-circle", mechanism="line-search")
-        out = mech.run(os, sstate, k=1, records=[])
-        assert out.verdict.accepted
+        verdict, record, direction = mech.run(os, sstate, k=1, records=[])
+        assert verdict.accepted
         assert mech.engine.entries == 1
         # the driver applies the accepted step's verdict, which resets it
-        mech.engine.apply_verdict(out.verdict, out.record, 1)
+        mech.engine.apply_verdict(verdict, record, 1)
         assert mech.engine.entries == 0
-        assert out.direction.phase is Phase.RESTORATION
+        assert direction.phase is Phase.RESTORATION
 
     def test_infeasible_probe_enters_restoration(self):
         mech, os, sstate = _setup("line-circle", mechanism="line-search")
-        os.lam = np.array([1.0, 1.0])
+        os.lam = lam = np.array([1.0, 1.0])
         records = []
-        out = mech.run(os, sstate, k=1, records=records)
-        assert out.direction.phase is Phase.RESTORATION
-        assert np.array_equal(os.lam, [0.0, 0.0])
+        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        assert direction.phase is Phase.RESTORATION
+        # entry zeroed the iterate's multipliers in place, so the accepted
+        # step interpolated from zero
+        assert np.array_equal(lam, [0.0, 0.0])
+        assert np.allclose(os.lam, records[-1].alpha * direction.lam)
         events = mech.engine.events
         assert events and events[0]["source"] == "infeasible_qp"
         assert events[0]["k"] == 1
+
+
+class TestIterateContract:
+    """An accepted trial becomes the iterate in place; a run that ends
+    without one leaves the iterate as it was."""
+
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    def test_accepted_step_moves_iterate(self, mechanism):
+        mech, os, sstate = _setup("maratos-fletcher", mechanism)
+        x0, lam0, mu0 = os.x.copy(), os.lam.copy(), os.mu.copy()
+        records = []
+        verdict, record, direction = mech.run(os, sstate, k=1,
+                                              records=records)
+        assert verdict.accepted and record is records[-1]
+        alpha = 1.0 if record.alpha is None else record.alpha
+        assert np.array_equal(os.x, x0 + alpha * direction.d)
+        f, c = evaluate_functions(mech.problem, os.x)
+        assert (os.f, os.h) == (f, infeasibility(c)) == \
+            (record.f_trial, record.h_trial)
+        assert np.array_equal(os.c, c)
+        if mechanism == "trust-region":
+            # the QP's multipliers, copied
+            assert np.array_equal(os.lam, direction.lam)
+            assert np.array_equal(os.mu, direction.mu)
+            assert os.lam is not direction.lam and os.mu is not direction.mu
+        else:
+            assert np.array_equal(os.lam,
+                                  lam0 + alpha * (direction.lam - lam0))
+            assert np.array_equal(os.mu, mu0 + alpha * (direction.mu - mu0))
+
+    def test_small_feasible_step_leaves_iterate(self):
+        mech, os, sstate = _setup("maratos-fletcher")
+        before = dict(vars(os))
+        copies = {key: np.copy(value) for key, value in before.items()}
+        mech.delta = 1e-17
+        records = []
+        assert mech.run(os, sstate, k=1, records=records) is None
+        assert records == []
+        for key, value in vars(os).items():
+            assert value is before[key]
+            assert np.array_equal(value, copies[key])
+
+    @pytest.mark.parametrize("mechanism, problem, error", [
+        ("trust-region", "line-circle", SmallStepInfeasible),
+        ("line-search", "circle", RestorationStall)])
+    def test_raising_run_leaves_iterate(self, mechanism, problem, error):
+        mech, os, _ = _setup(problem, mechanism)
+        mech.strategy = _AlwaysReject()
+        x, f, c, h = os.x, os.f, os.c, os.h
+        x0, c0 = x.copy(), c.copy()
+        records = []
+        with pytest.raises(error):
+            mech.run(os, None, k=1, records=records)
+        # every trial was evaluated and rejected
+        assert len(records) > 40
+        assert all(r.label == LABEL_REJ_ARMIJO for r in records)
+        assert os.x is x and np.array_equal(os.x, x0)
+        assert os.c is c and np.array_equal(os.c, c0)
+        assert (os.f, os.h) == (f, h)

@@ -219,3 +219,42 @@ def test_restoration_stall_outcome_pinned(strategy, mechanism):
     assert (_outcome(res), res.error_kind,
             [(e["type"], e["k"]) for e in res.events]) == \
         STALL_OUTCOMES[strategy, mechanism]
+
+
+# fuzz-3 and fuzz-221 of scripts/fuzz_sweep.py. Trust-region steps run down
+# the unbounded objective until the QP's gradient W x + g (fuzz-3) and its
+# objective (fuzz-221) overflow; those read inf, no warning escapes solve(),
+# and the solve ends unbounded. Each row is the outcome row above and the
+# events' (type, k), at the sweep's max_outer = 300.
+OVERFLOW = {
+    "fuzz-3": ("var x start 0.78; var y start -0.22; "
+               "minimize -1.1 * exp(0.4 * y) + -0.68 * sin(y) "
+               "+ -1.9 * sin(y) + -1.56 * y; "
+               "subject_to 1.11 * cos(y + y) + 0.46 * y + -1.68 * x^2 "
+               "== -0.64;"),
+    "fuzz-221": ("var x start -0.04; var y start 0.3; var z start -0.87; "
+                 "minimize -1.8 * exp(0.4 * x) + -1.17 * z^2 + 1.89 * z^2; "
+                 "subject_to -0.92 * y^2 + 1.38 * exp(0.4 * z) "
+                 "+ 0.73 * cos(x + z) + -1.03 * y^2 == -0.57;"),
+}
+OVERFLOW_OUTCOMES = {
+    ("fuzz-3", "funnel"):
+        (("unbounded", 74, 158, (73, 1, 0, 0), (159, 159, 75, 75, 158)),
+         []),
+    ("fuzz-3", "filter"):
+        (("unbounded", 40, 90, (39, 1, 0, 0), (91, 91, 41, 41, 90)), []),
+    ("fuzz-221", "funnel"):
+        (("unbounded", 33, 78, (32, 1, 0, 0), (79, 79, 34, 34, 78)), []),
+    ("fuzz-221", "filter"):
+        (("unbounded", 34, 80, (31, 2, 1, 0), (81, 81, 35, 35, 81)),
+         [(ENTRY, 24), (EXIT, 25)]),
+}
+
+
+@pytest.mark.parametrize("name, strategy", sorted(OVERFLOW_OUTCOMES))
+def test_trust_region_overflow_outcome_pinned(name, strategy):
+    res = solve(load_source(OVERFLOW[name], name=name),
+                SolverConfig(strategy=strategy, mechanism="trust-region",
+                             max_outer=300))
+    assert (_outcome(res), [(e["type"], e["k"]) for e in res.events]) == \
+        OVERFLOW_OUTCOMES[name, strategy]
