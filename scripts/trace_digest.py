@@ -33,8 +33,18 @@ The 136 solves, each under all four strategy/mechanism variants:
   - a bounded objective whose gradient's norm overflows, as does the norm
     of the trust-region QP's zero-curvature ray (4).
 
-Usage: python3 scripts/trace_digest.py [--outcomes | --pivots | --factors]
-           > digest.txt
+With --parse, the script solves nothing: it prints one sha256 per model
+source instead, so two versions of the model language can be shown to read
+text the same. Each digest covers the parsed model (variables, bounds,
+starts, and every expression tree in pre-order) or else the error's class,
+message, line and column, and then tokenize()'s (kind, text, line, col)
+list or its error. The 338 sources: models/*.nco (3); the chain's .nco text
+at n=24 and n=200 for seeds 0-3 and 4099, and at n=800 for seed 0 (11);
+the 300 fuzz models of scripts/fuzz_sweep.py; and 24 malformed sources,
+at least one per ParseError raise site of dsl.py.
+
+Usage: python3 scripts/trace_digest.py
+           [--outcomes | --pivots | --factors | --parse] > digest.txt
 """
 
 import argparse
@@ -48,13 +58,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench"),
+                str(ROOT / "tests")]
 
 import chain  # noqa: E402
 from funnel_sqp import SolverConfig, format_trace, solve  # noqa: E402
 from funnel_sqp import linalg, qp  # noqa: E402
-from funnel_sqp.dsl import load_file, load_source  # noqa: E402
+from funnel_sqp.dsl import (Binary, Call, Num, Unary, Var,  # noqa: E402
+                            load_file, load_source, parse_model, tokenize)
+from funnel_sqp.errors import ParseError  # noqa: E402
 from funnel_sqp.problems import get_problem, problem_names  # noqa: E402
+from test_acceptance import _random_model_source  # noqa: E402
 
 VARIANTS = list(itertools.product(("funnel", "filter"),
                                   ("trust-region", "line-search")))
@@ -74,6 +88,33 @@ RESTORATION_STALL = (
     "subject_to -0.83 * y * y + -1.9 * cos(y + x) == -0.53;")
 GRADIENT_OVERFLOW = ("var x in [0, 1] start 0.5; var y start 0; "
                      "minimize 1e160 * x + y^2;")
+# each is rejected, most of them past line 1 so that positions are checked
+MALFORMED = (
+    "var x;\nminimize x @ 2;",                    # unexpected character
+    "var x;\r\n\tminimize x²;",                   # a digit, not a decimal
+    "var é;",                                     # a letter, not ASCII
+    "var x;\nminimize .;",                        # a lone point
+    "var 1.5;",                                   # expected a variable name
+    "var x\nvar y;",                              # expected ';'
+    "var x;\nminimize x +",                       # found end of input
+    "var x;\n# a comment\n  minimize (x + 1;",    # expected ')'
+    "var x;\n;",                                  # expected a statement
+    "var x;\nvar sin;",                           # reserved
+    "var x;\n\nvar x;",                           # duplicate declaration
+    "var x in [3, 1];",                           # empty bound interval
+    "var x in [inf, inf];",                       # no real point
+    "var x in [a, 1];",                           # expected a number or inf
+    "var x start -;",                             # expected a number
+    "var x;\nminimize x;\nminimize x;",           # duplicate objective
+    "var x;\nsubject_to x + 1;",                  # expected a relation
+    "var x;\nsubject_to 1 <= x >= 0;",            # ranged with >=
+    "var x; var y;\nsubject_to y <= x <= 2;",     # no numeric lower end
+    "var x; var y;\nsubject_to 0 <= x <= y;",     # no numeric upper end
+    "var x;\nsubject_to 4 <= x <= 2;",            # empty constraint range
+    "var x;\nminimize start;",                    # unexpected keyword
+    "var x;\nminimize x * zz;",                   # undeclared variable
+    "var x;\nminimize x * ;",                     # expected an expression
+)
 
 
 def problems():
@@ -100,6 +141,64 @@ def problems():
            None)
     yield ("gradient-overflow", lambda: load_source(GRADIENT_OVERFLOW),
            None)
+
+
+def sources():
+    """(label, text) for every source --parse reads."""
+    for path in sorted((ROOT / "models").glob("*.nco")):
+        yield path.name, path.read_text()
+    for n, seeds in ((24, SEEDS), (200, SEEDS), (800, (0,))):
+        for seed in seeds:
+            yield (f"dsl-chain-{n}/seed-{seed}",
+                   chain.nco_text(chain.start_point(n, seed)))
+    rng = np.random.default_rng(7007)
+    for i in range(300):
+        yield f"fuzz-{i}", _random_model_source(rng)
+    for i, text in enumerate(MALFORMED):
+        yield f"malformed-{i}", text
+
+
+def tree(e) -> str:
+    """An expression tree in pre-order. A long sum is a left spine as deep
+    as it has terms, so the walk keeps its own stack."""
+    out, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Binary):
+            out.append(f"B{e.op}")
+            stack += [e.right, e.left]
+        elif isinstance(e, Unary):
+            out.append(f"U{e.op}")
+            stack.append(e.operand)
+        elif isinstance(e, Call):
+            out.append(f"C{e.fn}")
+            stack.append(e.arg)
+        elif isinstance(e, Num):
+            out.append(f"N{e.value!r}")
+        else:
+            assert isinstance(e, Var)
+            out.append(f"V{e.name}")
+    return " ".join(out)
+
+
+def parsed(text) -> str:
+    """sha256 of the model parsed from text and of tokenize(text)."""
+    def error(exc):
+        return f"{type(exc).__name__}: {exc}  {exc.line}:{exc.column}"
+    try:
+        m = parse_model(text)
+        parts = [m.name] + [repr((v.name, v.lb, v.ub, v.start))
+                            for v in m.variables]
+        parts.append("None" if m.objective is None else tree(m.objective))
+        parts += [f"{r.lo!r} {r.hi!r} {tree(r.body)}" for r in m.constraints]
+    except ParseError as exc:
+        parts = [error(exc)]
+    try:
+        parts += [repr((t.kind, t.text, t.line, t.col))
+                  for t in tokenize(text)]
+    except ParseError as exc:
+        parts.append(error(exc))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def digest(res) -> str:
@@ -145,7 +244,7 @@ def counted(fn, counts, key):
     return wrapper
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--outcomes", action="store_true",
@@ -156,7 +255,14 @@ def main():
     mode.add_argument("--factors", action="store_true",
                       help="print each solve's pivoted QRs and QP working "
                            "sets factored instead of a digest")
-    args = parser.parse_args()
+    mode.add_argument("--parse", action="store_true",
+                      help="print one digest per model source, parsed and "
+                           "tokenized, and solve nothing")
+    args = parser.parse_args(argv)
+    if args.parse:
+        for label, text in sources():
+            print(f"{parsed(text)}  {label}")
+        return
     show = outcome if args.outcomes else pivots if args.pivots else digest
     counts = collections.Counter()
     if args.factors:

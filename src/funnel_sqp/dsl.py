@@ -21,7 +21,9 @@ are rejected like [1, 0].
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -72,99 +74,122 @@ class Token:
     col: int
 
 
-# leading blanks are skipped inside each match and the last group catches
-# any other character, so finditer can only leave out trailing blanks
+# leading blanks are skipped inside each match and the last alternative
+# catches any other character, so findall can only leave out trailing blanks
 _TOKEN_RE = re.compile(
     r"""[ \t\r]*
-      (?: (\#[^\n]*)                              # 1 comment
-        | (\n)                                     # 2 newline
-        | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)    # 3 number
-        | ([A-Za-z_][A-Za-z0-9_]*)                 # 4 identifier
-        | (<=|>=|==|[+\-*/^()\[\],;])              # 5 operator
-        | ([^ \t\r]) )                             # 6 anything else
+      ( \#[^\n]*                                  # comment
+      | \n                                        # newline
+      | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?      # number
+      | [A-Za-z_][A-Za-z0-9_]*                    # identifier
+      | <=|>=|==|[+\-*/^()\[\],;]                 # operator
+      | [^ \t\r] )                                # anything else
     """,
     re.VERBOSE,
 )
+_OPERATORS = {"<=", ">=", "==", *"+-*/^()[],;"}
+_NAME_START = frozenset(string.ascii_letters + "_")
+
+
+def _scan(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of text's tokens, ending with 'eof'. A lexeme is
+    classified by its first character: a number's is what the pattern's \\d
+    matches, str.isdecimal() (isdigit() would take '²'), or a '.' with more."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    for lexeme in _TOKEN_RE.findall(text):
+        c = lexeme[0]
+        if c in _NAME_START:
+            kinds.append("ident")
+        elif lexeme in _OPERATORS:
+            kinds.append(lexeme)
+        elif c.isdecimal() or (c == "." and len(lexeme) > 1):
+            kinds.append("num")
+        elif c == "#" or c == "\n":
+            continue
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}",
+                             *_position(text, len(kinds)))
+        texts.append(lexeme)
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
+
+
+def _positions(text: str):
+    """(line, col) of each token of text, then of the end of input."""
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        lexeme = m.group(1)
+        if lexeme == "\n":
+            line, line_start = line + 1, m.end()
+        elif lexeme[0] != "#":
+            yield line, m.start(1) - line_start + 1
+    yield line, len(text) - line_start + 1
+
+
+def _position(text: str, i: int) -> tuple[int, int]:
+    """(line, col) of token i of text; worked out only to report an error."""
+    return next(itertools.islice(_positions(text), i, None))
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            continue
-        if group == 2:
-            line += 1
-            line_start = m.end()
-            continue
-        start = m.start(group)
-        lexeme = text[start:m.end()]
-        if group == 6:
-            raise ParseError(f"unexpected character {lexeme!r}", line,
-                             start - line_start + 1)
-        kind = lexeme if group == 5 else ("num" if group == 3 else "ident")
-        tokens.append(Token(kind, lexeme, line, start - line_start + 1))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    return [Token(*t, *p) for t, p in zip(zip(*_scan(text)), _positions(text))]
 
 
 # ------------------ parser ------------------
 
 class _Parser:
-    def __init__(self, tokens: list[Token], name: str):
-        self.toks = tokens
+    """Recursive descent over _scan's kinds/texts lists. Only an identifier's
+    text can be a keyword's and only eof's is empty, so those tests read it."""
+
+    def __init__(self, text: str, name: str):
+        self.source = text
+        self.kinds, self.texts = _scan(text)
         self.i = 0
         self.model = Model(name=name)
         self.declared: dict[str, int] = {}
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def advance(self) -> Token:
-        t = self.toks[self.i]
+    def advance(self) -> str:
         self.i += 1
-        return t
+        return self.texts[self.i - 1]
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            found = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what or kind!r}, found {found!r}",
-                             t.line, t.col)
+    def expect(self, kind: str, what: str | None = None) -> str:
+        if self.kinds[self.i] != kind:
+            found = self.texts[self.i] or "end of input"
+            self.fail(f"expected {what or kind!r}, found {found!r}")
         return self.advance()
 
-    def fail(self, message: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise ParseError(message, t.line, t.col)
+    def fail(self, message: str, at: int | None = None, error=ParseError):
+        """Raise error at token at, by default the current one."""
+        raise error(message, *_position(self.source,
+                                         self.i if at is None else at))
 
     # -- statements --
 
     def parse(self) -> Model:
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind == "ident" and t.text == "var":
+        while t := self.texts[self.i]:
+            if t == "var":
                 self.var_decl()
-            elif t.kind == "ident" and t.text == "minimize":
+            elif t == "minimize":
                 self.minimize()
-            elif t.kind == "ident" and t.text == "subject_to":
+            elif t == "subject_to":
                 self.subject_to()
             else:
-                self.fail(f"expected a statement, found {t.text!r}")
+                self.fail(f"expected a statement, found {t!r}")
         return self.model
 
     def var_decl(self):
         self.advance()
-        name_tok = self.expect("ident", "a variable name")
-        name = name_tok.text
+        at = self.i
+        name = self.expect("ident", "a variable name")
         if name in KEYWORDS or name in FUNCTIONS:
-            self.fail(f"{name!r} is reserved", name_tok)
+            self.fail(f"{name!r} is reserved", at)
         if name in self.declared:
-            raise DuplicateDeclaration(
-                f"variable {name!r} already declared",
-                name_tok.line, name_tok.col)
+            self.fail(f"variable {name!r} already declared", at,
+                      DuplicateDeclaration)
         decl = VarDecl(name=name)
-        if self.peek().kind == "ident" and self.peek().text == "in":
+        if self.texts[self.i] == "in":
             self.advance()
             self.expect("[")
             decl.lb = self.bound()
@@ -172,8 +197,8 @@ class _Parser:
             decl.ub = self.bound()
             self.expect("]")
             if decl.lb > decl.ub or decl.lb == np.inf or decl.ub == -np.inf:
-                self.fail(f"empty bound interval for {name!r}", name_tok)
-        if self.peek().kind == "ident" and self.peek().text == "start":
+                self.fail(f"empty bound interval for {name!r}", at)
+        if self.texts[self.i] == "start":
             self.advance()
             decl.start = self.signed_number()
         self.expect(";")
@@ -182,28 +207,26 @@ class _Parser:
 
     def bound(self) -> float:
         sign = 1.0
-        if self.peek().kind in ("-", "+"):
-            sign = -1.0 if self.advance().kind == "-" else 1.0
-        t = self.peek()
-        if t.kind == "ident" and t.text == "inf":
+        if self.kinds[self.i] in ("-", "+"):
+            sign = -1.0 if self.advance() == "-" else 1.0
+        if self.texts[self.i] == "inf":
             self.advance()
             return sign * np.inf
-        if t.kind == "num":
-            self.advance()
-            return sign * float(t.text)
+        if self.kinds[self.i] == "num":
+            return sign * float(self.advance())
         self.fail("expected a number or inf")
 
     def signed_number(self) -> float:
         sign = 1.0
-        if self.peek().kind in ("-", "+"):
-            sign = -1.0 if self.advance().kind == "-" else 1.0
-        t = self.expect("num", "a number")
-        return sign * float(t.text)
+        if self.kinds[self.i] in ("-", "+"):
+            sign = -1.0 if self.advance() == "-" else 1.0
+        return sign * float(self.expect("num", "a number"))
 
     def minimize(self):
-        t = self.advance()
+        at = self.i
+        self.advance()
         if self.model.objective is not None:
-            self.fail("duplicate objective", t)
+            self.fail("duplicate objective", at)
         self.model.objective = self.expr()
         self.expect(";")
 
@@ -214,35 +237,35 @@ class _Parser:
 
     def constraint(self) -> Relation:
         lhs = self.expr()
-        op_tok = self.peek()
-        if op_tok.kind not in ("==", "<=", ">="):
+        op_at, op = self.i, self.kinds[self.i]
+        if op not in ("==", "<=", ">="):
             self.fail("expected a relation (==, <=, >=)")
         self.advance()
         rhs = self.expr()
-        if self.peek().kind in ("<=", ">="):
+        if self.kinds[self.i] in ("<=", ">="):
             # ranged: lo <= body <= hi with literal ends
-            second = self.peek()
-            if op_tok.kind != "<=" or second.kind != "<=":
+            second = self.i
+            if op != "<=" or self.kinds[second] != "<=":
                 self.fail("ranged constraints use <= on both sides", second)
             lo = _literal_value(lhs)
             if lo is None:
-                self.fail("ranged constraint needs a numeric lower end", op_tok)
+                self.fail("ranged constraint needs a numeric lower end", op_at)
             self.advance()
             hi_expr = self.expr()
             hi = _literal_value(hi_expr)
             if hi is None:
                 self.fail("ranged constraint needs a numeric upper end", second)
             if lo > hi:
-                self.fail("empty constraint range", op_tok)
+                self.fail("empty constraint range", op_at)
             return Relation(body=rhs, lo=lo, hi=hi)
         lv, rv = _literal_value(lhs), _literal_value(rhs)
-        if op_tok.kind == "==":
+        if op == "==":
             if rv is not None:
                 return Relation(lhs, rv, rv)
             if lv is not None:
                 return Relation(rhs, lv, lv)
             return Relation(Binary("-", lhs, rhs), 0.0, 0.0)
-        if op_tok.kind == "<=":
+        if op == "<=":
             if rv is not None:
                 return Relation(lhs, -np.inf, rv)
             if lv is not None:
@@ -257,62 +280,60 @@ class _Parser:
 
     # -- expressions --
 
-    # the expression rules read self.toks[self.i] directly: they run once
+    # the expression rules read self.kinds[self.i] directly: they run once
     # per token and dominate the time to load a model
 
     def expr(self) -> Expr:
         e = self.term()
-        while (op := self.toks[self.i].kind) in ("+", "-"):
+        while (op := self.kinds[self.i]) in ("+", "-"):
             self.i += 1
             e = Binary(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.unary()
-        while (op := self.toks[self.i].kind) in ("*", "/"):
+        while (op := self.kinds[self.i]) in ("*", "/"):
             self.i += 1
             e = Binary(op, e, self.unary())
         return e
 
     def unary(self) -> Expr:
-        if self.toks[self.i].kind == "-":
+        if self.kinds[self.i] == "-":
             self.i += 1
             return Unary("-", self.unary())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.toks[self.i].kind == "^":
+        if self.kinds[self.i] == "^":
             self.i += 1
             return Binary("^", base, self.unary())
         return base
 
     def atom(self) -> Expr:
-        t = self.toks[self.i]
-        if t.kind == "num":
+        kind, t = self.kinds[self.i], self.texts[self.i]
+        if kind == "num":
             self.i += 1
-            return Num(float(t.text))
-        if t.kind == "ident":
-            if t.text in FUNCTIONS:
-                self.advance()
+            return Num(float(t))
+        if kind == "ident":
+            if t in FUNCTIONS:
+                self.i += 1
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
-                return Call(t.text, arg)
-            if t.text in self.declared:
-                self.advance()
-                return Var(t.text)
-            if t.text in KEYWORDS:
-                self.fail(f"unexpected keyword {t.text!r}")
-            raise UndeclaredVariable(
-                f"undeclared variable {t.text!r}", t.line, t.col)
-        if t.kind == "(":
-            self.advance()
+                return Call(t, arg)
+            if t in self.declared:
+                self.i += 1
+                return Var(t)
+            if t in KEYWORDS:
+                self.fail(f"unexpected keyword {t!r}")
+            self.fail(f"undeclared variable {t!r}", error=UndeclaredVariable)
+        if kind == "(":
+            self.i += 1
             e = self.expr()
             self.expect(")")
             return e
-        found = t.text if t.kind != "eof" else "end of input"
-        self.fail(f"expected an expression, found {found!r}")
+        self.fail(f"expected an expression, found {t or 'end of input'!r}")
 
 
 def _literal_value(e: Expr) -> Optional[float]:
@@ -324,7 +345,7 @@ def _literal_value(e: Expr) -> Optional[float]:
 
 
 def parse_model(text: str, name: str = "model") -> Model:
-    return _Parser(tokenize(text), name).parse()
+    return _Parser(text, name).parse()
 
 
 # ------------------ pretty printer ------------------
@@ -341,33 +362,32 @@ def _prec(e: Expr) -> int:
 
 
 def format_expr(e: Expr) -> str:
+    # a long sum is a left spine as deep as it has terms: walk it in a loop
+    # and recurse only into right operands, negations and call arguments
+    spine = []
+    while isinstance(e, Binary):
+        spine.append(e)
+        e = e.left
     if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({format_expr(e.arg)})"
-    if isinstance(e, Unary):
+        s = repr(e.value)
+    elif isinstance(e, Var):
+        s = e.name
+    elif isinstance(e, Call):
+        s = f"{e.fn}({format_expr(e.arg)})"
+    elif isinstance(e, Unary):
         s = format_expr(e.operand)
-        if _prec(e.operand) < 3:
+        s = f"-({s})" if _prec(e.operand) < 3 else f"-{s}"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    for b in reversed(spine):
+        # ^ is right associative and takes a negation on its right
+        p, rs = _PREC[b.op], format_expr(b.right)
+        if _prec(b.left) < p + (b.op == "^"):
             s = f"({s})"
-        return f"-{s}"
-    if isinstance(e, Binary):
-        p = _PREC[e.op]
-        ls = format_expr(e.left)
-        rs = format_expr(e.right)
-        if e.op == "^":
-            if _prec(e.left) <= 4:
-                ls = f"({ls})"
-            if _prec(e.right) < 3:
-                rs = f"({rs})"
-        else:
-            if _prec(e.left) < p:
-                ls = f"({ls})"
-            if _prec(e.right) <= p:
-                rs = f"({rs})"
-        return f"{ls} {e.op} {rs}"
-    raise TypeError(f"not an expression node: {e!r}")
+        if _prec(b.right) < (3 if b.op == "^" else p + 1):
+            rs = f"({rs})"
+        s = f"{s} {b.op} {rs}"
+    return s
 
 
 def _fmt_bound(v: float) -> str:

@@ -29,8 +29,10 @@ point and working set, so that an elastic QP over the same constraints
 hit.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
-steps that never pivot. A small nonconvex box-only QP then gets a face
-scan, whose faces are warm starts on each face's bound codes.
+steps that never pivot. A Newton step no larger than machine epsilon times
+|x_i| in every entry is a zero step, since it moves x by its rounding only.
+A small nonconvex box-only QP then gets a face scan, whose faces are warm
+starts on each face's bound codes.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementari
 STATIONARY_REL = 1e-10       # reduced-gradient zero test
 MU_SIGN_REL = 1e-9           # bound-multiplier sign tolerance
 FACE_ENUM_MAX = 6            # box-only nonconvex polish up to 3^6 faces
+EPS = float(np.finfo(float).eps)   # machine epsilon: the zero-step test
 
 FREE, LOWER, UPPER, PINNED = 0, -1, 1, 2
 
@@ -310,7 +313,10 @@ class _Core:
                 return None
             pz = f.newton(q, ~(neg | zero))
         p = self._embed(free, Z @ pz)
-        if np.max(np.abs(p), initial=0.0) <= q_tol:
+        # a step within the rounding of x makes no progress: x would only
+        # flip between adjacent doubles until the pass budget ran out
+        if np.max(np.abs(p), initial=0.0) <= q_tol or \
+                np.all(np.abs(p) <= EPS * np.abs(x)):
             return None
         return p, False
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient
+from conftest import bench_chain, fd_gradient
 from funnel_sqp.dsl import (Binary, Call, Model, Num, Relation, Unary, Var,
                             VarDecl, format_expr, format_model, load_file,
                             load_source, model_to_general, parse_model,
@@ -46,6 +46,62 @@ class TestTokenizer:
         assert all(t.kind == "num" for t in toks[:-1])
         assert [float(t.text) for t in toks[:-1]] == \
             [1.0, 2.5, 0.5, 3.0, 1e4, 2.5e-3]
+
+    @staticmethod
+    def _rows(text):
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+
+    @staticmethod
+    def _error(text, parse=tokenize):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        return type(exc.value), exc.value.line, exc.value.column
+
+    def test_crlf_and_tabs(self):
+        # '\r' and '\t' are blanks; a tab counts as one column
+        assert self._rows("x\r\n\ty;\r\n") == [
+            ("ident", "x", 1, 1), ("ident", "y", 2, 2), (";", ";", 2, 3),
+            ("eof", "", 3, 1)]
+
+    def test_comment_on_last_line_without_newline(self):
+        assert self._rows("x # c") == [("ident", "x", 1, 1),
+                                       ("eof", "", 1, 6)]
+
+    def test_empty_source(self):
+        assert self._rows("") == [("eof", "", 1, 1)]
+
+    def test_exponent_without_digits(self):
+        # '1e' is the number 1 followed by the identifier e
+        assert self._rows("1e") == [("num", "1", 1, 1), ("ident", "e", 1, 2),
+                                    ("eof", "", 1, 3)]
+
+    def test_two_decimal_points(self):
+        assert self._rows("1.5.2") == [("num", "1.5", 1, 1),
+                                       ("num", ".2", 1, 4), ("eof", "", 1, 6)]
+
+    @pytest.mark.parametrize("text", [".", "..5"])
+    def test_lone_point(self, text):
+        assert self._error(text) == (ParseError, 1, 1)
+
+    @pytest.mark.parametrize("text", ["x é", "x ²"])
+    def test_non_ascii_letters_and_digits_rejected(self, text):
+        # only ASCII letters start a name, and '²' is a digit but not a
+        # decimal one, so neither may start a token
+        assert self._error(text) == (ParseError, 1, 3)
+
+    def test_decimal_digit_of_another_script_is_a_number(self):
+        assert self._rows("٣") == [("num", "٣", 1, 1), ("eof", "", 1, 2)]
+
+    def test_error_positions_on_line_three(self):
+        head = "var x;\nvar y;\n"
+        assert self._error(head + "  minimize x @ y;", parse_model) == \
+            (ParseError, 3, 14)
+        assert self._error(head + "minimize x + zz;", parse_model) == \
+            (UndeclaredVariable, 3, 14)
+        with pytest.raises(ParseError) as exc:
+            parse_model(head + "minimize x +")
+        assert str(exc.value) == ("line 3, column 13: expected an "
+                                  "expression, found 'end of input'")
 
 
 class TestParser:
@@ -222,6 +278,17 @@ class TestPrinter:
         once = format_model(parse_model(CIRCLE_SRC))
         twice = format_model(parse_model(once))
         assert once == twice
+
+    def test_format_model_of_a_long_sum(self):
+        # the n=800 chain's objective is a left spine of about 1,600 nodes,
+        # deeper than the recursion limit. A Model's == and repr recurse
+        # too, so the check compares printed texts.
+        chain = bench_chain()
+        text = chain.nco_text(chain.start_point(800, 0))
+        once = format_model(parse_model(text))
+        assert format_model(parse_model(once)) == once
+        p, q = load_source(text), load_source(once)
+        assert q.f(q.x0) == p.f(p.x0)
 
     def test_format_model_omits_defaults(self):
         text = format_model(parse_model("var x;\nvar y in [0.0, inf];"))

@@ -258,3 +258,24 @@ def test_trust_region_overflow_outcome_pinned(name, strategy):
                              max_outer=300))
     assert (_outcome(res), [(e["type"], e["k"]) for e in res.events]) == \
         OVERFLOW_OUTCOMES[name, strategy]
+
+
+# fuzz-7 of scripts/fuzz_sweep.py. Line search follows the concave objective
+# out along z until a QP's Newton step falls within the rounding of x: that
+# QP used to flip x between adjacent doubles until its pivot budget ran out
+# (error/qp_max_pivots at 61 outer iterations). Such a step is now a zero
+# step and the solve runs on to unbounded. The row is the outcome row above,
+# at the sweep's max_outer = 300; no events.
+ROUNDING = ("var x start -0.88; var y start -0.55; var z start -0.07; "
+            "minimize -1.33 * z^2 + -0.59 * z; "
+            "subject_to -0.65 * y + -0.98 * sin(x) + -1.41 * sin(y) "
+            "== 0.84;")
+
+
+@pytest.mark.parametrize("strategy", ["funnel", "filter"])
+def test_newton_step_under_rounding_outcome_pinned(strategy):
+    res = solve(load_source(ROUNDING, name="fuzz-7"),
+                SolverConfig(strategy=strategy, mechanism="line-search",
+                             max_outer=300))
+    assert (_outcome(res), res.events) == \
+        (("unbounded", 81, 81, (80, 1, 0, 0), (82, 82, 82, 82, 81)), [])

@@ -156,6 +156,21 @@ class TestHandCases:
         with returns_within(10), pytest.raises(DimensionMismatch):
             solve_qp(qp, max_pivots=150)
 
+    def test_newton_step_below_rounding_is_a_zero_step(self):
+        # a huge g3 puts x3 near 8.6e6, where one ulp (1.9e-9) exceeds the
+        # Newton step |p3| = 1e-9 while |q| = 7.45e-9 stays above q_tol:
+        # x3 flipped between two adjacent doubles until MaxPivots
+        qp = box_qp(np.diag([10.0, 10.0, 7.34]),
+                    [0.0, 0.0, -62908113.21743854],
+                    A=[-0.7315629283984152, -2.054126472538172, 0.0],
+                    b=[0.0])
+        with returns_within(10):
+            sol = solve_qp(qp)
+        assert sol.status == "optimal"
+        assert sol.x[2] == 8570587.631803617
+        # the residual is the rounding of |g3|, not the solver's slack
+        assert kkt_residual(qp, sol) <= 2.0 * np.spacing(62908113.21743854)
+
     def test_objective_helper(self):
         qp = box_qp([[2.0]], [3.0])
         assert qp_objective(qp, np.array([2.0])) == 0.5 * 2 * 4 + 6.0
