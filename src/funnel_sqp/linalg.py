@@ -2,14 +2,16 @@
 
 The factorization is LAPACK's Bunch-Kaufman ``sytrf``; inertia is read off
 its 1x1 / 2x2 pivot blocks. Null-space bases come from the column-pivoted
-QR ``geqp3``, with Q formed by ``orgqr``; the same factors give minimum-norm
-points (``trtrs`` with R^T) and full-rank least-squares multipliers
-(``trtrs`` with R). Positive definite matrices are factored by ``potrf``,
-with ``trtri`` bounding their smallest eigenvalue, and solved with
-``potrs``. The routines are called directly, with the workspace sizes that
-scipy.linalg's ``ldl`` and ``qr`` query, so the factors are bit for bit the
-ones those wrappers compute. Everything here is dense and sized for
-desk-scale problems.
+QR ``geqp3``. Q is never formed: ``ormqr`` applies its Householder
+reflectors to the trailing identity columns, which gives the null-space
+block Z alone, and to single vectors, which with ``trtrs`` give
+minimum-norm points (R^T) and full-rank least-squares multipliers (R).
+Positive definite matrices are factored by ``potrf``, with ``trtri``
+bounding their smallest eigenvalue, and solved with ``potrs``. The
+routines are called directly; ``sytrf`` and ``geqp3`` get the workspace
+sizes that scipy.linalg's ``ldl`` and ``qr`` query, so the LDL^T factors
+and the raw QR factors are bit for bit the ones those wrappers compute.
+Everything here is dense and sized for desk-scale problems.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ ZERO_EIG_REL = 1e-12
 # |R_ii| <= RANK_REL * |R_00| counts as a dependent column in QR
 RANK_REL = 1e-10
 
-(_sytrf, _sytrf_lwork, _geqp3, _orgqr, _potrf, _potrs, _trtri,
- _trtrs) = get_lapack_funcs(("sytrf", "sytrf_lwork", "geqp3", "orgqr",
+(_sytrf, _sytrf_lwork, _geqp3, _ormqr, _potrf, _potrs, _trtri,
+ _trtrs) = get_lapack_funcs(("sytrf", "sytrf_lwork", "geqp3", "ormqr",
                              "potrf", "potrs", "trtri", "trtrs"),
                             dtype=np.float64)
 
@@ -127,17 +129,34 @@ def pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return qr, jpvt - 1, tau
 
 
+def _apply_q(qr, tau, C, trans: str) -> np.ndarray:
+    """Q C (trans "N") or Q^T C (trans "T") for the Q whose reflectors are
+    the columns of qr, as geqp3 stores them, overwriting the Fortran-ordered
+    C. No workspace size is queried: a matrix gets enough for ormqr's
+    blocked path at any block size up to LAPACK's 64, and a single column
+    the minimum, which takes the unblocked path: for one column, forming
+    each block's triangular factor costs more than it saves (about 3x)."""
+    k = C.shape[1]
+    out, _, info = _ormqr("L", trans, qr, tau, C,
+                          lwork=64 * (k + 65) if k > 1 else 1, overwrite_c=1)
+    _check(info, "ormqr")
+    return out
+
+
 @dataclass
 class NullspaceFactors:
     """Column-pivoted QR of an n x m matrix A, split at its numerical rank r.
 
     A[:, piv] = [Q1 Z] [[R11, R12], [0, R22]] with R22 negligible: Z
     (n x (n - r)) spans the null space of A^T, Q1 (n x r) the range of A,
-    and R11 (r x r, read from its upper triangle only) is nonsingular.
+    and R11 (r x r, read from its upper triangle only) is nonsingular. Q is
+    kept as geqp3's reflectors, the columns of qr (n x min(n, m)) below
+    R's diagonal with scales tau; Q1 is never formed.
     """
 
     Z: np.ndarray
-    Q1: np.ndarray
+    qr: np.ndarray
+    tau: np.ndarray
     R11: np.ndarray
     piv: np.ndarray
     rank: int
@@ -146,18 +165,23 @@ class NullspaceFactors:
         """x = Q1 R11^-T rhs[piv[:r]]: the minimum-norm solution of
         A^T x = rhs when that system is consistent (check the residual)."""
         r = self.rank
-        if r == 0:
-            return np.zeros(self.Q1.shape[0])
-        y, info = _trtrs(self.R11, rhs[self.piv[:r]], lower=0, trans=1)
-        _check_solve(info, "trtrs")
-        return self.Q1 @ y
+        x = np.zeros((self.qr.shape[0], 1))
+        if r:
+            y, info = _trtrs(self.R11, rhs[self.piv[:r]], lower=0, trans=1)
+            _check_solve(info, "trtrs")
+            x[:r, 0] = y
+            x = _apply_q(self.qr, self.tau, x, "N")
+        return x[:, 0]
 
     def multipliers(self, g: np.ndarray) -> np.ndarray:
         """The least-squares solution of A lam = g; A must have full column
         rank (rank == m)."""
-        if self.rank == 0:
+        r = self.rank
+        if r == 0:
             return np.zeros(self.piv.size)
-        y, info = _trtrs(self.R11, self.Q1.T @ g, lower=0)
+        qg = _apply_q(self.qr, self.tau, np.array(g, dtype=float)[:, None],
+                      "T")
+        y, info = _trtrs(self.R11, qg[:r, 0], lower=0)
         _check_solve(info, "trtrs")
         lam = np.empty(self.piv.size)
         lam[self.piv] = y
@@ -175,20 +199,16 @@ def nullspace_basis(A: np.ndarray) -> NullspaceFactors:
         raise DimensionMismatch(f"expected a 2-d array, got shape {A.shape}")
     n, m = A.shape
     if m == 0 or not np.any(A):
-        return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros((0, 0)),
-                                np.arange(m), 0)
+        return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros(0),
+                                np.zeros((0, 0)), np.arange(m), 0)
     qr, piv, tau = pivoted_qr(A)
     rank = r_rank(qr)
-    # orgqr forms the n x n Q from the reflectors in its leading columns; it
-    # works on a copy, so qr still holds R
-    k = min(n, m)
-    q = np.empty((n, n), order="F")
-    q[:, :k] = qr[:, :k]
-    lwork = int(_orgqr(q, tau, lwork=-1)[1][0])
-    Q, _, info = _orgqr(q, tau, lwork=lwork, overwrite_a=1)
-    _check(info, "orgqr")
-    return NullspaceFactors(Q[:, rank:], Q[:, :rank], qr[:rank, :rank], piv,
-                            rank)
+    # Z = Q [0; I]: the reflectors applied to the trailing identity columns
+    reflectors = qr[:, :min(n, m)]
+    Z = np.zeros((n, n - rank), order="F")
+    np.fill_diagonal(Z[rank:], 1.0)
+    Z = _apply_q(reflectors, tau, Z, "N")
+    return NullspaceFactors(Z, reflectors, tau, qr[:rank, :rank], piv, rank)
 
 
 def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:

@@ -42,8 +42,12 @@ class EvalCounters:
 class NcoProblem:
     """Standard-form problem with callable evaluators.
 
-    hess_c returns an (m, n, n) stack; evaluate_lagrangian_hessian combines
-    it with hess_f so solvers never touch individual constraint Hessians.
+    hess_lag(x, rho, lam), when set, returns the Lagrangian Hessian
+    rho * hess f - sum_j lam_j * hess c_j as one n x n array;
+    from_expressions sets it from its tapes, which form no per-row stack.
+    hess_f and hess_c (an (m, n, n) stack) are the per-function view, for
+    tests and tools, and for problems given as callables only.
+    evaluate_lagrangian_hessian is the one place the solver asks for W.
     """
     name: str
     n: int
@@ -59,6 +63,8 @@ class NcoProblem:
     x0: np.ndarray
     lambda0: Optional[np.ndarray] = None
     known_solution: Optional[np.ndarray] = None
+    hess_lag: Optional[Callable[[np.ndarray, float, np.ndarray],
+                                np.ndarray]] = None
 
     def start_point(self) -> np.ndarray:
         """Initial point clipped into the bound box."""
@@ -111,19 +117,23 @@ def evaluate_gradients(problem: NcoProblem, x: np.ndarray,
 def evaluate_lagrangian_hessian(problem: NcoProblem, x: np.ndarray,
                                 rho: float, lam: np.ndarray,
                                 counters: EvalCounters | None = None) -> np.ndarray:
-    """W = rho * hess f - sum_j lam_j * hess c_j; bumps n_hess. At rho = 0
-    (restoration) hess f is not evaluated."""
-    if rho == 0.0:
-        W = np.zeros((problem.n, problem.n))
+    """W = rho * hess f - sum_j lam_j * hess c_j; bumps n_hess. From
+    problem.hess_lag when it is set; else from hess_f and hess_c, where
+    hess f is not evaluated at rho = 0 (restoration) and hess c not at
+    lam = 0 (the first iterate, and each restoration entry)."""
+    lam = np.asarray(lam, dtype=float)
+    if problem.hess_lag is not None:
+        W = np.asarray(problem.hess_lag(x, rho, lam), dtype=float)
     else:
-        W = rho * np.asarray(problem.hess_f(x), dtype=float)
-    if problem.m:
-        Hc = np.asarray(problem.hess_c(x), dtype=float)
-        # one BLAS gemv over the flattened stack, subtracted in place: a new
-        # W would be allocated above the stack and outlive it, splitting
-        # the heap block that the next stack of this size would reuse
-        lam = np.asarray(lam, dtype=float)
-        W -= (lam @ Hc.reshape(problem.m, -1)).reshape(W.shape)
+        W = rho * np.asarray(problem.hess_f(x), dtype=float) if rho \
+            else np.zeros((problem.n, problem.n))
+        if lam.any():
+            Hc = np.asarray(problem.hess_c(x), dtype=float)
+            # one BLAS gemv over the flattened stack, subtracted in place: a
+            # new W would be allocated above the stack and outlive it,
+            # splitting the heap block that the next stack of this size
+            # would reuse
+            W -= (lam @ Hc.reshape(problem.m, -1)).reshape(W.shape)
     if counters is not None:
         counters.n_hess += 1
     _require_finite(W, "Lagrangian Hessian")
@@ -178,12 +188,19 @@ def from_expressions(name: str, n: int, f_expr, con_exprs,
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+
+    def hess_lag(x, rho, lam):
+        W = objective.weighted_hessian(x, (rho,))
+        W -= rows.weighted_hessian(x, lam)
+        return W
+
     return NcoProblem(
         name=name, n=n, m=rows.size,
         f=lambda x: float(objective.values(x)[0]), c=rows.values,
         grad_f=lambda x: objective.jacobian(x)[:, 0], jac_c=rows.jacobian,
         hess_f=lambda x: objective.hessians(x)[0], hess_c=rows.hessians,
-        lb=lb, ub=ub, x0=x0, lambda0=lambda0, known_solution=known_solution)
+        lb=lb, ub=ub, x0=x0, lambda0=lambda0, known_solution=known_solution,
+        hess_lag=hess_lag)
 
 
 def to_standard_form(gp: GeneralProblem) -> NcoProblem:

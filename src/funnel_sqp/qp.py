@@ -464,10 +464,15 @@ def _face_enumeration(core):
     smaller face at equal objective, so corners plus faces with positive
     definite blocks cover the optimum. The warm start solves each face and
     refuses one whose block is not positive definite or whose minimizer
-    leaves the box. Returns (objective, x, work), x None when none is left.
+    leaves the box. A pinned variable has one face, so only the others'
+    codes are enumerated. Returns (objective, x, work), x None when none is
+    left.
     """
     best = np.inf, None, None
-    for codes in itertools.product((FREE, LOWER, UPPER), repeat=core.n):
+    codes = np.full(core.n, PINNED, dtype=np.int8)
+    loose = np.flatnonzero(core.lb != core.ub)
+    for face in itertools.product((FREE, LOWER, UPPER), repeat=loose.size):
+        codes[loose] = face
         start = core.warm_start(codes)
         if start is not None:
             obj = core._phi(start[0])

@@ -28,6 +28,7 @@ non-finite derivative and returns non-finite values for the caller.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,9 +41,37 @@ from .errors import NonFiniteValue
 
 
 class Node:
-    """Operators shared by every expression node; they build new nodes."""
+    """Operators shared by every expression node; they build new nodes.
+
+    ==, hash and repr work as the dataclass ones would, but walk the tree
+    with a loop: the parser's sums are left spines as deep as they have
+    terms, deeper than the recursion limit in a long model.
+    """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        return all(a == b for a, b in
+                   itertools.zip_longest(_preorder(self), _preorder(other)))
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if type(e) is str:
+                out.append(e)
+                continue
+            parts = [f"{type(e).__name__}("]
+            for i, (name, v) in enumerate(e.__dict__.items()):
+                parts += [f"{', ' if i else ''}{name}=",
+                          v if isinstance(v, Node) else repr(v)]
+            stack += reversed(parts + [")"])
+        return "".join(out)
 
     def __add__(self, other):
         return _binary("+", self, other)
@@ -96,30 +125,41 @@ class Node:
         return Call("sqrt", self)
 
 
-@dataclass(frozen=True)
+def _preorder(node):
+    """(class, the fields that are not nodes) of every node of a tree, in
+    pre-order: two trees are equal exactly when these sequences are."""
+    stack = [node]
+    while stack:
+        e = stack.pop()
+        fields = e.__dict__.values()
+        yield type(e), tuple(v for v in fields if not isinstance(v, Node))
+        stack += reversed([v for v in fields if isinstance(v, Node)])
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Node):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(Node):
     op: str            # only '-'
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Node):
     op: str            # '+', '-', '*', '/', '^'
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Node):
     fn: str            # 'exp', 'log', 'sin', 'cos' or 'sqrt'
     arg: "Expr"
@@ -439,8 +479,10 @@ class TapeSet:
     ops evaluates them all. The 46 terms of a chained Rosenbrock objective
     are two groups. Values are summed per expression left to right;
     derivatives are scattered into dense arrays over n variables, and an
-    inf or NaN among them raises NonFiniteValue. Evaluation runs under
-    np.errstate, so a domain fault warns nowhere.
+    inf or NaN among them raises NonFiniteValue. The solver's Hessian is
+    weighted_hessian: each term's Hessian scaled by its expression's weight
+    and summed into one n x n array, never a stack per expression.
+    Evaluation runs under np.errstate, so a domain fault warns nowhere.
     """
 
     def __init__(self, tapes: list, n: int, name: str):
@@ -487,15 +529,6 @@ class TapeSet:
         return _concat([(grp.index * self.size + grp.row[:, None]).ravel()
                         for grp in self.groups])
 
-    @cached_property
-    def _hess_index(self) -> np.ndarray:
-        """Flat (size, n, n) position of every Hessian entry."""
-        n = self.n
-        return _concat([(grp.row[:, None, None] * (n * n)
-                         + grp.index[:, :, None] * n
-                         + grp.index[:, None, :]).ravel()
-                        for grp in self._plan[1]])
-
     def values(self, x) -> np.ndarray:
         """(size,) expression values at x; inf or NaN on a domain fault."""
         x = np.asarray(x, dtype=float)
@@ -519,21 +552,40 @@ class TapeSet:
                              "gradient")
 
     def hessians(self, x) -> np.ndarray:
-        """(size, n, n) Hessians at x."""
+        """(size, n, n) Hessians at x, one weighted_hessian per expression:
+        a per-row view for tests and tools, which the solver never asks
+        for."""
+        unit = np.eye(self.size)
+        return np.array([self.weighted_hessian(x, w) for w in unit]
+                        ).reshape(self.size, self.n, self.n)
+
+    def weighted_hessian(self, x, weights) -> np.ndarray:
+        """(n, n) sum over expressions e of weights[e] times e's Hessian at
+        x. A group whose terms all have weight zero is not evaluated."""
         x = np.asarray(x, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        index, w = [], []
         with np.errstate(all="ignore"):
-            w = [grp.sign[:, None, None]
-                 * forward(grp.ops, x[grp.index], 2)[2]
-                 for grp in self._plan[1]]
-        return self._scatter(self._hess_index, w,
-                             (self.size, self.n, self.n), "Hessian")
+            for grp, at in zip(self._plan[1], self._pair_index):
+                scale = weights[grp.row] * grp.sign
+                if scale.any():
+                    index.append(at)
+                    w.append(scale[:, None, None]
+                             * forward(grp.ops, x[grp.index], 2)[2])
+        return self._scatter(_concat(index), w, (self.n, self.n), "Hessian")
+
+    @cached_property
+    def _pair_index(self) -> list:
+        """Flat (n, n) position of every Hessian entry, per nonlinear group."""
+        n = self.n
+        return [(grp.index[:, :, None] * n + grp.index[:, None, :]).ravel()
+                for grp in self._plan[1]]
 
     def _scatter(self, index, weights, shape, what) -> np.ndarray:
         """Sum the weights into a zero array of shape at flat index."""
         if not weights:
             return np.zeros(shape)
-        w = np.concatenate([a.ravel() for a in weights]) \
-            if len(weights) > 1 else weights[0].ravel()
+        w = _concat([a.ravel() for a in weights])
         if not np.isfinite(w).all():
             raise NonFiniteValue(
                 f"{self.name} {what} evaluated to a non-finite value")
@@ -542,6 +594,8 @@ class TapeSet:
 
 
 def _concat(arrays: list) -> np.ndarray:
+    if len(arrays) == 1:
+        return arrays[0]
     return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
 
 

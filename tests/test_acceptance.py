@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import funnel_sqp.driver as driver_mod
-from conftest import (enumerate_qp_optimum, fd_gradient, fd_hessian,
-                      grid_qp_minimum, random_quadratic_problem, two_sig)
+from conftest import (bench_chain, enumerate_qp_optimum, fd_gradient,
+                      fd_hessian, grid_qp_minimum, random_quadratic_problem,
+                      two_sig)
 from funnel_sqp.cli import CSV_FIELDS, main
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
@@ -314,16 +315,26 @@ class TestGate:
 
     def test_07_derivative_checks(self):
         with verdict("07 closed-form and automatic derivatives match "
-                     "finite differences"):
+                     "finite differences, and the weighted Lagrangian "
+                     "Hessian the per-function ones"):
             rng = np.random.default_rng(7007)
             problems = [get_problem(name) for name in problem_names()]
             for i in range(20):
                 src = _random_model_source(rng)
                 problems.append(load_source(src, name=f"fuzz-{i}"))
+            weights = np.random.default_rng(7008)
             for problem in problems:
                 for _ in range(100):
                     x = rng.uniform(-2.0, 2.0, size=problem.n)
                     _check_derivatives_at(problem, x)
+                    _check_lagrangian_hessian_at(problem, x, weights)
+            # the chain's 11 constraint rows share their op lists, so its
+            # tape groups span rows with different multipliers
+            chain = bench_chain()
+            problem = load_source(chain.nco_text(chain.start_point(24, 0)))
+            for _ in range(20):
+                x = weights.uniform(-2.0, 2.0, size=problem.n)
+                _check_lagrangian_hessian_at(problem, x, weights)
 
     def test_08_restoration_pathway(self, monkeypatch):
         with verdict("08 infeasible subproblem routes through restoration "
@@ -440,6 +451,20 @@ def _random_model_source(rng):
         rhs = round(float(rng.uniform(-1.0, 1.0)), 2)
         lines.append(f"subject_to {expr()} == {rhs};")
     return "\n".join(lines)
+
+
+def _check_lagrangian_hessian_at(problem, x, rng):
+    """hess_lag at rho in {0, 1, U(0, 2)} and a lam with some zero entries
+    is rho * hess_f - sum_j lam_j * hess_c[j] to rounding."""
+    rho = [0.0, 1.0, float(rng.uniform(0.0, 2.0))][int(rng.integers(3))]
+    lam = rng.uniform(-2.0, 2.0, problem.m) * (rng.random(problem.m) < 0.6)
+    terms = [rho * problem.hess_f(x)] + [
+        -lam[j] * H for j, H in enumerate(problem.hess_c(x))]
+    want = np.sum(terms, axis=0)
+    scale = sum(np.max(np.abs(t)) for t in terms)
+    got = problem.hess_lag(x, rho, lam)
+    assert got.shape == (problem.n, problem.n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + scale)
 
 
 def _check_derivatives_at(problem, x):

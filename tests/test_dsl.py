@@ -281,14 +281,38 @@ class TestPrinter:
 
     def test_format_model_of_a_long_sum(self):
         # the n=800 chain's objective is a left spine of about 1,600 nodes,
-        # deeper than the recursion limit. A Model's == and repr recurse
-        # too, so the check compares printed texts.
+        # deeper than the recursion limit
         chain = bench_chain()
         text = chain.nco_text(chain.start_point(800, 0))
         once = format_model(parse_model(text))
         assert format_model(parse_model(once)) == once
         p, q = load_source(text), load_source(once)
         assert q.f(q.x0) == p.f(p.x0)
+
+    def test_equality_and_repr_of_a_long_model(self):
+        # the n=200 chain's trees are deeper than the recursion limit
+        chain = bench_chain()
+        text = chain.nco_text(chain.start_point(200, 0))
+        a, b = parse_model(text), parse_model(text)
+        assert a == b
+        assert a.objective == b.objective and a.objective is not b.objective
+        b.constraints[-1].body = Binary("+", b.constraints[-1].body,
+                                        Num(0.0))
+        assert a != b
+        r = repr(a)
+        assert r.startswith("Model(name='model', variables=[VarDecl(")
+        assert r.count("Binary(op='+'") == repr(b).count("Binary(op='+'") - 1
+
+    def test_node_repr_and_equality_as_dataclasses(self):
+        e = Binary("*", Num(2.0), Unary("-", Call("sin", Var("x"))))
+        assert repr(e) == ("Binary(op='*', left=Num(value=2.0), "
+                           "right=Unary(op='-', operand=Call(fn='sin', "
+                           "arg=Var(name='x'))))")
+        assert e == Binary("*", Num(2.0), Unary("-", Call("sin", Var("x"))))
+        assert e != Binary("*", Num(2.0), Unary("-", Call("cos", Var("x"))))
+        assert Num(1.0) != Var("x") and Num(1.0) != 1.0
+        assert hash(e) == hash(Binary("*", Num(2.0),
+                                      Unary("-", Call("sin", Var("x")))))
 
     def test_format_model_omits_defaults(self):
         text = format_model(parse_model("var x;\nvar y in [0.0, inf];"))

@@ -1,17 +1,22 @@
 """Registry consistency, evaluator contracts, and ranged-form lowering."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, fd_hessian
+from funnel_sqp.config import SolverConfig
+from funnel_sqp.driver import solve
+from funnel_sqp.dsl import load_file
 from funnel_sqp.errors import DimensionMismatch, NonFiniteValue, UnknownProblem
 from funnel_sqp.problems import (EvalCounters, GeneralProblem, NcoProblem,
                                  evaluate_functions, evaluate_gradients,
                                  evaluate_lagrangian_hessian, from_expressions,
                                  get_problem, infeasibility, problem_names,
                                  to_standard_form)
+from funnel_sqp.tape import TapeSet
 
 
 class TestRegistry:
@@ -173,6 +178,40 @@ class TestEvaluators:
             evaluate_lagrangian_hessian(p, np.zeros(2), 1.0, [0.5])
         assert len(calls) == 1
 
+    def test_zero_multipliers_never_evaluate_constraint_hessians(self):
+        # lam = 0 at the first iterate and at each restoration entry: a
+        # callable problem's hess_c is not asked for there
+        calls = []
+
+        def hess_c(x):
+            calls.append(x)
+            return np.full((1, 2, 2), np.inf)
+
+        Hf = np.array([[2.0, 1.0], [1.0, 4.0]])
+        p = self._stack_problem(Hf, np.zeros((1, 2, 2)))
+        p.hess_c = hess_c
+        counters = EvalCounters()
+        W = evaluate_lagrangian_hessian(p, np.zeros(2), 1.5, [0.0], counters)
+        assert np.array_equal(W, 1.5 * Hf)
+        W = evaluate_lagrangian_hessian(p, np.zeros(2), 0.0, np.zeros(1))
+        assert np.array_equal(W, np.zeros((2, 2)))
+        assert calls == [] and counters.n_hess == 1
+        with pytest.raises(NonFiniteValue):
+            evaluate_lagrangian_hessian(p, np.zeros(2), 1.5, [0.5])
+        assert len(calls) == 1
+
+    def test_weighted_hessian_skips_zero_weight_groups(self):
+        # sqrt(x0) has a non-finite Hessian at 0; the row is not evaluated
+        # while its multiplier is 0, and raises as soon as it is not
+        p = from_expressions("t", 2, lambda x: x[0] ** 2 + x[1] ** 2,
+                             [lambda x: np.sqrt(x[0]),
+                              lambda x: x[1] ** 3 - 1.0])
+        x = np.array([0.0, 2.0])
+        W = evaluate_lagrangian_hessian(p, x, 1.0, [0.0, 0.5])
+        assert np.array_equal(W, [[2.0, 0.0], [0.0, 2.0 - 0.5 * 12.0]])
+        with pytest.raises(NonFiniteValue):
+            evaluate_lagrangian_hessian(p, x, 1.0, [0.5, 0.0])
+
     def test_nonfinite_objective_raises(self):
         p = get_problem("powellbs")
         # exp(-x0) overflows for very negative x0
@@ -230,6 +269,25 @@ class TestFromExpressions:
         p = from_expressions("free", 2, _quad_expr, [])
         assert np.all(np.isinf(p.lb)) and np.all(np.isinf(p.ub))
         assert np.array_equal(p.x0, np.zeros(2))
+
+
+class TestNoHessianStack:
+    @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
+    def test_registry_and_model_solves_form_no_stack(self, monkeypatch,
+                                                      mechanism):
+        def hessians(self, x):
+            raise AssertionError("a solve formed a per-row Hessian stack")
+
+        monkeypatch.setattr(TapeSet, "hessians", hessians)
+        models = sorted((Path(__file__).resolve().parents[1]
+                         / "models").glob("*.nco"))
+        assert models
+        problems = [get_problem(name) for name in problem_names()]
+        problems += [load_file(path) for path in models]
+        for strategy in ("funnel", "filter"):
+            config = SolverConfig(strategy=strategy, mechanism=mechanism)
+            for p in problems:
+                assert solve(p, config).counters.n_hess > 0
 
 
 class TestToStandardForm:

@@ -660,6 +660,27 @@ class TestOracleBattery:
             assert sol.objective <= ref + 1e-6
             assert_kkt(qp, sol, tol=1e-7 * (1.0 + np.max(np.abs(g))))
 
+    def test_face_scan_visits_each_face_once(self, monkeypatch):
+        # x2 is pinned: its one face leaves 3^2 faces of x0 and x1 to scan,
+        # where enumerating all three codes of x2 made 3^3 warm starts
+        W = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0], [2.0, 0.0, 0.0]])
+        qp = QpData(W=W, g=np.array([0.3, 0.2, 0.0]), A=np.zeros((3, 0)),
+                    b=np.zeros(0), lb=np.array([-2.0, -1.0, -0.5]),
+                    ub=np.array([2.0, 3.0, -0.5]))
+        faces = []
+        warm_start = _Core.warm_start
+
+        def counted(core, codes):
+            faces.append(bytes(np.asarray(codes, dtype=np.int8)))
+            return warm_start(core, codes)
+
+        monkeypatch.setattr(_Core, "warm_start", counted)
+        sol = solve_qp(qp)
+        assert len(faces) == len(set(faces)) == 9
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, [0.7, 3.0, -0.5], atol=1e-12)
+        assert abs(sol.objective - -4.145) <= 1e-12
+
     def test_equalities_hold_exactly(self):
         rng = np.random.default_rng(300)
         for _ in range(30):
