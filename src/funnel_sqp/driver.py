@@ -63,10 +63,11 @@ def _grad_lag_norm(os: OuterState, rho=1.0) -> float:
         lagrangian_gradient(os.grad_f, os.J, os.lam, os.mu, rho)))
 
 
-def _check_termination(os: OuterState, grad_lag: float, direction,
+def _check_termination(os: OuterState, grad_lag: float, phase: str,
                        problem: NcoProblem,
                        config: SolverConfig) -> Optional[str]:
-    """grad_lag is the iterate's |grad L|_2, the norm the trace reports."""
+    """grad_lag is the iterate's |grad L|_2, the norm the trace reports, and
+    phase the accepted step's."""
     tol = config.tol
     cmax = float(np.max(np.abs(os.c), initial=0.0))
     if os.f < config.unbounded_threshold and cmax <= tol:
@@ -74,12 +75,12 @@ def _check_termination(os: OuterState, grad_lag: float, direction,
     comp = complementarity(os.x, problem.lb, problem.ub, os.mu)
     if grad_lag <= tol and cmax <= tol and comp <= tol:
         return "kkt_point"
-    if direction.phase is Phase.RESTORATION:
-        u, v = direction.elastic_u, direction.elastic_v
-        comp_r = comp
-        if u.size:
-            comp_r = max(comp_r, float(np.max(np.abs(u * (1.0 + os.lam)))),
-                         float(np.max(np.abs(v * (1.0 - os.lam)))))
+    if phase == Phase.RESTORATION.value:
+        # l1 stationarity at the iterate, whose elastic slacks are
+        # u = max(c, 0) and v = max(-c, 0): lam_j = -sign(c_j) where c_j != 0
+        comp_r = max(comp, float(np.max(
+            np.abs(os.c) * np.abs(1.0 + np.sign(os.c) * os.lam),
+            initial=0.0)))
         if _grad_lag_norm(os, rho=0.0) <= tol and cmax > tol \
                 and comp_r <= tol:
             return "infeasible_stationary"
@@ -118,10 +119,9 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
     os.f, os.c, os.h = f, c, infeasibility(c)
 
     zero_tol = config.subproblem.zero_step_tol
-    strategy = (FunnelStrategy(config.funnel, zero_tol)
+    strategy = (FunnelStrategy(config.funnel, os.h, zero_tol)
                 if config.strategy == "funnel"
-                else FilterStrategy(config.filter, zero_tol))
-    sstate = strategy.init_state(os.h)
+                else FilterStrategy(config.filter, os.h, zero_tol))
     engine = DirectionEngine(problem, config, counters, events)
     tr = config.mechanism == "trust-region"
     mech = (TrustRegionMechanism if tr else LineSearchMechanism)(
@@ -130,7 +130,7 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
     records.append(IterationRecord(
         k=0, l=None, delta=config.trust_region.delta_init if tr else None,
         alpha=None, regularization=None,
-        tau=strategy.trace_value(sstate), step_norm=None, f_trial=os.f,
+        tau=strategy.trace_value(), step_norm=None, f_trial=os.f,
         h_trial=os.h, grad_lag=_grad_lag_norm(os),
         label=LABEL_INITIAL, phase=engine.phase.value))
     log.info("solve %s: strategy=%s mechanism=%s n=%d m=%d",
@@ -140,14 +140,14 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
     status = "max_iterations"
     for k in range(1, config.max_outer + 1):
         try:
-            step = mech.run(os, sstate, k, records)
+            step = mech.run(os, k, records)
             if step is None:
                 status = "small_feasible_step"
                 break
-            verdict, record, direction = step
+            verdict, record = step
             os.grad_f, os.J = evaluate_gradients(problem, os.x, counters)
             n_outer = k
-            sstate = strategy.commit(sstate, verdict)
+            strategy.commit(verdict)
             engine.apply_verdict(verdict, record, k)
         except FunnelSqpError as e:
             log.info("solve %s stopped: %s", problem.name, e)
@@ -156,7 +156,8 @@ def solve(problem: NcoProblem, config: SolverConfig | None = None) -> SolveResul
         record.grad_lag = grad_lag = _grad_lag_norm(os)
         log.debug("k=%d accepted %s: f=%.8e h=%.3e |gradL|=%.3e",
                   k, verdict.step_type, os.f, os.h, grad_lag)
-        term = _check_termination(os, grad_lag, direction, problem, config)
+        term = _check_termination(os, grad_lag, record.phase, problem,
+                                  config)
         if term is not None:
             status = term
             if term == "kkt_point":

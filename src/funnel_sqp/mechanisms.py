@@ -1,11 +1,11 @@
 """Inner-loop step control: trust-region and line-search mechanisms.
 
 One call to run() moves the iterate to the next accepted trial point,
-multipliers included, and returns that step's (verdict, trace row,
-direction); None when the trust radius collapses at a feasible point. The
-mechanism owns its control state across outer iterations: the trust region
-keeps its radius. Restoration entry, with its multiplier reset and stall
-rule, belongs to the DirectionEngine.
+multipliers included, and returns that step's (verdict, trace row); None
+when the trust radius collapses at a feasible point. The mechanism owns its
+control state across outer iterations: the trust region keeps its radius.
+Restoration entry, with its multiplier reset and stall rule, belongs to the
+DirectionEngine; the funnel width or filter, to the strategy.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class _Mechanism:
         self.strategy = strategy
         self.counters = counters
 
-    def _trial(self, os: OuterState, sstate, dres, alpha: float, k: int,
-               l: int, records: list, fresh: bool,
-               delta: Optional[float] = None):
+    def _trial(self, os: OuterState, dres, alpha: float, k: int, l: int,
+               records: list, fresh: bool, delta: Optional[float] = None):
         """Evaluate x + alpha d, append its trace row (a row with a radius
         shows no alpha; only the direction's first trial, fresh, shows its
         shift and QP work) and let the strategy judge it. Returns its verdict
@@ -84,7 +83,7 @@ class _Mechanism:
             k=k if l == 1 else None, l=l, delta=delta,
             alpha=alpha if delta is None else None,
             regularization=dres.eta if fresh else None,
-            tau=self.strategy.trace_value(sstate), step_norm=alpha * dn,
+            tau=self.strategy.trace_value(), step_norm=alpha * dn,
             f_trial=math.nan, h_trial=math.nan, grad_lag=None,
             label=LABEL_REJ_EVAL, phase=dres.phase.value)
         if fresh:
@@ -95,13 +94,13 @@ class _Mechanism:
         except NonFiniteValue:
             return None
         h_t = infeasibility(c_t)
-        models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J)
+        models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J, os.h)
         trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
                           f_t=f_t, h_t=h_t, models=models, alpha=alpha,
                           full_step_norm=dn,
                           subproblem_feasible=dres.subproblem_feasible,
                           h_resto=self.engine.h_resto)
-        verdict = self.strategy.decide(sstate, trial)
+        verdict = self.strategy.decide(trial)
         rec.f_trial, rec.h_trial, rec.label = f_t, h_t, verdict.label
         if not verdict.accepted:
             return None
@@ -116,7 +115,7 @@ class TrustRegionMechanism(_Mechanism):
         super().__init__(*args)
         self.delta = self.config.trust_region.delta_init
 
-    def run(self, os: OuterState, sstate, k: int, records: list):
+    def run(self, os: OuterState, k: int, records: list):
         tr = self.config.trust_region
         l = 0
         while True:
@@ -128,21 +127,21 @@ class TrustRegionMechanism(_Mechanism):
                     f"{os.h:.2e}")
             l += 1
             dres = self.engine.compute(os, k, self.delta)
-            verdict = self._trial(os, sstate, dres, 1.0, k, l, records,
-                                  True, delta=self.delta)
+            verdict = self._trial(os, dres, 1.0, k, l, records, True,
+                                  delta=self.delta)
             dn = records[-1].step_norm      # alpha = 1: the full |d|_inf
             if verdict is not None:
                 if dn >= self.delta * (1.0 - tr.activity_tol):
                     self.delta = min(tr.grow * self.delta, tr.delta_max)
                 os.lam, os.mu = dres.lam.copy(), dres.mu.copy()
-                return verdict, records[-1], dres
+                return verdict, records[-1]
             self.delta = tr.shrink * min(self.delta, dn)
 
 
 class LineSearchMechanism(_Mechanism):
     """Backtracking on a fixed direction with interpolated multipliers."""
 
-    def run(self, os: OuterState, sstate, k: int, records: list):
+    def run(self, os: OuterState, k: int, records: list):
         ls = self.config.line_search
         dres = self.engine.compute(os, k, None)
         fresh = True
@@ -157,11 +156,10 @@ class LineSearchMechanism(_Mechanism):
                 alpha = 1.0
                 continue
             l += 1
-            verdict = self._trial(os, sstate, dres, alpha, k, l, records,
-                                  fresh)
+            verdict = self._trial(os, dres, alpha, k, l, records, fresh)
             fresh = False
             if verdict is not None:
                 os.lam = os.lam + alpha * (dres.lam - os.lam)
                 os.mu = os.mu + alpha * (dres.mu - os.mu)
-                return verdict, records[-1], dres
+                return verdict, records[-1]
             alpha *= ls.backtrack

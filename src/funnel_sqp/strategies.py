@@ -1,9 +1,11 @@
 """Step acceptance: funnel and filter globalization.
 
-Both strategies are pure decision functions over a trial point: decide()
-never mutates state, commit() applies the updates a verdict carries. All
-tests against the funnel width (or filter) use the value held BEFORE the
-step; the width shrinks only through the verdict.
+Each strategy owns its globalization state: the funnel its width tau, the
+filter its entries and infeasibility cap h_max, both set from the start's
+violation h0. decide() judges a trial against that state and never writes it;
+commit() applies the update an accepted verdict carries. So every test of a
+step uses the width (or filter) held BEFORE it; the width shrinks only
+through the verdict.
 
 A restoration-phase trial whose elastic subproblem came back clean and whose
 violation clears the re-entry bound is routed through the regular optimality
@@ -13,7 +15,7 @@ so such a trial can only be rejected by a failed objective Armijo test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,9 +42,9 @@ class ProgressModels:
     m_h: float           # |c + J^T d|_1
 
 
-def progress_models(d, W, grad_f, c, J) -> ProgressModels:
+def progress_models(d, W, grad_f, c, J, h: float) -> ProgressModels:
+    """The models at an iterate with violation h = |c|_1."""
     m_h = float(np.sum(np.abs(c + J.T @ d))) if c.size else 0.0
-    h = float(np.sum(np.abs(c)))
     pred_f = float(-0.5 * d @ W @ d - grad_f @ d)
     return ProgressModels(pred_f=pred_f, pred_h=h - m_h, m_h=m_h)
 
@@ -81,7 +83,7 @@ class _Globalization:
         self.params = params
         self.zero_step_tol = zero_step_tol
 
-    def decide(self, state, trial: TrialData) -> StepVerdict:
+    def decide(self, trial: TrialData) -> StepVerdict:
         p = self.params
         restoring = trial.phase is Phase.RESTORATION
         if trial.full_step_norm <= self.zero_step_tol:
@@ -91,7 +93,7 @@ class _Globalization:
             return StepVerdict(True, LABEL_F_TYPE, step_type="kkt-zero",
                                new_phase=Phase.OPTIMALITY if done else None)
         exiting = (restoring and trial.subproblem_feasible
-                   and self._exits(state, trial))
+                   and self._exits(trial))
         if restoring and not exiting:
             # pure restoration progress: Armijo on the violation model
             if trial.h_k - trial.h_t >= \
@@ -100,7 +102,7 @@ class _Globalization:
                                    step_type="restoration")
             return StepVerdict(False, LABEL_REJ_ARMIJO)
         new_phase = Phase.OPTIMALITY if exiting else None
-        if not self._admissible(state, trial):
+        if not self._admissible(trial):
             return StepVerdict(False, self.reject_label)
         if trial.models.pred_f >= p.delta * trial.h_k ** 2:
             if trial.f_k - trial.f_t >= \
@@ -108,15 +110,10 @@ class _Globalization:
                 return StepVerdict(True, LABEL_F_TYPE, step_type="f-type",
                                    new_phase=new_phase)
             return StepVerdict(False, LABEL_REJ_ARMIJO)
-        return self._h_type(state, trial, new_phase)
+        return self._h_type(trial, new_phase)
 
 
 # ------------------ funnel ------------------
-
-@dataclass
-class FunnelState:
-    tau: float
-
 
 class FunnelStrategy(_Globalization):
     """Admissible infeasibility shrinks along a funnel tau."""
@@ -126,46 +123,39 @@ class FunnelStrategy(_Globalization):
     # on each class itself: the benchmark tracer patches vars(cls)["decide"]
     decide = _Globalization.decide
 
-    def init_state(self, h0: float) -> FunnelState:
-        p = self.params
-        return FunnelState(tau=max(p.tau_bar, p.kappa_bar * h0))
+    def __init__(self, params, h0: float, zero_step_tol: float = 1e-14):
+        super().__init__(params, zero_step_tol)
+        self.tau = max(params.tau_bar, params.kappa_bar * h0)
 
-    def trace_value(self, state: FunnelState) -> float:
-        return state.tau
+    def trace_value(self) -> float:
+        return self.tau
 
-    def _exits(self, state: FunnelState, trial: TrialData) -> bool:
+    def _exits(self, trial: TrialData) -> bool:
         return trial.h_resto is not None and \
-            trial.h_t <= self.params.beta * min(state.tau, trial.h_resto)
+            trial.h_t <= self.params.beta * min(self.tau, trial.h_resto)
 
-    def _admissible(self, state: FunnelState, trial: TrialData) -> bool:
-        return trial.h_t <= state.tau
+    def _admissible(self, trial: TrialData) -> bool:
+        return trial.h_t <= self.tau
 
-    def _h_type(self, state: FunnelState, trial: TrialData, new_phase):
+    def _h_type(self, trial: TrialData, new_phase):
         p = self.params
-        if trial.h_t <= p.beta * state.tau:
+        if trial.h_t <= p.beta * self.tau:
             if p.gould_update:
-                new_tau = max(p.beta * state.tau,
+                new_tau = max(p.beta * self.tau,
                               (1.0 - p.kappa) * trial.h_t
                               + p.kappa * trial.h_k)
             else:
-                new_tau = (1.0 - p.kappa) * trial.h_t + p.kappa * state.tau
+                new_tau = (1.0 - p.kappa) * trial.h_t + p.kappa * self.tau
             return StepVerdict(True, LABEL_H_TYPE, step_type="h-type",
                                new_phase=new_phase, new_tau=new_tau)
         return StepVerdict(False, LABEL_REJ_FUNNEL)
 
-    def commit(self, state: FunnelState, verdict: StepVerdict) -> FunnelState:
+    def commit(self, verdict: StepVerdict) -> None:
         if verdict.accepted and verdict.new_tau is not None:
-            return FunnelState(tau=verdict.new_tau)
-        return state
+            self.tau = verdict.new_tau
 
 
 # ------------------ filter ------------------
-
-@dataclass
-class FilterState:
-    entries: list = field(default_factory=list)   # (h, f) pairs
-    h_max: float = np.inf
-
 
 class FilterStrategy(_Globalization):
     """Classic (h, f) filter with a hard infeasibility cap."""
@@ -174,29 +164,30 @@ class FilterStrategy(_Globalization):
     reject_label = LABEL_REJ_FILTER
     decide = _Globalization.decide
 
-    def init_state(self, h0: float) -> FilterState:
-        p = self.params
-        return FilterState(entries=[], h_max=max(p.tau_bar, p.kappa_bar * h0))
+    def __init__(self, params, h0: float, zero_step_tol: float = 1e-14):
+        super().__init__(params, zero_step_tol)
+        self.entries: list = []     # (h, f) pairs
+        self.h_max = max(params.tau_bar, params.kappa_bar * h0)
 
-    def trace_value(self, state: FilterState) -> float:
-        return float(len(state.entries))
+    def trace_value(self) -> float:
+        return float(len(self.entries))
 
-    def acceptable(self, state: FilterState, h_t: float, f_t: float) -> bool:
+    def acceptable(self, h_t: float, f_t: float) -> bool:
         p = self.params
-        if h_t > p.beta * state.h_max:
+        if h_t > p.beta * self.h_max:
             return False
-        for hp, fp in state.entries:
+        for hp, fp in self.entries:
             if not (h_t <= p.beta * hp or f_t <= fp - p.gamma * h_t):
                 return False
         return True
 
-    def _admissible(self, state: FilterState, trial: TrialData) -> bool:
-        return self.acceptable(state, trial.h_t, trial.f_t)
+    def _admissible(self, trial: TrialData) -> bool:
+        return self.acceptable(trial.h_t, trial.f_t)
 
     # a clean restoration trial leaves restoration when the filter takes it
     _exits = _admissible
 
-    def _h_type(self, state: FilterState, trial: TrialData, new_phase):
+    def _h_type(self, trial: TrialData, new_phase):
         # h-type: must also be acceptable to the current pair (h_k, f_k)
         p = self.params
         if trial.h_t <= p.beta * trial.h_k or \
@@ -206,16 +197,15 @@ class FilterStrategy(_Globalization):
                                filter_add=(trial.h_k, trial.f_k))
         return StepVerdict(False, LABEL_REJ_FILTER)
 
-    def commit(self, state: FilterState, verdict: StepVerdict) -> FilterState:
+    def commit(self, verdict: StepVerdict) -> None:
         if not (verdict.accepted and verdict.filter_add is not None):
-            return state
+            return
         hk, fk = verdict.filter_add
-        entries = [(hp, fp) for hp, fp in state.entries
+        entries = [(hp, fp) for hp, fp in self.entries
                    if not (hk <= hp and fk <= fp)]
         entries.append((hk, fk))
-        h_max = state.h_max
         if len(entries) > self.params.capacity:
             worst = max(range(len(entries)), key=lambda i: entries[i][0])
-            h_max = entries[worst][0]
+            self.h_max = entries[worst][0]
             entries.pop(worst)
-        return FilterState(entries=entries, h_max=h_max)
+        self.entries = entries

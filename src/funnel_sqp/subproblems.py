@@ -112,8 +112,6 @@ class DirectionResult:
     phase: Phase
     eta: Optional[float] = None  # diagonal shift, None when none was applied
     subproblem_feasible: bool = True
-    elastic_u: Optional[np.ndarray] = None
-    elastic_v: Optional[np.ndarray] = None
     n_pivots: int = 0            # QP pivots, an infeasible optimality QP's included
     warm_start: Optional[str] = None   # the direction QP's QpSolution.warm_start
 
@@ -247,7 +245,6 @@ class DirectionEngine:
                                W_used=fqp.W[:n, :n],
                                phase=Phase.RESTORATION, eta=eta,
                                subproblem_feasible=feasible,
-                               elastic_u=u, elastic_v=v,
                                n_pivots=sol.n_pivots + pivots,
                                warm_start=sol.warm_start)
 

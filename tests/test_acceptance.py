@@ -9,6 +9,7 @@ import contextlib
 import csv
 import itertools
 import time
+import types
 
 import numpy as np
 import pytest
@@ -77,34 +78,41 @@ def _funnel_recorder():
     class Rec(FunnelStrategy):
         runs = []
 
-        def init_state(self, h0):
+        def __init__(self, *args):
+            super().__init__(*args)
             Rec.runs.append({"decides": [], "commits": []})
-            return super().init_state(h0)
 
-        def decide(self, state, trial):
-            v = super().decide(state, trial)
-            Rec.runs[-1]["decides"].append((state.tau, trial, v))
+        def decide(self, trial):
+            tau = self.tau
+            v = super().decide(trial)
+            assert self.tau == tau
+            Rec.runs[-1]["decides"].append((tau, trial, v))
             return v
 
-        def commit(self, state, v):
-            new = super().commit(state, v)
-            Rec.runs[-1]["commits"].append((state.tau, new.tau))
-            return new
+        def commit(self, v):
+            tau = self.tau
+            super().commit(v)
+            Rec.runs[-1]["commits"].append((tau, self.tau))
     return Rec
+
+
+def _filter_snapshot(strategy):
+    return types.SimpleNamespace(entries=list(strategy.entries),
+                                 h_max=strategy.h_max)
 
 
 def _filter_recorder():
     class Rec(FilterStrategy):
         runs = []
 
-        def init_state(self, h0):
+        def __init__(self, *args):
+            super().__init__(*args)
             Rec.runs.append([])
-            return super().init_state(h0)
 
-        def commit(self, state, v):
-            new = super().commit(state, v)
-            Rec.runs[-1].append((state, v, new))
-            return new
+        def commit(self, v):
+            pre = _filter_snapshot(self)
+            super().commit(v)
+            Rec.runs[-1].append((pre, v, _filter_snapshot(self)))
     return Rec
 
 
@@ -264,20 +272,19 @@ class TestGate:
             # converging runs add pairs that dominate their predecessors, so
             # the cap never binds there; a trade-off curve of gated entries
             # drives occupancy through it
-            strat = FilterStrategy(p)
-            state = strat.init_state(95.0)
+            strat = FilterStrategy(p, 95.0)
             evictions = 0
             h = 90.0
             for i in range(p.capacity + 10):
-                assert strat.acceptable(state, h, 10.0 + i)
+                assert strat.acceptable(h, 10.0 + i)
                 v = StepVerdict(True, LABEL_H_TYPE, step_type="h-type",
                                 filter_add=(h, 10.0 + i))
-                new = strat.commit(state, v)
-                evictions += _check_filter_commit(state, v, new, p)
-                state = new
+                pre = _filter_snapshot(strat)
+                strat.commit(v)
+                evictions += _check_filter_commit(pre, v, strat, p)
                 h *= 0.9
             assert evictions == 10
-            assert len(state.entries) == p.capacity
+            assert len(strat.entries) == p.capacity
 
     def test_06_qp_oracle_batteries(self):
         with verdict("06 QP solver matches enumeration and beats the grid"):

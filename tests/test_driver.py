@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from certify import infeasibility_rate
 from conftest import bench_chain, two_sig
 import funnel_sqp.driver as driver_mod
 import funnel_sqp.subproblems as subproblems
@@ -217,6 +218,38 @@ class TestTermination:
         root = math.sqrt(2.5)
         assert np.allclose(res.x, [root, root], atol=1e-4)
 
+    # fuzz-13 and fuzz-5 of scripts/fuzz_sweep.py: draws 13 and 5 of
+    # test_acceptance._random_model_source(np.random.default_rng(7007))
+    FUZZ_13 = """var x start 0.48;
+var y start -0.3;
+minimize -0.61 * y^2 + -0.37 * sin(x) + -1.58 * cos(y + x);
+subject_to 1.67 * x + 1.62 * y * x + 0.55 * y * y == -0.74;
+subject_to 1.47 * y^2 + 1.75 * exp(0.4 * x) + 1.94 * cos(x + y) == -0.58;
+"""
+    FUZZ_5 = """var x start -0.68;
+var y start -0.25;
+minimize 1.21 * sin(x) + 1.39 * sin(y);
+subject_to 0.81 * cos(x + x) + 0.47 * x * x + 0.93 * y * y == 0.52;
+subject_to -1.76 * x^2 + 1.89 * y^2 == 0.02;
+"""
+
+    @pytest.mark.parametrize("src, mechanism, n_outer", [
+        (FUZZ_13, "line-search", 27), (FUZZ_5, "trust-region", 6)])
+    def test_infeasible_stationary_judged_at_the_iterate(self, src,
+                                                         mechanism, n_outer):
+        # the verdict once paired the iterate's multipliers with the elastic
+        # slacks of the step that led there, the old linearization's
+        # residual: these solves stopped where the violation still fell at
+        # a rate of 7.7 and 5.8 (24 and 4 outer iterations)
+        problem = load_source(src)
+        res = solve(problem, _config("funnel", mechanism))
+        assert res.status == "infeasible_stationary"
+        assert infeasibility_rate(problem, res.x) <= 0.01
+        # l1 stationarity: lam_j = -sign(c_j) on every violated row
+        c = problem.c(res.x)
+        assert np.all(np.abs(c) * np.abs(1.0 + np.sign(c) * res.lam) <= 1e-6)
+        assert res.n_outer == n_outer
+
 
 class TestRestorationEvents:
     def test_entry_event(self, line_circle_tr):
@@ -248,11 +281,11 @@ class TestRestorationEvents:
 
     def test_entry_precedes_exit_in_one_iteration(self, monkeypatch):
         class ExitAtOnce(FunnelStrategy):
-            def decide(self, state, trial):
+            def decide(self, trial):
                 if trial.phase is Phase.RESTORATION:
                     return StepVerdict(True, LABEL_H_TYPE, step_type="h-type",
                                        new_phase=Phase.OPTIMALITY)
-                return super().decide(state, trial)
+                return super().decide(trial)
 
         monkeypatch.setattr(driver_mod, "FunnelStrategy", ExitAtOnce)
         res = _solve("line-circle")

@@ -1,8 +1,9 @@
 """Trust-region and line-search inner loops driven one outer step at a time.
 
 A run moves the iterate os to the accepted trial point and returns that
-step's (verdict, trace row, direction), or None when the trust radius
-collapses at a feasible point."""
+step's (verdict, trace row), or None when the trust radius collapses at a
+feasible point. _directions records the directions a run computes; the last
+one is the accepted step's."""
 
 import math
 
@@ -29,26 +30,38 @@ def _setup(problem, mechanism="trust-region"):
     config = apply_overrides(SolverConfig(), {"mechanism": mechanism})
     counters = EvalCounters()
     engine = DirectionEngine(problem, config, counters, [])
-    strategy = FunnelStrategy(config.funnel, config.subproblem.zero_step_tol)
-    cls = TrustRegionMechanism if mechanism == "trust-region" \
-        else LineSearchMechanism
-    mech = cls(problem, config, engine, strategy, counters)
     x = problem.start_point()
     f, c = evaluate_functions(problem, x, counters)
     g, J = evaluate_gradients(problem, x, counters)
     os = OuterState(x=x, f=f, c=c, h=infeasibility(c), grad_f=g, J=J,
                     lam=problem.start_multipliers(), mu=np.zeros(problem.n))
-    sstate = strategy.init_state(os.h)
-    return mech, os, sstate
+    strategy = FunnelStrategy(config.funnel, os.h,
+                              config.subproblem.zero_step_tol)
+    cls = TrustRegionMechanism if mechanism == "trust-region" \
+        else LineSearchMechanism
+    return cls(problem, config, engine, strategy, counters), os
+
+
+def _directions(mech):
+    """The list that mech's engine appends each direction it computes to."""
+    seen = []
+    compute = mech.engine.compute
+
+    def recording(*args):
+        seen.append(compute(*args))
+        return seen[-1]
+
+    mech.engine.compute = recording
+    return seen
 
 
 class _AlwaysReject:
     """Strategy stub that refuses every trial."""
 
-    def trace_value(self, state):
+    def trace_value(self):
         return 0.0
 
-    def decide(self, state, trial):
+    def decide(self, trial):
         return StepVerdict(accepted=False, label=LABEL_REJ_ARMIJO)
 
 
@@ -81,9 +94,9 @@ def _log_wall_problem():
 
 class TestTrustRegion:
     def test_golden_first_iteration_radii(self):
-        mech, os, sstate = _setup("maratos-fletcher")
+        mech, os = _setup("maratos-fletcher")
         records = []
-        verdict, record, _ = mech.run(os, sstate, k=1, records=records)
+        verdict, record = mech.run(os, k=1, records=records)
         # the start point is written to 9 digits, so radii carry ~1e-10 noise
         assert [r.delta for r in records] == \
             pytest.approx([10.0, 0.25, 0.125], rel=1e-8)
@@ -97,18 +110,18 @@ class TestTrustRegion:
         assert record is records[-1]
 
     def test_rejection_shrinks_from_step_norm(self):
-        mech, os, sstate = _setup("maratos-fletcher")
+        mech, os = _setup("maratos-fletcher")
         records = []
-        mech.run(os, sstate, k=1, records=records)
+        mech.run(os, k=1, records=records)
         # first shrink: 0.5 * min(10, |d|=0.5) = 0.25
         assert records[0].step_norm == pytest.approx(0.5)
         assert records[1].delta == pytest.approx(0.25, rel=1e-8)
         assert records[1].delta == 0.5 * min(10.0, records[0].step_norm)
 
     def test_accept_at_boundary_grows_radius(self):
-        mech, os, sstate = _setup("circle")
+        mech, os = _setup("circle")
         records = []
-        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
+        verdict, _ = mech.run(os, k=1, records=records)
         assert verdict.accepted
         dn = records[-1].step_norm
         if dn >= mech.config.trust_region.delta_init * (1 - 1e-8):
@@ -117,9 +130,9 @@ class TestTrustRegion:
             assert mech.delta == 10.0
 
     def test_small_radius_feasible_terminates(self):
-        mech, os, sstate = _setup("maratos-fletcher")   # start is feasible
+        mech, os = _setup("maratos-fletcher")   # start is feasible
         mech.delta = 1e-17
-        assert mech.run(os, sstate, k=1, records=[]) is None
+        assert mech.run(os, k=1, records=[]) is None
         # the driver reports a collapse at a feasible point as this status
         config = apply_overrides(SolverConfig(),
                                  {"trust_region.delta_init": "1e-17"})
@@ -127,16 +140,16 @@ class TestTrustRegion:
         assert (res.status, res.n_outer) == ("small_feasible_step", 0)
 
     def test_small_radius_infeasible_raises(self):
-        mech, os, sstate = _setup("line-circle")        # h = 4 at start
+        mech, os = _setup("line-circle")        # h = 4 at start
         mech.delta = 1e-17
         with pytest.raises(SmallStepInfeasible):
-            mech.run(os, sstate, k=1, records=[])
+            mech.run(os, k=1, records=[])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_evaluation_failure_rejects_and_shrinks(self):
-        mech, os, sstate = _setup(_log_wall_problem())
+        mech, os = _setup(_log_wall_problem())
         records = []
-        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
+        verdict, _ = mech.run(os, k=1, records=records)
         assert records[0].label == LABEL_REJ_EVAL
         assert math.isnan(records[0].f_trial)
         assert records[0].k == 1 and records[1].k is None
@@ -144,10 +157,12 @@ class TestTrustRegion:
         assert os.x[0] < 4.0
 
     def test_restoration_entry_zeroes_multipliers(self):
-        mech, os, sstate = _setup("line-circle")
+        mech, os = _setup("line-circle")
         os.lam = lam = np.array([3.0, -2.0])
         records = []
-        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        directions = _directions(mech)
+        mech.run(os, k=1, records=records)
+        direction = directions[-1]
         # entry zeroed the iterate's multipliers in place; the accepted
         # step then took the restoration QP's
         assert np.array_equal(lam, [0.0, 0.0])
@@ -160,29 +175,29 @@ class TestTrustRegion:
         prob = from_expressions("pinned", 1, lambda x: x[0] ** 2,
                                 [lambda x: x[0] - 1.0],
                                 x0=np.array([1.0]), lambda0=np.array([2.0]))
-        mech, os, sstate = _setup(prob)
-        verdict, _, _ = mech.run(os, sstate, k=1, records=[])
+        mech, os = _setup(prob)
+        verdict, _ = mech.run(os, k=1, records=[])
         assert verdict.accepted
         assert verdict.step_type == "kkt-zero"
 
     def test_radius_persists_across_runs(self):
-        mech, os, sstate = _setup("maratos-fletcher")
+        mech, os = _setup("maratos-fletcher")
         records = []
-        verdict, record, _ = mech.run(os, sstate, k=1, records=records)
+        verdict, record = mech.run(os, k=1, records=records)
         # commit like the driver would, then run again
         os.grad_f, os.J = evaluate_gradients(mech.problem, os.x)
-        sstate = mech.strategy.commit(sstate, verdict)
+        mech.strategy.commit(verdict)
         mech.engine.apply_verdict(verdict, record, 1)
         records2 = []
-        mech.run(os, sstate, k=2, records=records2)
+        mech.run(os, k=2, records=records2)
         assert records2[0].delta == pytest.approx(0.25, rel=1e-8)
 
 
 class TestLineSearch:
     def test_golden_first_iteration_backtrack(self):
-        mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
+        mech, os = _setup("maratos-fletcher", mechanism="line-search")
         records = []
-        verdict, _, _ = mech.run(os, sstate, k=1, records=records)
+        verdict, _ = mech.run(os, k=1, records=records)
         assert [r.alpha for r in records] == [1.0, 0.5]
         assert [r.label for r in records] == [LABEL_REJ_ARMIJO, LABEL_F_TYPE]
         # regularization is reported once per fresh direction
@@ -192,17 +207,21 @@ class TestLineSearch:
         assert verdict.accepted
 
     def test_step_norm_is_scaled(self):
-        mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
+        mech, os = _setup("maratos-fletcher", mechanism="line-search")
         records = []
-        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        directions = _directions(mech)
+        mech.run(os, k=1, records=records)
+        direction = directions[-1]
         full = float(np.max(np.abs(direction.d)))
         assert records[0].step_norm == pytest.approx(full)
         assert records[1].step_norm == pytest.approx(0.5 * full)
 
     def test_multipliers_interpolated(self):
-        mech, os, sstate = _setup("maratos-fletcher", mechanism="line-search")
+        mech, os = _setup("maratos-fletcher", mechanism="line-search")
         lam0 = os.lam.copy()
-        _, record, direction = mech.run(os, sstate, k=1, records=[])
+        directions = _directions(mech)
+        _, record = mech.run(os, k=1, records=[])
+        direction = directions[-1]
         alpha = record.alpha
         expected = lam0 + alpha * (direction.lam - lam0)
         assert np.allclose(os.lam, expected)
@@ -225,7 +244,7 @@ class TestLineSearch:
                         mu=np.zeros(problem.n))
         records = []
         with pytest.raises(RestorationStall):
-            mech.run(os, None, k=1, records=records)
+            mech.run(os, k=1, records=records)
         entries = [e for e in events if e["type"] == "restoration_entry"]
         assert len(entries) == 1
         assert entries[0]["source"] == "alpha_min"
@@ -235,8 +254,10 @@ class TestLineSearch:
         assert len(records) > 40
 
     def test_entry_counter_resets_on_accept(self):
-        mech, os, sstate = _setup("line-circle", mechanism="line-search")
-        verdict, record, direction = mech.run(os, sstate, k=1, records=[])
+        mech, os = _setup("line-circle", mechanism="line-search")
+        directions = _directions(mech)
+        verdict, record = mech.run(os, k=1, records=[])
+        direction = directions[-1]
         assert verdict.accepted
         assert mech.engine.entries == 1
         # the driver applies the accepted step's verdict, which resets it
@@ -245,10 +266,12 @@ class TestLineSearch:
         assert direction.phase is Phase.RESTORATION
 
     def test_infeasible_probe_enters_restoration(self):
-        mech, os, sstate = _setup("line-circle", mechanism="line-search")
+        mech, os = _setup("line-circle", mechanism="line-search")
         os.lam = lam = np.array([1.0, 1.0])
         records = []
-        _, _, direction = mech.run(os, sstate, k=1, records=records)
+        directions = _directions(mech)
+        mech.run(os, k=1, records=records)
+        direction = directions[-1]
         assert direction.phase is Phase.RESTORATION
         # entry zeroed the iterate's multipliers in place, so the accepted
         # step interpolated from zero
@@ -265,11 +288,12 @@ class TestIterateContract:
 
     @pytest.mark.parametrize("mechanism", ["trust-region", "line-search"])
     def test_accepted_step_moves_iterate(self, mechanism):
-        mech, os, sstate = _setup("maratos-fletcher", mechanism)
+        mech, os = _setup("maratos-fletcher", mechanism)
         x0, lam0, mu0 = os.x.copy(), os.lam.copy(), os.mu.copy()
         records = []
-        verdict, record, direction = mech.run(os, sstate, k=1,
-                                              records=records)
+        directions = _directions(mech)
+        verdict, record = mech.run(os, k=1, records=records)
+        direction = directions[-1]
         assert verdict.accepted and record is records[-1]
         alpha = 1.0 if record.alpha is None else record.alpha
         assert np.array_equal(os.x, x0 + alpha * direction.d)
@@ -288,12 +312,12 @@ class TestIterateContract:
             assert np.array_equal(os.mu, mu0 + alpha * (direction.mu - mu0))
 
     def test_small_feasible_step_leaves_iterate(self):
-        mech, os, sstate = _setup("maratos-fletcher")
+        mech, os = _setup("maratos-fletcher")
         before = dict(vars(os))
         copies = {key: np.copy(value) for key, value in before.items()}
         mech.delta = 1e-17
         records = []
-        assert mech.run(os, sstate, k=1, records=records) is None
+        assert mech.run(os, k=1, records=records) is None
         assert records == []
         for key, value in vars(os).items():
             assert value is before[key]
@@ -303,13 +327,13 @@ class TestIterateContract:
         ("trust-region", "line-circle", SmallStepInfeasible),
         ("line-search", "circle", RestorationStall)])
     def test_raising_run_leaves_iterate(self, mechanism, problem, error):
-        mech, os, _ = _setup(problem, mechanism)
+        mech, os = _setup(problem, mechanism)
         mech.strategy = _AlwaysReject()
         x, f, c, h = os.x, os.f, os.c, os.h
         x0, c0 = x.copy(), c.copy()
         records = []
         with pytest.raises(error):
-            mech.run(os, None, k=1, records=records)
+            mech.run(os, k=1, records=records)
         # every trial was evaluated and rejected
         assert len(records) > 40
         assert all(r.label == LABEL_REJ_ARMIJO for r in records)

@@ -18,7 +18,7 @@ from funnel_sqp.mechanisms import OuterState
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
                                  get_problem, infeasibility)
-from funnel_sqp.qp import QpSolution
+from funnel_sqp.qp import ELASTIC_TOL, QpSolution
 from funnel_sqp.subproblems import (DirectionEngine, Phase,
                                     build_feasibility_qp,
                                     build_optimality_qp, convexify)
@@ -303,7 +303,9 @@ class TestDirectionEngine:
         assert events[0]["source"] == "infeasible_qp"
         assert events[0]["lambda_reset"] is True
         assert events[0]["k"] == 3
-        assert res.elastic_u is not None and res.elastic_v is not None
+        # the elastic QP's slacks hold the linearization's residual
+        residual = np.sum(np.abs(os.c + os.J.T @ res.d))
+        assert residual > ELASTIC_TOL and not res.subproblem_feasible
 
     def test_restoration_keeps_multiplier_memory(self):
         engine, prob, os = _engine("line-circle")
@@ -323,7 +325,7 @@ class TestDirectionEngine:
         res = engine.compute(os, 1, 10.0)
         assert res.phase is Phase.RESTORATION
         assert not res.subproblem_feasible
-        assert np.isclose(res.elastic_u[0] + res.elastic_v[0], 1.0)
+        assert np.isclose(np.sum(np.abs(os.c + os.J.T @ res.d)), 1.0)
 
     def test_restoration_warm_codes_cleared_on_entry_and_exit(self):
         # each elastic QP hands its working set to the next one; entering
