@@ -17,6 +17,8 @@ linalg.pivoted_qr, which every nullspace_basis of a nonzero matrix makes)
 and the working sets the QP factored itself (calls of qp.nullspace_basis);
 convexify's QR of J, which seeds the line-search optimality QP's all-free
 working set, counts as a QR only.
+With --passes, each line instead counts the solve's forward passes of the
+derivative tape (calls of tape.forward) at order 0, 1 and 2.
 The 136 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
@@ -44,7 +46,8 @@ the 300 fuzz models of scripts/fuzz_sweep.py; and 24 malformed sources,
 at least one per ParseError raise site of dsl.py.
 
 Usage: python3 scripts/trace_digest.py
-           [--outcomes | --pivots | --factors | --parse] > digest.txt
+           [--outcomes | --pivots | --factors | --passes | --parse]
+           > digest.txt
 """
 
 import argparse
@@ -63,7 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench"),
 
 import chain  # noqa: E402
 from funnel_sqp import SolverConfig, format_trace, solve  # noqa: E402
-from funnel_sqp import linalg, qp  # noqa: E402
+from funnel_sqp import linalg, qp, tape  # noqa: E402
 from funnel_sqp.dsl import (Binary, Call, Num, Unary, Var,  # noqa: E402
                             load_file, load_source, parse_model, tokenize)
 from funnel_sqp.errors import ParseError  # noqa: E402
@@ -235,6 +238,20 @@ def factors(counts, res) -> str:
     return f"qr={counts['qr']}  qp_sets={counts['sets']}"
 
 
+def passes(counts, res) -> str:
+    """Forward passes of the tape per order, counted over the solve."""
+    return "  ".join(f"order{k}={counts[k]}" for k in range(3))
+
+
+def by_order(fn, counts):
+    """tape.forward, adding one to counts[order] per call."""
+    @functools.wraps(fn)
+    def wrapper(ops, X, order):
+        counts[order] += 1
+        return fn(ops, X, order)
+    return wrapper
+
+
 def counted(fn, counts, key):
     """fn, adding one to counts[key] per call."""
     @functools.wraps(fn)
@@ -255,6 +272,9 @@ def main(argv=None):
     mode.add_argument("--factors", action="store_true",
                       help="print each solve's pivoted QRs and QP working "
                            "sets factored instead of a digest")
+    mode.add_argument("--passes", action="store_true",
+                      help="print each solve's tape forward passes per "
+                           "order instead of a digest")
     mode.add_argument("--parse", action="store_true",
                       help="print one digest per model source, parsed and "
                            "tokenized, and solve nothing")
@@ -265,18 +285,26 @@ def main(argv=None):
         return
     show = outcome if args.outcomes else pivots if args.pivots else digest
     counts = collections.Counter()
+    # the counting wrappers are put back when the solves end
+    originals = linalg.pivoted_qr, qp.nullspace_basis, tape.forward
     if args.factors:
         linalg.pivoted_qr = counted(linalg.pivoted_qr, counts, "qr")
         qp.nullspace_basis = counted(qp.nullspace_basis, counts, "sets")
         show = functools.partial(factors, counts)
-    for label, make, max_outer in problems():
-        for strategy, mechanism in VARIANTS:
-            config = SolverConfig(strategy=strategy, mechanism=mechanism)
-            if max_outer is not None:
-                config.max_outer = max_outer
-            counts.clear()
-            res = solve(make(), config)
-            print(f"{show(res)}  {label} {strategy} {mechanism}")
+    if args.passes:
+        tape.forward = by_order(tape.forward, counts)
+        show = functools.partial(passes, counts)
+    try:
+        for label, make, max_outer in problems():
+            for strategy, mechanism in VARIANTS:
+                config = SolverConfig(strategy=strategy, mechanism=mechanism)
+                if max_outer is not None:
+                    config.max_outer = max_outer
+                counts.clear()
+                res = solve(make(), config)
+                print(f"{show(res)}  {label} {strategy} {mechanism}")
+    finally:
+        linalg.pivoted_qr, qp.nullspace_basis, tape.forward = originals
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _check_termination(os: OuterState, grad_lag: float, phase: str,
     """grad_lag is the iterate's |grad L|_2, the norm the trace reports, and
     phase the accepted step's."""
     tol = config.tol
-    cmax = float(np.max(np.abs(os.c), initial=0.0))
+    cmax = float(np.abs(os.c).max(initial=0.0))
     if os.f < config.unbounded_threshold and cmax <= tol:
         return "unbounded"
     comp = complementarity(os.x, problem.lb, problem.ub, os.mu)
@@ -78,9 +78,8 @@ def _check_termination(os: OuterState, grad_lag: float, phase: str,
     if phase == Phase.RESTORATION.value:
         # l1 stationarity at the iterate, whose elastic slacks are
         # u = max(c, 0) and v = max(-c, 0): lam_j = -sign(c_j) where c_j != 0
-        comp_r = max(comp, float(np.max(
-            np.abs(os.c) * np.abs(1.0 + np.sign(os.c) * os.lam),
-            initial=0.0)))
+        viol = np.abs(os.c) * np.abs(1.0 + np.sign(os.c) * os.lam)
+        comp_r = max(comp, float(viol.max(initial=0.0)))
         if _grad_lag_norm(os, rho=0.0) <= tol and cmax > tol \
                 and comp_r <= tol:
             return "infeasible_stationary"

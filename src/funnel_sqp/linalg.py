@@ -9,8 +9,8 @@ minimum-norm points (R^T) and full-rank least-squares multipliers (R).
 Positive definite matrices are factored by ``potrf``, with ``trtri``
 bounding their smallest eigenvalue, and solved with ``potrs``. The
 routines are called directly; ``sytrf`` and ``geqp3`` get the workspace
-sizes that scipy.linalg's ``ldl`` and ``qr`` query, so the LDL^T factors
-and the raw QR factors are bit for bit the ones those wrappers compute.
+sizes that scipy.linalg's ``ldl`` and ``qr`` query (geqp3's once per
+shape), so the LDL^T and raw QR factors are bit for bit theirs.
 Everything here is dense and sized for desk-scale problems.
 """
 
@@ -34,6 +34,8 @@ RANK_REL = 1e-10
  _trtrs) = get_lapack_funcs(("sytrf", "sytrf_lwork", "geqp3", "ormqr",
                              "potrf", "potrs", "trtri", "trtrs"),
                             dtype=np.float64)
+# geqp3's workspace size per shape of A: its query reads only the dimensions
+_GEQP3_LWORK: dict[tuple, int] = {}
 
 
 @dataclass
@@ -68,12 +70,12 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
         # in place: a second n x n temporary costs more than the sums at
         # n ~ 300
         diff = M - M.T
-        skew = np.max(np.abs(diff, out=diff))
-        if skew > sym_tol * (1.0 + np.max(np.abs(M))):
+        skew = np.abs(diff, out=diff).max()
+        if skew > sym_tol * (1.0 + np.abs(M).max()):
             raise NotSymmetric(f"matrix asymmetry {skew:.3e} above tolerance")
         M = M + M.T
         M *= 0.5
-        norm = np.max(np.abs(M))
+        norm = np.abs(M).max()
     if not norm < np.inf:
         raise ValueError("NaN or inf in the matrix")
     ldu, ipiv, info = _sytrf(M, lower=1,
@@ -123,7 +125,9 @@ def pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     jpvt 0-based. Raises ValueError for NaN or inf in A.
     """
     A = np.asarray_chkfinite(A, dtype=float)
-    lwork = int(_geqp3(A, lwork=-1)[3][0])
+    lwork = _GEQP3_LWORK.get(A.shape)
+    if lwork is None:
+        lwork = _GEQP3_LWORK[A.shape] = int(_geqp3(A, lwork=-1)[3][0])
     qr, jpvt, tau, _, info = _geqp3(A, lwork=lwork)
     _check(info, "geqp3")
     return qr, jpvt - 1, tau
@@ -198,7 +202,7 @@ def nullspace_basis(A: np.ndarray) -> NullspaceFactors:
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {A.shape}")
     n, m = A.shape
-    if m == 0 or not np.any(A):
+    if m == 0 or not A.any():
         return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros(0),
                                 np.zeros((0, 0)), np.arange(m), 0)
     qr, piv, tau = pivoted_qr(A)
@@ -228,7 +232,7 @@ def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:
     Linv, info = _trtri(L, lower=1)
     _check_solve(info, "trtri")
     flat = Linv.ravel(order="K")
-    if not 1.0 / (flat @ flat) > zero_rel * max(1.0, float(np.trace(H))):
+    if not 1.0 / (flat @ flat) > zero_rel * max(1.0, float(H.trace())):
         return None
     return L
 
@@ -242,8 +246,8 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def r_rank(R: np.ndarray) -> int:
     """Numerical rank from the R factor (or geqp3's qr) of a pivoted QR."""
-    rdiag = np.abs(np.diag(R))
+    rdiag = np.abs(R.diagonal())
     if rdiag.size == 0 or rdiag[0] == 0.0:
         return 0
-    return int(np.sum(rdiag > RANK_REL * rdiag[0]))
+    return int((rdiag > RANK_REL * rdiag[0]).sum())
 

@@ -77,7 +77,7 @@ class _Mechanism:
         if accepted, else None. An accepted trial becomes the iterate: its x,
         f, c and h are written into os, its multipliers left to the caller."""
         d = dres.d
-        dn = float(np.max(np.abs(d), initial=0.0))
+        dn = float(np.abs(d).max(initial=0.0))
         x_t = os.x + alpha * d
         rec = IterationRecord(
             k=k if l == 1 else None, l=l, delta=delta,

@@ -77,7 +77,7 @@ class NcoProblem:
 
 
 def _require_finite(arr, what: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"{what} evaluated to a non-finite value")
     return arr
 
@@ -142,7 +142,7 @@ def evaluate_lagrangian_hessian(problem: NcoProblem, x: np.ndarray,
 
 def infeasibility(c: np.ndarray) -> float:
     """l1 constraint violation."""
-    return float(np.sum(np.abs(c)))
+    return float(np.abs(c).sum())
 
 
 # ------------------ expression problems ------------------

@@ -105,14 +105,14 @@ def complementarity(x, lb, ub, mu) -> float:
 def kkt_residual(qp: QpData, sol: QpSolution) -> float:
     """Max violation over stationarity, primal, bounds, sign, complementarity."""
     x, lam, mu = sol.x, sol.lam, sol.mu
-    r_st = np.max(np.abs(qp.W @ x + qp.g - qp.A @ lam - mu), initial=0.0)
-    r_eq = np.max(np.abs(qp.A.T @ x - qp.b), initial=0.0)
-    r_lb = np.max(qp.lb - x, initial=0.0)
-    r_ub = np.max(x - qp.ub, initial=0.0)
+    r_st = np.abs(qp.W @ x + qp.g - qp.A @ lam - mu).max(initial=0.0)
+    r_eq = np.abs(qp.A.T @ x - qp.b).max(initial=0.0)
+    r_lb = (qp.lb - x).max(initial=0.0)
+    r_ub = (x - qp.ub).max(initial=0.0)
     # mu > 0 claims the lower bound, mu < 0 the upper one
     unbacked = (qp.lb != qp.ub) & (((mu > 0.0) & (qp.lb == -np.inf))
                                    | ((mu < 0.0) & (qp.ub == np.inf)))
-    r_sign = np.max(np.abs(mu[unbacked]), initial=0.0)
+    r_sign = np.abs(mu[unbacked]).max(initial=0.0)
     return max(r_st, r_eq, r_lb, r_ub, r_sign,
                complementarity(x, qp.lb, qp.ub, mu))
 
@@ -162,7 +162,7 @@ class _Core:
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
-        self.w_zero = not np.any(W)
+        self.w_zero = not W.any()
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
@@ -252,28 +252,28 @@ class _Core:
         x[work == LOWER] = lb[work == LOWER]
         x[work == UPPER] = ub[work == UPPER]
         x[work == PINNED] = lb[work == PINNED]
-        if not np.all(np.isfinite(x[fixed])):
+        if not np.isfinite(x[fixed]).all():
             return None
         free = np.flatnonzero(~fixed)
         rhs = b - A[fixed].T @ x[fixed]
-        tol = 1e-9 * (1.0 + np.max(np.abs(b), initial=0.0))
+        tol = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
         if free.size == 0:
-            return None if np.max(np.abs(rhs), initial=0.0) > tol else (x, work)
+            return None if np.abs(rhs).max(initial=0.0) > tol else (x, work)
         f = self.reduced(free)
         xf0 = f.qr.range_point(rhs)
-        if np.max(np.abs(A[free].T @ xf0 - rhs), initial=0.0) > tol:
+        if np.abs(A[free].T @ xf0 - rhs).max(initial=0.0) > tol:
             return None
         xf, Z = xf0, f.qr.Z
         if Z.shape[1]:
             if f.chol is None and f.w[0] <= ZERO_EIG_REL * max(
-                    1.0, float(np.max(np.abs(f.w)))):
+                    1.0, float(np.abs(f.w).max())):
                 return None
             gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
                 + (W @ xf0 if free.size == self.n
                    else W[np.ix_(free, free)] @ xf0)
             xf = xf0 + Z @ f.newton(Z.T @ gf)
-        pad = 1e-10 * (1.0 + np.max(np.abs(xf), initial=0.0))
-        if np.any(xf < lb[free] - pad) or np.any(xf > ub[free] + pad):
+        pad = 1e-10 * (1.0 + np.abs(xf).max(initial=0.0))
+        if (xf < lb[free] - pad).any() or (xf > ub[free] + pad).any():
             return None
         x[free] = np.clip(xf, lb[free], ub[free])
         return x, work
@@ -289,34 +289,34 @@ class _Core:
         if Z.shape[1] == 0:
             return None
         q = Z.T @ grad[free]
-        q_tol = STATIONARY_REL * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
+        q_tol = STATIONARY_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
         if f.chol is not None:
-            if np.max(np.abs(q)) <= q_tol:
+            if np.abs(q).max() <= q_tol:
                 return None
             pz = f.newton(q)
         else:
             w, V = f.w, f.V
-            eig_tol = ZERO_EIG_REL * max(1.0, float(np.max(np.abs(w))))
+            eig_tol = ZERO_EIG_REL * max(1.0, float(np.abs(w).max()))
             neg = w < -eig_tol
             zero = np.abs(w) <= eig_tol
-            if np.any(neg):
+            if neg.any():
                 v = V[:, int(np.argmin(w))]
                 return self._orient_ray(x, free, Z, v, q), True
-            if np.any(zero):
+            if zero.any():
                 qz = V[:, zero] @ (V[:, zero].T @ q)
-                if np.max(np.abs(qz), initial=0.0) > q_tol:
+                if np.abs(qz).max(initial=0.0) > q_tol:
                     if not np.isfinite(np.linalg.norm(qz)):
-                        qz = qz / np.max(np.abs(qz))    # its norm overflowed
+                        qz = qz / np.abs(qz).max()    # its norm overflowed
                     v = -qz / np.linalg.norm(qz)
                     return self._embed(free, Z @ v), True
-            if np.max(np.abs(q), initial=0.0) <= q_tol:
+            if np.abs(q).max(initial=0.0) <= q_tol:
                 return None
             pz = f.newton(q, ~(neg | zero))
         p = self._embed(free, Z @ pz)
         # a step within the rounding of x makes no progress: x would only
         # flip between adjacent doubles until the pass budget ran out
-        if np.max(np.abs(p), initial=0.0) <= q_tol or \
-                np.all(np.abs(p) <= EPS * np.abs(x)):
+        if np.abs(p).max(initial=0.0) <= q_tol or \
+                (np.abs(p) <= EPS * np.abs(x)).all():
             return None
         return p, False
 
@@ -353,7 +353,7 @@ class _Core:
         """Largest step along p keeping the box; returns (alpha, blocking)."""
         alpha = alpha_cap
         candidates = []
-        tol = 1e-14 * (1.0 + float(np.max(np.abs(p))))
+        tol = 1e-14 * (1.0 + float(np.abs(p).max()))
         for i in np.flatnonzero(np.abs(p) > tol):
             if p[i] > 0.0:
                 if np.isfinite(self.ub[i]):
@@ -393,13 +393,13 @@ class _Core:
             lam = np.zeros(0)
         mu = grad - self.A @ lam
         mu[free] = 0.0
-        tol = MU_SIGN_REL * (1.0 + float(np.max(np.abs(grad), initial=0.0)))
+        tol = MU_SIGN_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
         viol = np.zeros(self.n)
         at_lower = work == LOWER
         at_upper = work == UPPER
         viol[at_lower] = np.maximum(-mu[at_lower] - tol, 0.0)
         viol[at_upper] = np.maximum(mu[at_upper] - tol, 0.0)
-        if not np.any(viol > 0.0):
+        if not (viol > 0.0).any():
             return lam, mu, None
         if self.pivots <= self.half:
             drop = int(np.argmax(viol))
@@ -428,10 +428,10 @@ def _phase1(A, b, lb, ub, max_pivots):
     """
     n, m = A.shape
     x0 = np.clip(np.zeros(n), lb, ub)
-    if m == 0 or np.max(np.abs(A.T @ x0 - b), initial=0.0) <= ELASTIC_TOL:
+    if m == 0 or np.abs(A.T @ x0 - b).max(initial=0.0) <= ELASTIC_TOL:
         return (x0, _initial_work(x0, lb, ub)), 0, None
     x_ls = np.clip(np.linalg.lstsq(A.T, b, rcond=None)[0], lb, ub)
-    if np.sum(np.abs(A.T @ x_ls - b)) <= ELASTIC_TOL:
+    if np.abs(A.T @ x_ls - b).sum() <= ELASTIC_TOL:
         return (x_ls, _initial_work(x_ls, lb, ub)), 0, None
     z, work, resid, pivots = _elastic_lp(A, b, lb, ub, max_pivots)
     lp = None if z is None else (z, work)
@@ -453,7 +453,7 @@ def _elastic_lp(A, b, lb, ub, max_pivots):
     status, z, _, _, work = core.run(z0, _initial_work(z0, lp.lb, lp.ub))
     if status != "optimal":
         return None, None, np.inf, core.pivots
-    return z, work, float(np.sum(z[n:])), core.pivots
+    return z, work, float(z[n:].sum()), core.pivots
 
 
 def _face_enumeration(core):
@@ -501,7 +501,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # lb <= ub is false for NaN. A box without a real point must stop here
     # as bad data: the core would walk x to inf or NaN, where every pass is
     # a step that blocks on no bound, until its pass budget ran out.
-    if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
+    if not ((lb <= ub).all() and (lb < np.inf).all() and (ub > -np.inf).all()):
         raise DimensionMismatch("empty box: no real x with lb <= x <= ub")
     # a NaN or inf in the data sends the core the same way
     if not np.isfinite(np.concatenate((W.ravel(), g, A.ravel(), b))).all():
@@ -518,8 +518,8 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         hint = "miss" if start is None else "hit"
     if start is None and feasible_start is not None:
         x = np.clip(np.asarray(feasible_start, dtype=float), lb, ub)
-        if np.max(np.abs(A.T @ x - b), initial=0.0) <= 1e-8 * (
-                1.0 + np.max(np.abs(b), initial=0.0)):
+        if np.abs(A.T @ x - b).max(initial=0.0) <= 1e-8 * (
+                1.0 + np.abs(b).max(initial=0.0)):
             start = x, _initial_work(x, lb, ub)
     if start is None:
         start, phase1_pivots, lp = _phase1(A, b, lb, ub, max_pivots)
@@ -540,10 +540,10 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # active-set iteration is local; on small box-only nonconvex problems a
     # face scan certifies (or repairs) global optimality. A certified
     # Cholesky factor of the all-free W means a convex QP.
-    if not np.any(A) and 0 < n <= FACE_ENUM_MAX:
+    if not A.any() and 0 < n <= FACE_ENUM_MAX:
         f = core.reduced(np.arange(n))
         if f.chol is None and f.w[0] < -ZERO_EIG_REL * max(
-                1.0, float(np.max(np.abs(f.w)))):
+                1.0, float(np.abs(f.w).max())):
             obj_loc = core._phi(x)
             obj_enum, x_enum, work_enum = _face_enumeration(core)
             if x_enum is not None and obj_enum < obj_loc - 1e-12 * (

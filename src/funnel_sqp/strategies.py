@@ -44,7 +44,7 @@ class ProgressModels:
 
 def progress_models(d, W, grad_f, c, J, h: float) -> ProgressModels:
     """The models at an iterate with violation h = |c|_1."""
-    m_h = float(np.sum(np.abs(c + J.T @ d))) if c.size else 0.0
+    m_h = float(np.abs(c + J.T @ d).sum()) if c.size else 0.0
     pred_f = float(-0.5 * d @ W @ d - grad_f @ d)
     return ProgressModels(pred_f=pred_f, pred_h=h - m_h, m_h=m_h)
 

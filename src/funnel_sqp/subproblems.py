@@ -240,7 +240,7 @@ class DirectionEngine:
         v = sol.x[n + m:]
         self.resto_lam = sol.lam.copy()
         mu = self._strip_trust_region_multipliers(d, sol.mu[:n], x, delta)
-        feasible = float(np.sum(u) + np.sum(v)) <= ELASTIC_TOL
+        feasible = float(u.sum() + v.sum()) <= ELASTIC_TOL
         return DirectionResult(d=d, lam=sol.lam, mu=mu,
                                W_used=fqp.W[:n, :n],
                                phase=Phase.RESTORATION, eta=eta,

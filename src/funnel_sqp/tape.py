@@ -18,7 +18,8 @@ vectorized over a batch of tapes with the same ops.
 
 TapeSet compiles and evaluates: on its first evaluation (not when a model
 is loaded) it compiles each expression's top-level terms, and it evaluates
-all terms with the same ops in one batched pass.
+all terms with the same ops in one batched pass. jacobian keeps the
+Hessians of nonlinear terms, so a point is differentiated in one pass.
 
 Every operation runs on float64 arrays, so a domain fault (log of 0, sqrt
 of a negative, 0 ** -1, overflow) gives inf or NaN, never an exception or,
@@ -32,7 +33,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -45,10 +46,16 @@ class Node:
 
     ==, hash and repr work as the dataclass ones would, but walk the tree
     with a loop: the parser's sums are left spines as deep as they have
-    terms, deeper than the recursion limit in a long model.
+    terms, deeper than the recursion limit in a long model. A node's
+    __init__ writes its fields into __dict__; nothing else may.
     """
 
     __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"expression nodes are immutable: {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, Node):
@@ -136,33 +143,32 @@ def _preorder(node):
         stack += reversed([v for v in fields if isinstance(v, Node)])
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Num(Node):
-    value: float
+    def __init__(self, value: float):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Node):
-    name: str
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Unary(Node):
-    op: str            # only '-'
-    operand: "Expr"
+    def __init__(self, op: str, operand: "Expr"):     # op is only '-'
+        d = self.__dict__
+        d["op"], d["operand"] = op, operand
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Node):
-    op: str            # '+', '-', '*', '/', '^'
-    left: "Expr"
-    right: "Expr"
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        d = self.__dict__           # op is '+', '-', '*', '/' or '^'
+        d["op"], d["left"], d["right"] = op, left, right
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(Node):
-    fn: str            # 'exp', 'log', 'sin', 'cos' or 'sqrt'
-    arg: "Expr"
+    def __init__(self, fn: str, arg: "Expr"):
+        d = self.__dict__           # fn is exp, log, sin, cos or sqrt
+        d["fn"], d["arg"] = fn, arg
 
 
 Expr = Union[Num, Var, Unary, Binary, Call]
@@ -365,6 +371,14 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
+@lru_cache(maxsize=64)
+def _identity(k: int) -> np.ndarray:
+    """The read-only k x k identity: its rows are the VAR gradients."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def forward(ops: list, X: np.ndarray, order: int):
     """One forward-over-forward pass of ops over a batch of points.
 
@@ -375,7 +389,7 @@ def forward(ops: list, X: np.ndarray, order: int):
     Hessian likewise (G, k, k) or (k, k).
     """
     second = order >= 2
-    eye = np.eye(X.shape[1]) if order else None
+    eye = _identity(X.shape[1]) if order else None
     vals, grads, hess = [], [], []
     g = H = None
     for code, fn, a, b in ops:
@@ -482,12 +496,15 @@ class TapeSet:
     inf or NaN among them raises NonFiniteValue. The solver's Hessian is
     weighted_hessian: each term's Hessian scaled by its expression's weight
     and summed into one n x n array, never a stack per expression.
-    Evaluation runs under np.errstate, so a domain fault warns nowhere.
+    jacobian(x) keeps the nonlinear groups' Hessians with the bytes of x,
+    and weighted_hessian at those bytes reuses them; at any other x (even
+    -0.0 for +0.0) it runs the pass. Evaluation runs under np.errstate.
     """
 
     def __init__(self, tapes: list, n: int, name: str):
         self.n, self.size, self.name = n, len(tapes), name
         self._tapes = tapes
+        self._kept_x = None     # bytes of the x of the groups' .hessian
 
     @cached_property
     def _plan(self) -> tuple:
@@ -543,11 +560,18 @@ class TapeSet:
             return M.cumsum(axis=1)[:, -1].copy()   # not a view of M
 
     def jacobian(self, x) -> np.ndarray:
-        """(n, size) gradients at x, one column per expression."""
+        """(n, size) gradients at x, one column per expression. Nonlinear
+        groups run at order 2 and keep their Hessians for weighted_hessian
+        at the same x."""
         x = np.asarray(x, dtype=float)
+        self._kept_x = None
+        w = []
         with np.errstate(all="ignore"):
-            w = [grp.sign[:, None] * forward(grp.ops, x[grp.index], 1)[1]
-                 for grp in self.groups]
+            for grp in self.groups:
+                _, g, grp.hessian = forward(grp.ops, x[grp.index],
+                                            2 if grp.nonlinear else 1)
+                w.append(grp.sign[:, None] * g)
+        self._kept_x = x.tobytes()
         return self._scatter(self._jac_index, w, (self.n, self.size),
                              "gradient")
 
@@ -561,17 +585,20 @@ class TapeSet:
 
     def weighted_hessian(self, x, weights) -> np.ndarray:
         """(n, n) sum over expressions e of weights[e] times e's Hessian at
-        x. A group whose terms all have weight zero is not evaluated."""
+        x. A group whose terms all have weight zero is not evaluated, and
+        at the last jacobian's x no group runs a pass."""
         x = np.asarray(x, dtype=float)
         weights = np.asarray(weights, dtype=float)
+        kept = self._kept_x == x.tobytes()
         index, w = [], []
         with np.errstate(all="ignore"):
             for grp, at in zip(self._plan[1], self._pair_index):
                 scale = weights[grp.row] * grp.sign
                 if scale.any():
                     index.append(at)
-                    w.append(scale[:, None, None]
-                             * forward(grp.ops, x[grp.index], 2)[2])
+                    H = grp.hessian if kept else \
+                        forward(grp.ops, x[grp.index], 2)[2]
+                    w.append(scale[:, None, None] * H)
         return self._scatter(_concat(index), w, (self.n, self.n), "Hessian")
 
     @cached_property
@@ -602,10 +629,10 @@ def _concat(arrays: list) -> np.ndarray:
 class _Group:
     """Terms sharing one op list: the variables each reads (G, k), the
     expression each belongs to, and the slot of its value in the (size,
-    width) matrix of term values."""
+    width) matrix of term values. jacobian sets hessian."""
 
     def __init__(self, ops, nonlinear, index, row, slots, sign):
-        self.ops, self.nonlinear = ops, nonlinear
+        self.ops, self.nonlinear, self.hessian = ops, nonlinear, None
         self.index, self.row, self.slots, self.sign = index, row, slots, sign
 
 

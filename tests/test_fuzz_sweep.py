@@ -39,3 +39,35 @@ def test_three_models(capsys):
     res = solve(load_source(source, name="fuzz-0"),
                 SolverConfig(max_outer=300))
     assert solves[0] == f"{fuzz_sweep.outcome(res)}  fuzz-0 funnel trust-region"
+
+
+def test_certify_three_models(capsys):
+    fuzz_sweep.main(["--models", "3", "--certify"])
+    lines = capsys.readouterr().out.splitlines()
+    solves = lines[:12]
+    worst = [line for line in lines[12:] if line.startswith("worst ")]
+    classes = collections.Counter(map(_class, solves))
+    assert len(lines) == 12 + len(classes) + len(worst)
+    # the same outcome lines as without --certify
+    fuzz_sweep.main(["--models", "3"])
+    assert capsys.readouterr().out.splitlines() == lines[:-len(worst)]
+    certified = [s for s in sorted(classes) if s in fuzz_sweep.CERTIFICATES]
+    assert certified == ["infeasible_stationary", "kkt_point"]
+    assert [line.split()[1] for line in worst] == \
+        [fuzz_sweep.CERTIFICATES[s][0] for s in certified]
+    rng = np.random.default_rng(7007)
+    sources = [_random_model_source(rng) for _ in range(3)]
+    for line, status in zip(worst, certified):
+        head, label = line[:-1].split("  (")
+        value, count = float(head.split()[2]), int(head.split()[4])
+        assert count == classes[status]
+        assert value <= (1e-6 if status == "kkt_point" else 0.01)
+        # the worst value is the certificate of the solve it names
+        i, strategy, mechanism = label.split()
+        problem = load_source(sources[int(i[5:])], name=i)
+        res = solve(problem, SolverConfig(strategy=strategy,
+                                          mechanism=mechanism,
+                                          max_outer=300))
+        assert res.status == status
+        assert f"{fuzz_sweep.CERTIFICATES[status][1](problem, res):.3e}" \
+            == head.split()[2]

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import unsplit_value
-from funnel_sqp import hyperdual
+from conftest import bench_chain, unsplit_value
+from funnel_sqp import hyperdual, tape
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import (format_expr, load_source, model_to_general,
@@ -255,6 +255,23 @@ class TestTracing:
         assert unsplit_value(t.expr, t.env, x) == pytest.approx(s * s + s,
                                                                 rel=1e-15)
 
+    def test_nodes_are_immutable(self):
+        x = Var("x")
+        for node, field in [(Num(1.0), "value"), (x, "name"),
+                            (Unary("-", x), "operand"),
+                            (Binary("+", x, Num(2.0)), "left"),
+                            (Call("exp", x), "arg")]:
+            before = repr(node)
+            with pytest.raises(AttributeError):
+                setattr(node, field, Num(3.0))
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+            with pytest.raises(AttributeError):
+                node.extra = 1
+            assert repr(node) == before
+        assert Binary(op="+", left=x, right=Num(2.0)) == \
+            Binary("+", Var("x"), Num(2.0))
+
     def test_deep_expression_compiles_without_recursion(self):
         depth = 5 * sys.getrecursionlimit()
         text = "var x start 1; minimize " + " + ".join(["x"] * depth) + ";"
@@ -401,3 +418,102 @@ class TestTapeSet:
             assert np.allclose(p.hess_c(x)[i], H, rtol=1e-15, atol=0)
         assert np.allclose(p.c(x), x[:5] ** 2 * x[1:] + 2 * x[:5] - 1,
                            rtol=1e-15, atol=1e-15)
+
+
+def _chain_sets():
+    """Fresh (objective, rows) TapeSets of the n=24 .nco chain, and its
+    seed-0 start."""
+    chain = bench_chain()
+    x0 = chain.start_point(24, 0)
+    m = parse_model(chain.nco_text(x0))
+    env = {v.name: i for i, v in enumerate(m.variables)}
+    return (TapeSet([Tape(m.objective, env)], 24, "objective"),
+            TapeSet([Tape(r.body, env) for r in m.constraints], 24,
+                    "constraint")), x0
+
+
+def _passes(monkeypatch):
+    """Count tape.forward calls per order from here on."""
+    counts = {0: 0, 1: 0, 2: 0}
+    original = tape.forward
+
+    def counted(ops, X, order):
+        counts[order] += 1
+        return original(ops, X, order)
+    monkeypatch.setattr(tape, "forward", counted)
+    return counts
+
+
+class TestKeptHessians:
+    """jacobian(x) keeps its nonlinear groups' Hessians with x's bytes, and
+    weighted_hessian at the same bytes scales and scatters them."""
+
+    @staticmethod
+    def _weights(size):
+        """Weights with zeros among them, all zero, and none zero."""
+        w = np.linspace(-1.5, 2.0, size)
+        w[::3] = 0.0
+        return [w, np.zeros(size), np.linspace(0.5, 2.5, size)]
+
+    def test_kept_hessians_are_bitwise_a_fresh_pass(self, monkeypatch):
+        (objective, rows), x = _chain_sets()
+        fresh_sets, _ = _chain_sets()
+        counts = _passes(monkeypatch)
+        for ts, fresh in zip((objective, rows), fresh_sets):
+            ts.jacobian(x)
+            for w in self._weights(ts.size):
+                counts.update({0: 0, 1: 0, 2: 0})
+                got = ts.weighted_hessian(x, w)
+                assert counts == {0: 0, 1: 0, 2: 0}
+                want = fresh.weighted_hessian(x, w)
+                assert got.tobytes() == want.tobytes()
+
+    def test_gradients_of_the_order_2_pass_are_bitwise_order_1(
+            self, monkeypatch):
+        (objective, rows), x = _chain_sets()
+        got = [objective.jacobian(x), rows.jacobian(x)]
+        original = tape.forward
+        monkeypatch.setattr(tape, "forward", lambda ops, X, order:
+                            original(ops, X, min(order, 1)))
+        (objective, rows), _ = _chain_sets()
+        want = [objective.jacobian(x), rows.jacobian(x)]
+        assert [J.tobytes() for J in got] == [J.tobytes() for J in want]
+
+    def test_another_x_runs_the_pass(self, monkeypatch):
+        (_, rows), x = _chain_sets()
+        (_, fresh), _ = _chain_sets()
+        nonlinear = sum(grp.nonlinear for grp in rows.groups)
+        assert 0 < nonlinear < len(rows.groups)     # 3 x^3, sin * sin; 2 x
+        x[5] = 0.0
+        moved = x.copy()
+        moved[7] = np.nextafter(x[7], np.inf)
+        signed = x.copy()
+        signed[5] = -0.0                # equal to x, but not its bytes
+        w = np.ones(rows.size)
+        counts = _passes(monkeypatch)
+        for other in (moved, signed):
+            rows.jacobian(x)
+            counts.update({0: 0, 1: 0, 2: 0})
+            got = rows.weighted_hessian(other, w)
+            assert counts == {0: 0, 1: 0, 2: nonlinear}
+            assert got.tobytes() == fresh.weighted_hessian(other, w).tobytes()
+        # the gradient pass runs linear groups at order 1 only
+        counts.update({0: 0, 1: 0, 2: 0})
+        rows.jacobian(x)
+        assert counts == {0: 0, 1: len(rows.groups) - nonlinear,
+                          2: nonlinear}
+
+    def test_hessians_view_is_unchanged(self):
+        (objective, rows), x = _chain_sets()
+        fresh_sets, _ = _chain_sets()
+        for ts, fresh in zip((objective, rows), fresh_sets):
+            ts.jacobian(x)
+            got = ts.hessians(x)
+            want = fresh.hessians(x)
+            assert got.shape == (ts.size, 24, 24)
+            assert got.tobytes() == want.tobytes()
+            for e in range(ts.size):
+                unit = np.zeros(ts.size)
+                unit[e] = 1.0
+                assert got[e].tobytes() == \
+                    fresh.weighted_hessian(x, unit).tobytes()

@@ -1,9 +1,14 @@
 """scripts/trace_digest.py --parse: one digest per model source, over its
-parsed model and its tokens, in a fixed source order."""
+parsed model and its tokens, in a fixed source order; and --passes, the
+tape's forward passes per order."""
 
 import hashlib
 import importlib.util
+import itertools
 from pathlib import Path
+
+from funnel_sqp import SolverConfig, solve, tape
+from funnel_sqp.dsl import load_source
 
 _spec = importlib.util.spec_from_file_location(
     "trace_digest",
@@ -54,3 +59,34 @@ def test_error_digest():
     assert trace_digest.parsed("minimize y") == _sha([
         undeclared, repr(("ident", "minimize", 1, 1)),
         repr(("ident", "y", 1, 10)), repr(("eof", "", 1, 11))])
+
+
+def test_passes_mode_counts_forward_passes_by_order(monkeypatch, capsys):
+    forward = tape.forward
+    chain = trace_digest.chain
+    x0 = chain.start_point(24, 0)
+    made = {"dsl-chain-24": lambda: load_source(chain.nco_text(x0)),
+            "analytic-chain-24": lambda: chain.analytic_problem(x0)}
+    monkeypatch.setattr(trace_digest, "problems", lambda: (
+        (label, make, None) for label, make in made.items()))
+    trace_digest.main(["--passes"])
+    assert tape.forward is forward      # main() put the original back
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(trace_digest.VARIANTS)
+    for line, (label, (strategy, mechanism)) in zip(
+            lines, itertools.product(made, trace_digest.VARIANTS)):
+        *counts, rest = line.split("  ")
+        assert rest == f"{label} {strategy} {mechanism}"
+        got = [int(c.split("=")[1]) for c in counts]
+        if label.startswith("analytic"):
+            assert got == [0, 0, 0]     # numpy callables, no tape
+            continue
+        res = solve(made[label](), SolverConfig(strategy=strategy,
+                                                mechanism=mechanism))
+        n_f, n_grad = res.counters.n_f, res.counters.n_grad_f
+        # the objective's two groups and the rows' three run per f and c;
+        # each gradient evaluation runs the four nonlinear groups at order
+        # 2 and the rows' linear 2 * x group at order 1, and no Hessian
+        # runs a pass of its own
+        assert res.counters.n_hess > 0
+        assert got == [5 * n_f, n_grad, 4 * n_grad]
