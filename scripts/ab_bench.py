@@ -13,14 +13,24 @@ side's median and quartiles, the change/parent ratio of the medians and the
 number of pairs the change won (ties count for neither). A gain holds when
 the change wins at least nine tenths of the pairs and the medians differ by
 more than the parent's interquartile range; the gain column says so. The
-last column applies the metric's relative `bound`: `worse` when the change's
+bound column applies the metric's relative `bound`: `worse` when the change's
 median is worse than the parent's by more than bound times the parent's
 median, `unresolved` when the parent's interquartile range is wider than
 that unless every change run beats every parent run, else `ok`.
+
+The last two columns pair the runs. The gain rule pools each side's runs,
+so a machine that speeds up or slows down between pairs widens the
+parent's quartiles and can hide a change that wins every pair. The paired
+statistic is the change/parent ratio within each pair, which that drift
+moves much less: the script prints its median and quartiles, and the
+paired column reads yes when the change wins at least nine tenths of the
+pairs and the ratio's upper quartile is below 1 (its lower quartile above
+1 for a higher-is-better metric).
 """
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -56,6 +66,19 @@ def verdict(parent, change, better):
     return won, won >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1
 
 
+def paired(parent, change, better):
+    """((q1, median, q3) of the per-pair change/parent ratio, whether a
+    paired gain holds) for one metric's paired values; better is "lower" or
+    "higher". A zero parent value gives the ratio 1 against a zero change
+    value and an infinite one otherwise."""
+    ratios = [c / p if p else (1.0 if c == p else math.copysign(math.inf, c))
+              for p, c in zip(parent, change)]
+    q = quartiles(ratios)
+    won, _ = verdict(parent, change, better)
+    beyond = q[2] < 1.0 if better == "lower" else q[0] > 1.0
+    return q, won >= 0.9 * len(parent) and beyond
+
+
 def regression(parent, change, better, bound):
     """The no-regression verdict for one metric's runs under its relative
     bound: "worse", "unresolved" or "ok"; better is "lower" or "higher"."""
@@ -79,14 +102,17 @@ def summary(runs, metrics):
         p = [r["metrics"][name]["value"] for r in runs["parent"]]
         c = [r["metrics"][name]["value"] for r in runs["change"]]
         won, gain = verdict(p, c, better)
+        (r1, rm, r3), pair_gain = paired(p, c, better)
         p1, pm, p3 = quartiles(p)
         c1, cm, c3 = quartiles(c)
         ratio = cm / pm if pm else float("nan")
         parent = f"{pm:.4g} [{p1:.4g}, {p3:.4g}]"
         change = f"{cm:.4g} [{c1:.4g}, {c3:.4g}]"
+        pair_ratio = f"{rm:.3f} [{r1:.3f}, {r3:.3f}]"
         rows.append(f"{name:12s}  {parent:32s}  {change:32s}  {ratio:6.3f}"
                     f"  {won:2d}/{pairs}  {'yes' if gain else 'no':4s}"
-                    f"  {regression(p, c, better, bound)}")
+                    f"  {regression(p, c, better, bound):10s}"
+                    f"  {pair_ratio:22s}  {'yes' if pair_gain else 'no'}")
     return rows
 
 
@@ -119,7 +145,7 @@ def main(argv=None):
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s: median [quartiles], parent then change")
     print(f"{'metric':12s}  {'parent':32s}  {'change':32s}  {'c/p':>6s}"
-          f"  {'won':>5s}  gain  bound")
+          f"  {'won':>5s}  gain  {'bound':10s}  {'c/p per pair':22s}  paired")
     print("\n".join(summary(runs, metrics)))
     failed = sum(not r["correct"] for side in runs.values() for r in side)
     print(f"runs not correct: {failed} of {2 * args.pairs}")

@@ -8,9 +8,10 @@ block Z alone, and to single vectors, which with ``trtrs`` give
 minimum-norm points (R^T) and full-rank least-squares multipliers (R).
 Positive definite matrices are factored by ``potrf``, with ``trtri``
 bounding their smallest eigenvalue, and solved with ``potrs``. The
-routines are called directly; ``sytrf`` and ``geqp3`` get the workspace
-sizes that scipy.linalg's ``ldl`` and ``qr`` query (geqp3's once per
-shape), so the LDL^T and raw QR factors are bit for bit theirs.
+routines are called directly, with positional arguments: f2py parses
+keywords at a cost that rivals these small solves. ``sytrf`` and ``geqp3``
+get the workspace sizes that scipy.linalg's ``ldl`` and ``qr`` query, once
+per shape, so the LDL^T and raw QR factors are bit for bit theirs.
 Everything here is dense and sized for desk-scale problems.
 """
 
@@ -34,8 +35,10 @@ RANK_REL = 1e-10
  _trtrs) = get_lapack_funcs(("sytrf", "sytrf_lwork", "geqp3", "ormqr",
                              "potrf", "potrs", "trtri", "trtrs"),
                             dtype=np.float64)
-# geqp3's workspace size per shape of A: its query reads only the dimensions
+# workspace sizes, geqp3's per shape of A and sytrf's per order of M: their
+# queries read only the dimensions
 _GEQP3_LWORK: dict[tuple, int] = {}
+_SYTRF_LWORK: dict[int, int] = {}
 
 
 @dataclass
@@ -78,8 +81,10 @@ def ldlt_factorize(M: np.ndarray, sym_tol: float = 1e-10) -> LdltFactors:
         norm = np.abs(M).max()
     if not norm < np.inf:
         raise ValueError("NaN or inf in the matrix")
-    ldu, ipiv, info = _sytrf(M, lower=1,
-                             lwork=int(_sytrf_lwork(n, lower=1)[0]))
+    lwork = _SYTRF_LWORK.get(n)
+    if lwork is None:
+        lwork = _SYTRF_LWORK[n] = int(_sytrf_lwork(n, lower=1)[0])
+    ldu, ipiv, info = _sytrf(M, 1, lwork)          # lower, lwork
     _check(info, "sytrf")
     # a 2x2 block at k, k+1 shows as a pair of equal negative ipiv entries;
     # the pairs are disjoint, so every other negative entry starts one
@@ -128,7 +133,7 @@ def pivoted_qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lwork = _GEQP3_LWORK.get(A.shape)
     if lwork is None:
         lwork = _GEQP3_LWORK[A.shape] = int(_geqp3(A, lwork=-1)[3][0])
-    qr, jpvt, tau, _, info = _geqp3(A, lwork=lwork)
+    qr, jpvt, tau, _, info = _geqp3(A, lwork)
     _check(info, "geqp3")
     return qr, jpvt - 1, tau
 
@@ -141,8 +146,8 @@ def _apply_q(qr, tau, C, trans: str) -> np.ndarray:
     the minimum, which takes the unblocked path: for one column, forming
     each block's triangular factor costs more than it saves (about 3x)."""
     k = C.shape[1]
-    out, _, info = _ormqr("L", trans, qr, tau, C,
-                          lwork=64 * (k + 65) if k > 1 else 1, overwrite_c=1)
+    lwork = 64 * (k + 65) if k > 1 else 1
+    out, _, info = _ormqr("L", trans, qr, tau, C, lwork, 1)  # overwrite C
     _check(info, "ormqr")
     return out
 
@@ -171,7 +176,7 @@ class NullspaceFactors:
         r = self.rank
         x = np.zeros((self.qr.shape[0], 1))
         if r:
-            y, info = _trtrs(self.R11, rhs[self.piv[:r]], lower=0, trans=1)
+            y, info = _trtrs(self.R11, rhs[self.piv[:r]], 0, 1)  # R^T
             _check_solve(info, "trtrs")
             x[:r, 0] = y
             x = _apply_q(self.qr, self.tau, x, "N")
@@ -185,7 +190,7 @@ class NullspaceFactors:
             return np.zeros(self.piv.size)
         qg = _apply_q(self.qr, self.tau, np.array(g, dtype=float)[:, None],
                       "T")
-        y, info = _trtrs(self.R11, qg[:r, 0], lower=0)
+        y, info = _trtrs(self.R11, qg[:r, 0])
         _check_solve(info, "trtrs")
         lam = np.empty(self.piv.size)
         lam[self.piv] = y
@@ -202,16 +207,18 @@ def nullspace_basis(A: np.ndarray) -> NullspaceFactors:
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d array, got shape {A.shape}")
     n, m = A.shape
-    if m == 0 or not A.any():
+    if m == 0 or not np.count_nonzero(A):
         return NullspaceFactors(np.eye(n), np.zeros((n, 0)), np.zeros(0),
                                 np.zeros((0, 0)), np.arange(m), 0)
     qr, piv, tau = pivoted_qr(A)
     rank = r_rank(qr)
-    # Z = Q [0; I]: the reflectors applied to the trailing identity columns
+    # Z = Q [0; I]: the reflectors applied to the trailing identity columns,
+    # built as the rows of Z^T, whose transpose is the Fortran order ormqr
+    # overwrites in place
     reflectors = qr[:, :min(n, m)]
-    Z = np.zeros((n, n - rank), order="F")
-    np.fill_diagonal(Z[rank:], 1.0)
-    Z = _apply_q(reflectors, tau, Z, "N")
+    Zt = np.zeros((n - rank, n))
+    Zt.reshape(-1)[rank::n + 1] = 1.0
+    Z = _apply_q(reflectors, tau, Zt.T, "N")
     return NullspaceFactors(Z, reflectors, tau, qr[:rank, :rank], piv, rank)
 
 
@@ -224,12 +231,12 @@ def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:
     bounds lambda_max, so a certified H has no eigenvalue that an
     eigendecomposition would put in the band |w| <= zero_rel * max(1, max|w|).
     """
-    L, info = _potrf(H, lower=1)
+    L, info = _potrf(H, 1)                  # lower
     _check(info, "potrf")
     if info > 0:
         return None
     # potrf zeroed the upper triangle, and trtri leaves it zero
-    Linv, info = _trtri(L, lower=1)
+    Linv, info = _trtri(L, 1)               # lower
     _check_solve(info, "trtri")
     flat = Linv.ravel(order="K")
     if not 1.0 / (flat @ flat) > zero_rel * max(1.0, float(H.trace())):
@@ -239,7 +246,7 @@ def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """H^-1 b from the lower Cholesky factor L of H."""
-    x, info = _potrs(L, b, lower=1)
+    x, info = _potrs(L, b, 1)               # lower
     _check_solve(info, "potrs")
     return x
 
@@ -249,5 +256,5 @@ def r_rank(R: np.ndarray) -> int:
     rdiag = np.abs(R.diagonal())
     if rdiag.size == 0 or rdiag[0] == 0.0:
         return 0
-    return int((rdiag > RANK_REL * rdiag[0]).sum())
+    return np.count_nonzero(rdiag > RANK_REL * rdiag[0])
 

@@ -27,6 +27,13 @@ residual serving as the certificate. Every verdict returns the LP's final
 point and working set, so that an elastic QP over the same constraints
 (restoration) starts from them. A solution reports whether its warm start
 hit.
+Nearly every QP of a solve is a warm start that hits and then passes the
+multiplier check with no pivot, so that path runs only the array calls its
+result reads, each giving the bits the general path would: the box's
+pinned mask is worked out once per QP, a working set with every variable
+free reads A, W, g and the box in place instead of fancy-index copies, a
+box with no finite bound skips the pad test and the clip, and the
+multiplier check of a working set with no bound returns mu = 0 at once.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
 steps that never pivot. A Newton step no larger than machine epsilon times
@@ -38,6 +45,7 @@ starts on each face's bound codes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,13 +134,16 @@ def elastic_problem(A, b, lb, ub, W=None):
     We = np.zeros((N, N))
     if W is not None:
         We[:n, :n] = W
-    x0 = np.clip(np.zeros(n), lb, ub)
+    g = np.zeros(N)
+    g[n:] = 1.0
+    x0 = np.zeros(n).clip(lb, ub)
     r = A.T @ x0 - b
-    data = QpData(W=We, g=np.concatenate([np.zeros(n), np.ones(2 * m)]),
-                  A=np.vstack([A, -np.eye(m), np.eye(m)]), b=b,
-                  lb=np.concatenate([lb, np.zeros(2 * m)]),
-                  ub=np.concatenate([ub, np.full(2 * m, np.inf)]))
-    return data, np.concatenate([x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)])
+    eye = np.eye(m)
+    # -I keeps its -0.0 off the diagonal
+    data = QpData(W=We, g=g, A=np.concatenate((A, -eye, eye)), b=b,
+                  lb=np.concatenate((lb, np.zeros(2 * m))),
+                  ub=np.concatenate((ub, np.full(2 * m, np.inf))))
+    return data, np.concatenate((x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)))
 
 
 @dataclass
@@ -162,7 +173,16 @@ class _Core:
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
-        self.w_zero = not W.any()
+        # A's rows in C order, as the copy A[free] holds them: the working
+        # set with every variable free reads this instead of a copy
+        self.A_rows = np.ascontiguousarray(A)
+        self.every = np.arange(self.n)
+        # what every working set reads of the box: which variables are
+        # pinned, and whether any bound is finite
+        self.pinned = lb == ub
+        self.boxed = bool(np.count_nonzero(np.isfinite(lb))
+                          or np.count_nonzero(np.isfinite(ub)))
+        self.w_zero = not np.count_nonzero(W)
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
@@ -170,7 +190,7 @@ class _Core:
         # until reduced() first asks for it
         self._factored = None, None
         if free_factors is not None:
-            self._factored = np.arange(self.n).tobytes(), free_factors
+            self._factored = self.every.tobytes(), free_factors
 
     def run(self, x, work):
         """Iterate to optimality. Returns (status, x, lam, mu, work)."""
@@ -186,7 +206,8 @@ class _Core:
                     f"active-set budget of {self.max_pivots} pivots "
                     f"({max_passes} passes) exhausted")
             grad = self.W @ x + self.g
-            free = np.flatnonzero(work == FREE)
+            free = np.flatnonzero(work == FREE) if np.count_nonzero(work) \
+                else self.every
             move = self._direction(x, grad, free)
             if move is None:
                 lam, mu, drop = self._multipliers(grad, work, free)
@@ -243,39 +264,60 @@ class _Core:
 
         Returns (x, work) when the hinted EQP is solvable, strictly convex on
         its null space, and lands inside the box; None otherwise.
+
+        With every variable free, A, W, g and the box are read in place
+        (see the module docstring), and the fixed block's terms are the
+        zeros they would add: rhs = b - 0 is b, and g + 0 still turns -0.0
+        into +0.0.
         """
         W, g, A, b, lb, ub = self.W, self.g, self.A, self.b, self.lb, self.ub
-        work = np.asarray(codes, dtype=np.int8).copy()
-        work[lb == ub] = PINNED
-        x = np.zeros(self.n)
-        fixed = work != FREE
-        x[work == LOWER] = lb[work == LOWER]
-        x[work == UPPER] = ub[work == UPPER]
-        x[work == PINNED] = lb[work == PINNED]
-        if not np.isfinite(x[fixed]).all():
-            return None
-        free = np.flatnonzero(~fixed)
-        rhs = b - A[fixed].T @ x[fixed]
+        work = np.array(codes, dtype=np.int8)
+        work[self.pinned] = PINNED
+        every = self.n > 0 and not np.count_nonzero(work)
+        if every:
+            free, rhs, A_free, lb_free, ub_free = self.every, b, \
+                self.A_rows, lb, ub
+        else:
+            fixed = work != FREE
+            x = np.zeros(self.n)
+            x[work == LOWER] = lb[work == LOWER]
+            x[work == UPPER] = ub[work == UPPER]
+            x[work == PINNED] = lb[work == PINNED]
+            if not np.isfinite(x[fixed]).all():
+                return None
+            free = np.flatnonzero(~fixed)
+            rhs = b - A[fixed].T @ x[fixed]
+            A_free, lb_free, ub_free = A[free], lb[free], ub[free]
         tol = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
         if free.size == 0:
             return None if np.abs(rhs).max(initial=0.0) > tol else (x, work)
         f = self.reduced(free)
         xf0 = f.qr.range_point(rhs)
-        if np.abs(A[free].T @ xf0 - rhs).max(initial=0.0) > tol:
+        if np.abs(A_free.T @ xf0 - rhs).max(initial=0.0) > tol:
             return None
         xf, Z = xf0, f.qr.Z
         if Z.shape[1]:
             if f.chol is None and f.w[0] <= ZERO_EIG_REL * max(
                     1.0, float(np.abs(f.w).max())):
                 return None
-            gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
-                + (W @ xf0 if free.size == self.n
-                   else W[np.ix_(free, free)] @ xf0)
+            if every:
+                gf = g + 0.0
+                gf += W @ xf0
+            else:
+                gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] \
+                    @ x[fixed] + W[np.ix_(free, free)] @ xf0
             xf = xf0 + Z @ f.newton(Z.T @ gf)
+        if not self.boxed:
+            # with no finite bound a fixed variable would be infinite, so
+            # every variable is free here
+            return xf, work
         pad = 1e-10 * (1.0 + np.abs(xf).max(initial=0.0))
-        if (xf < lb[free] - pad).any() or (xf > ub[free] + pad).any():
+        if np.count_nonzero(xf < lb_free - pad) \
+                or np.count_nonzero(xf > ub_free + pad):
             return None
-        x[free] = np.clip(xf, lb[free], ub[free])
+        if every:
+            return xf.clip(lb, ub), work
+        x[free] = xf.clip(lb_free, ub_free)
         return x, work
 
     # -- direction choice --
@@ -288,7 +330,7 @@ class _Core:
         Z = f.qr.Z
         if Z.shape[1] == 0:
             return None
-        q = Z.T @ grad[free]
+        q = Z.T @ (grad if free.size == self.n else grad[free])
         q_tol = STATIONARY_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
         if f.chol is not None:
             if np.abs(q).max() <= q_tol:
@@ -343,6 +385,8 @@ class _Core:
         return float(0.5 * x @ self.W @ x + self.g @ x)
 
     def _embed(self, free, p_f):
+        if free.size == self.n:
+            return p_f
         p = np.zeros(self.n)
         p[free] = p_f
         return p
@@ -350,17 +394,22 @@ class _Core:
     # -- ratio test --
 
     def _ratio(self, x, p, alpha_cap):
-        """Largest step along p keeping the box; returns (alpha, blocking)."""
+        """Largest step along p keeping the box; returns (alpha, blocking).
+        The loop reads Python floats, which give the values numpy scalars
+        would at a fraction of the cost per entry."""
         alpha = alpha_cap
         candidates = []
         tol = 1e-14 * (1.0 + float(np.abs(p).max()))
-        for i in np.flatnonzero(np.abs(p) > tol):
-            if p[i] > 0.0:
-                if np.isfinite(self.ub[i]):
-                    candidates.append((max(self.ub[i] - x[i], 0.0) / p[i], i))
+        moving = np.flatnonzero(np.abs(p) > tol)
+        for i, p_i, x_i, lb_i, ub_i in zip(
+                moving.tolist(),
+                *(v[moving].tolist() for v in (p, x, self.lb, self.ub))):
+            if p_i > 0.0:
+                if math.isfinite(ub_i):
+                    candidates.append((max(ub_i - x_i, 0.0) / p_i, i))
             else:
-                if np.isfinite(self.lb[i]):
-                    candidates.append((max(x[i] - self.lb[i], 0.0) / (-p[i]), i))
+                if math.isfinite(lb_i):
+                    candidates.append((max(x_i - lb_i, 0.0) / (-p_i), i))
         if not candidates:
             return alpha, None
         a_min = min(a for a, _ in candidates)
@@ -378,11 +427,12 @@ class _Core:
     # -- multiplier check --
 
     def _multipliers(self, grad, work, free):
+        every = free.size == self.n
         if free.size:
             # the pass that found x reduced-stationary factored this set
             fac = self.reduced(free).qr
             if fac.rank == self.A.shape[1]:
-                lam = fac.multipliers(grad[free])
+                lam = fac.multipliers(grad if every else grad[free])
             else:
                 # the minimum-norm lam decides which bound is dropped
                 lam = np.linalg.lstsq(self.A[free], grad[free],
@@ -391,6 +441,9 @@ class _Core:
             lam = np.linalg.lstsq(self.A, grad, rcond=None)[0]
         else:
             lam = np.zeros(0)
+        if every:
+            # no bound in the working set: mu is zero, with no sign to check
+            return lam, np.zeros(self.n), None
         mu = grad - self.A @ lam
         mu[free] = 0.0
         tol = MU_SIGN_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
@@ -427,10 +480,10 @@ def _phase1(A, b, lb, ub, max_pivots):
     the constraints infeasible.
     """
     n, m = A.shape
-    x0 = np.clip(np.zeros(n), lb, ub)
+    x0 = np.zeros(n).clip(lb, ub)
     if m == 0 or np.abs(A.T @ x0 - b).max(initial=0.0) <= ELASTIC_TOL:
         return (x0, _initial_work(x0, lb, ub)), 0, None
-    x_ls = np.clip(np.linalg.lstsq(A.T, b, rcond=None)[0], lb, ub)
+    x_ls = np.linalg.lstsq(A.T, b, rcond=None)[0].clip(lb, ub)
     if np.abs(A.T @ x_ls - b).sum() <= ELASTIC_TOL:
         return (x_ls, _initial_work(x_ls, lb, ub)), 0, None
     z, work, resid, pivots = _elastic_lp(A, b, lb, ub, max_pivots)
@@ -439,7 +492,7 @@ def _phase1(A, b, lb, ub, max_pivots):
         return None, pivots, lp
     # ties in the LP's ratio test can leave a coordinate a rounding error
     # past its bound
-    x = np.clip(z[:n], lb, ub)
+    x = z[:n].clip(lb, ub)
     return (x, _initial_work(x, lb, ub)), pivots, lp
 
 
@@ -470,7 +523,7 @@ def _face_enumeration(core):
     """
     best = np.inf, None, None
     codes = np.full(core.n, PINNED, dtype=np.int8)
-    loose = np.flatnonzero(core.lb != core.ub)
+    loose = np.flatnonzero(~core.pinned)
     for face in itertools.product((FREE, LOWER, UPPER), repeat=loose.size):
         codes[loose] = face
         start = core.warm_start(codes)
@@ -500,8 +553,10 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     ub = np.asarray(qp.ub, dtype=float)
     # lb <= ub is false for NaN. A box without a real point must stop here
     # as bad data: the core would walk x to inf or NaN, where every pass is
-    # a step that blocks on no bound, until its pass budget ran out.
-    if not ((lb <= ub).all() and (lb < np.inf).all() and (ub > -np.inf).all()):
+    # a step that blocks on no bound, until its pass budget ran out. Past
+    # lb <= ub, no lb may be +inf and no ub -inf: one reduction each.
+    if not ((lb <= ub).all() and lb.max(initial=-np.inf) < np.inf
+            and ub.min(initial=np.inf) > -np.inf):
         raise DimensionMismatch("empty box: no real x with lb <= x <= ub")
     # a NaN or inf in the data sends the core the same way
     if not np.isfinite(np.concatenate((W.ravel(), g, A.ravel(), b))).all():
@@ -517,7 +572,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         start = core.warm_start(warm_start)
         hint = "miss" if start is None else "hit"
     if start is None and feasible_start is not None:
-        x = np.clip(np.asarray(feasible_start, dtype=float), lb, ub)
+        x = np.asarray(feasible_start, dtype=float).clip(lb, ub)
         if np.abs(A.T @ x - b).max(initial=0.0) <= 1e-8 * (
                 1.0 + np.abs(b).max(initial=0.0)):
             start = x, _initial_work(x, lb, ub)
@@ -534,14 +589,14 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, lam=np.zeros(m),
                           mu=np.zeros(n), objective=-np.inf,
-                          n_pivots=core.pivots, active=work.copy(),
+                          n_pivots=core.pivots, active=work,
                           warm_start=hint)
 
     # active-set iteration is local; on small box-only nonconvex problems a
     # face scan certifies (or repairs) global optimality. A certified
     # Cholesky factor of the all-free W means a convex QP.
-    if not A.any() and 0 < n <= FACE_ENUM_MAX:
-        f = core.reduced(np.arange(n))
+    if 0 < n <= FACE_ENUM_MAX and not A.any():
+        f = core.reduced(core.every)
         if f.chol is None and f.w[0] < -ZERO_EIG_REL * max(
                 1.0, float(np.abs(f.w).max())):
             obj_loc = core._phi(x)
@@ -555,4 +610,4 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
 
     return QpSolution(status="optimal", x=x, lam=lam, mu=mu,
                       objective=qp_objective(qp, x), n_pivots=core.pivots,
-                      active=work.copy(), warm_start=hint)
+                      active=work, warm_start=hint)

@@ -68,14 +68,24 @@ def convexify(W: np.ndarray, A: np.ndarray, sp: SubproblemParams):
     k = R.shape[0]
     eta = sp.eta0
     while True:
-        H = R + eta * np.eye(k)
+        H = _shifted(R, eta)
         if ldlt_factorize(H).inertia == (k, 0, 0):
-            return W + eta * np.eye(W.shape[0]), eta, (factors, H)
+            return _shifted(W, eta), eta, (factors, H)
         eta *= sp.eta_growth
         if eta > sp.eta_max:
             raise RegularizationFailed(
                 f"no diagonal shift up to {sp.eta_max:g} gives the required"
                 " inertia")
+
+
+def _shifted(M, eta):
+    """M + eta * I, bit for bit, without forming I. Off the diagonal that
+    sum adds eta * 0.0, which turns -0.0 into +0.0 for eta >= 0; on it,
+    (M_ii + eta * 0.0) + eta equals M_ii + eta. Like the sum, the result is
+    C-ordered whatever M's layout."""
+    S = np.add(M, eta * 0.0, order="C")
+    S.reshape(-1)[::S.shape[0] + 1] += eta
+    return S
 
 
 def step_box(x, lb, ub, delta: Optional[float]):
@@ -252,7 +262,9 @@ class DirectionEngine:
         """Zero bound multipliers created by the trust region itself: the
         trust bound must be strictly inside the problem bound and binding."""
         mu = mu.copy()
-        if delta is not None:
+        # a mu of +0.0 only, as every all-free working set gives, has nothing
+        # to strip; its bits are counted, so that a -0.0 still becomes +0.0
+        if delta is not None and np.count_nonzero(mu.view(np.int64)):
             prob = self.problem
             tol = self.config.trust_region.activity_tol * max(1.0, delta)
             mu[((-delta > prob.lb - x) & (np.abs(d + delta) <= tol))

@@ -1,7 +1,7 @@
 """Independent certificates for a solve's terminal status.
 
-Each check reads only the problem's callables (c, grad_f, jac_c and the
-bounds) and the SolveResult's x, lam and mu. None of them calls into the
+Each check reads only the problem's callables (f, c, grad_f, jac_c and
+the bounds) and the SolveResult's x, lam and mu. None of them calls into the
 solver, so a verdict the solver got wrong cannot pass by sharing its code.
 
   - infeasibility_rate: for infeasible_stationary. The best first-order rate
@@ -9,6 +9,9 @@ solver, so a verdict the solver got wrong cannot pass by sharing its code.
     solved by scipy's HiGHS. It is near zero where h is stationary.
   - kkt_residual: for kkt_point. The KKT residual recomputed from the
     result's multipliers.
+  - unbounded_residual: for unbounded. Where f(x) lies below the
+    threshold, max |c(x)| and the bound violation of x; inf where it does
+    not. It is at most tol where x is a feasible point of unbounded descent.
 """
 
 import numpy as np
@@ -51,3 +54,14 @@ def kkt_residual(problem, result) -> float:
     comp = float(np.max(np.abs(mu) * gap, initial=0.0, where=lb != ub))
     return max(stationarity, float(np.max(np.abs(c), initial=0.0)), bounds,
                comp)
+
+
+def unbounded_residual(problem, x, threshold: float) -> float:
+    """max of max |c(x)| and the bound violation of x, with f and c
+    recomputed at x; inf unless f(x) < threshold."""
+    if not float(problem.f(x)) < threshold:
+        return float("inf")
+    c = np.atleast_1d(np.asarray(problem.c(x), dtype=float))
+    bounds = np.concatenate([problem.lb - x, x - problem.ub])
+    return max(float(np.max(np.abs(c), initial=0.0)),
+               float(np.max(bounds, initial=0.0)))

@@ -1,7 +1,8 @@
 """The rules of scripts/ab_bench.py. Gain: pairs won, ties, direction, and
-the median gap against the parent's interquartile range. No regression: the
-median against the metric's relative bound, and a parent spread wider than
-the bound."""
+the median gap against the parent's interquartile range. Paired gain: pairs
+won and the quartiles of the per-pair ratio. No regression: the median
+against the metric's relative bound, and a parent spread wider than the
+bound."""
 
 import importlib.util
 from pathlib import Path
@@ -47,6 +48,57 @@ class TestVerdict:
         assert ab_bench.quartiles([0.25]) == (0.25, 0.25, 0.25)
         # one pair: the IQR is 0, so any win is a gain
         assert ab_bench.verdict([0.25], [0.24], "lower") == (1, True)
+
+
+class TestPaired:
+    # a first dsl-chain series of an earlier change: the machine ran about
+    # 2x faster in pairs 8-10, and the change won every pair by 18-33%
+    DRIFT = [0.047, 0.046, 0.048, 0.047, 0.049, 0.046, 0.047,
+             0.024, 0.023, 0.025]
+    CUT = [0.75, 0.80, 0.70, 0.82, 0.67, 0.78, 0.72, 0.80, 0.75, 0.70]
+
+    def test_drift_between_pairs_hides_the_pooled_gain_only(self):
+        change = [p * r for p, r in zip(self.DRIFT, self.CUT)]
+        assert ab_bench.verdict(self.DRIFT, change, "lower") == (10, False)
+        (q1, med, q3), gain = ab_bench.paired(self.DRIFT, change, "lower")
+        assert gain
+        assert (q1, med, q3) == pytest.approx(
+            ab_bench.quartiles(sorted(self.CUT)))
+        rows = ab_bench.summary(
+            {"parent": [{"metrics": {"tr_s": {"value": v}}}
+                        for v in self.DRIFT],
+             "change": [{"metrics": {"tr_s": {"value": v}}}
+                        for v in change]},
+            [("tr_s", "lower", 0.25)])
+        cells = rows[0].split()
+        assert cells[-1] == "yes"
+        assert cells[cells.index("10/10") + 1] == "no"
+
+    def test_no_gain_reads_no(self):
+        # the change wins half the pairs by noise around a ratio of 1
+        noise = [0.98, 1.03, 0.97, 1.02, 0.99, 1.01, 0.96, 1.04, 0.99, 1.02]
+        change = [p * r for p, r in zip(self.DRIFT, noise)]
+        (q1, _, q3), gain = ab_bench.paired(self.DRIFT, change, "lower")
+        assert not gain and q1 < 1.0 < q3
+        assert not ab_bench.verdict(self.DRIFT, change, "lower")[1]
+
+    def test_nine_tenths_of_the_pairs_needed(self):
+        # every pair won by a hair holds; two losses drop the wins to 8 of
+        # 10, though the upper quartile stays below 1
+        change = [0.999 * p for p in PARENT]
+        assert ab_bench.paired(PARENT, change, "lower")[1]
+        change[0] = change[1] = 2.0 * PARENT[0]
+        (_, _, q3), gain = ab_bench.paired(PARENT, change, "lower")
+        assert q3 < 1.0 and not gain
+
+    def test_higher_is_better_reads_the_lower_quartile(self):
+        higher = [1.25 * p for p in PARENT]
+        assert ab_bench.paired(PARENT, higher, "higher")[1]
+        assert not ab_bench.paired(PARENT, higher, "lower")[1]
+
+    def test_zero_parent_values(self):
+        (q1, _, q3), gain = ab_bench.paired([0.0, 0.0], [0.0, 0.0], "lower")
+        assert (q1, q3) == (1.0, 1.0) and not gain
 
 
 NARROW = [1.0 + 0.01 * i for i in range(10)]     # median 1.045, IQR 0.045

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from certify import infeasibility_rate, kkt_residual
+from certify import infeasibility_rate, kkt_residual, unbounded_residual
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import load_source
@@ -64,6 +64,34 @@ class TestCertificates:
         if name == "box-qp":
             flipped = dataclasses.replace(res, mu=-res.mu)
             assert kkt_residual(problem, flipped) >= np.max(np.abs(res.mu))
+
+
+class TestUnbounded:
+    @pytest.mark.parametrize("strategy, mechanism", VARIANTS)
+    def test_unbounded_cubic_passes(self, strategy, mechanism):
+        # -x0^3 falls without bound along x0 = x1
+        problem = get_problem("unbounded-cubic")
+        config = SolverConfig(strategy=strategy, mechanism=mechanism)
+        res = solve(problem, config)
+        assert res.status == "unbounded"
+        assert unbounded_residual(problem, res.x,
+                                  config.unbounded_threshold) <= config.tol
+
+    def test_points_that_fail(self):
+        problem = get_problem("unbounded-cubic")
+        threshold = SolverConfig().unbounded_threshold
+        # feasible, but f = -1 is far above the threshold
+        assert unbounded_residual(problem, np.array([1.0, 1.0]),
+                                  threshold) == np.inf
+        # f = -1e21 is below it, but c = x0 - x1 = 1e7
+        assert unbounded_residual(problem, np.array([1e7, 0.0]),
+                                  threshold) == 1e7
+
+    def test_the_box_counts(self):
+        # f = -x is below the threshold at x = 2e20, 1e20 past x <= 1e20
+        problem = load_source("var x in [0, 1e20] start 0; minimize -x;")
+        assert unbounded_residual(problem, np.array([2e20]), -1e20) == 1e20
+        assert unbounded_residual(problem, np.array([1e20]), -1e19) == 0.0
 
 
 @pytest.mark.parametrize("index", [0, 4, 5, 13, 236])

@@ -71,3 +71,39 @@ def test_certify_three_models(capsys):
         assert res.status == status
         assert f"{fuzz_sweep.CERTIFICATES[status][1](problem, res):.3e}" \
             == head.split()[2]
+
+
+def test_nudge_three_models(capsys):
+    fuzz_sweep.main(["--models", "3"])
+    plain = capsys.readouterr().out.splitlines()
+    fuzz_sweep.main(["--models", "3", "--nudge"])
+    lines = capsys.readouterr().out.splitlines()
+    # the x0 solves and their class counts come first, as without --nudge
+    assert lines[:len(plain)] == plain
+    tail = lines[len(plain):]
+    stable = {line.split()[2]: int(line.split()[0]) for line in tail
+              if line.split()[1:2] == ["stable"]}
+    unstable = [line for line in tail if line.startswith("unstable ")]
+    if not unstable:
+        assert tail[-1] == "no unstable solves"
+        unstable_lines = 1
+    else:
+        unstable_lines = len(unstable)
+    assert len(tail) == len(stable) + unstable_lines
+    assert sum(stable.values()) + len(unstable) == 12
+    # a stable class holds at x0, so its count is at most the x0 count
+    counts = {name: int(n) for n, name in
+              (line.split() for line in plain[12:])}
+    assert all(stable[name] <= counts[name] for name in stable)
+
+
+def test_nudged_start_moves_one_ulp():
+    source = _random_model_source(np.random.default_rng(7007))
+    problem = load_source(source, name="fuzz-0")
+    up = fuzz_sweep.nudged(problem, np.inf)
+    down = fuzz_sweep.nudged(problem, -np.inf)
+    x0 = np.asarray(problem.x0, dtype=float)
+    assert (up.x0 > x0).all() and (down.x0 < x0).all()
+    assert np.array_equal(np.nextafter(down.x0, np.inf), x0)
+    assert np.array_equal(np.nextafter(up.x0, -np.inf), x0)
+    assert up.f is problem.f and up.c is problem.c

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import jacobi_eigenvalues
+import funnel_sqp.linalg as linalg_module
 from funnel_sqp.errors import DimensionMismatch, NotSymmetric
 from funnel_sqp.linalg import (ZERO_EIG_REL, certified_cholesky,
                                cholesky_solve, ldlt_factorize,
@@ -33,6 +34,23 @@ class TestLdlt:
     def test_identity(self):
         f = ldlt_factorize(np.eye(3))
         assert f.inertia == (3, 0, 0)
+
+    def test_workspace_queried_once_per_order(self, monkeypatch):
+        # the query reads only n: the cached size is the one it returns
+        queries = []
+        query = linalg_module._sytrf_lwork
+
+        def counted(n, lower=0):
+            queries.append(n)
+            return query(n, lower=lower)
+
+        monkeypatch.setattr(linalg_module, "_SYTRF_LWORK", {})
+        monkeypatch.setattr(linalg_module, "_sytrf_lwork", counted)
+        for M in (np.eye(7), np.diag(np.arange(1.0, 8.0)), -np.eye(7),
+                  np.eye(4)):
+            ldlt_factorize(M)
+        assert queries == [7, 4]
+        assert linalg_module._SYTRF_LWORK[7] == int(query(7, lower=1)[0])
 
     def test_indefinite_diagonal(self):
         f = ldlt_factorize(np.diag([2.0, -3.0, 5.0, -1.0]))

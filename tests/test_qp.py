@@ -945,3 +945,196 @@ class TestKktResidual:
             sol = solve_qp(qp)
             assert sol.status == "optimal"
             assert_kkt(qp, sol)
+
+
+def _general_warm_start(core, codes):
+    """_Core.warm_start as the general path computes it for any working
+    set: every block through fancy-index copies, the fixed block's terms
+    included, and the pad test and the clip whatever the box."""
+    W, g, A, b, lb, ub = core.W, core.g, core.A, core.b, core.lb, core.ub
+    work = np.asarray(codes, dtype=np.int8).copy()
+    work[lb == ub] = PINNED
+    x = np.zeros(core.n)
+    fixed = work != FREE
+    x[work == LOWER] = lb[work == LOWER]
+    x[work == UPPER] = ub[work == UPPER]
+    x[work == PINNED] = lb[work == PINNED]
+    if not np.isfinite(x[fixed]).all():
+        return None
+    free = np.flatnonzero(~fixed)
+    rhs = b - A[fixed].T @ x[fixed]
+    tol = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
+    if free.size == 0:
+        return None if np.abs(rhs).max(initial=0.0) > tol else (x, work)
+    f = core.reduced(free)
+    xf0 = f.qr.range_point(rhs)
+    if np.abs(A[free].T @ xf0 - rhs).max(initial=0.0) > tol:
+        return None
+    xf, Z = xf0, f.qr.Z
+    if Z.shape[1]:
+        if f.chol is None and f.w[0] <= qp_module.ZERO_EIG_REL * max(
+                1.0, float(np.abs(f.w).max())):
+            return None
+        gf = g[free] + W[np.ix_(free, fixed.nonzero()[0])] @ x[fixed] \
+            + W[np.ix_(free, free)] @ xf0
+        xf = xf0 + Z @ f.newton(Z.T @ gf)
+    pad = 1e-10 * (1.0 + np.abs(xf).max(initial=0.0))
+    if (xf < lb[free] - pad).any() or (xf > ub[free] + pad).any():
+        return None
+    x[free] = np.clip(xf, lb[free], ub[free])
+    return x, work
+
+
+def _ratio_numpy_scalars(core, x, p, alpha_cap):
+    """_Core._ratio's loop over numpy scalars, the reference for its loop
+    over Python floats."""
+    candidates = []
+    tol = 1e-14 * (1.0 + float(np.abs(p).max()))
+    for i in np.flatnonzero(np.abs(p) > tol):
+        if p[i] > 0.0:
+            if np.isfinite(core.ub[i]):
+                candidates.append((max(core.ub[i] - x[i], 0.0) / p[i], i))
+        elif np.isfinite(core.lb[i]):
+            candidates.append((max(x[i] - core.lb[i], 0.0) / (-p[i]), i))
+    if not candidates:
+        return alpha_cap, None
+    a_min = min(a for a, _ in candidates)
+    if a_min >= alpha_cap:
+        return alpha_cap, None
+    near = [(a, i) for a, i in candidates
+            if a <= a_min + 1e-12 * (1.0 + a_min)]
+    if core.pivots <= core.half:
+        return a_min, max(near, key=lambda t: abs(p[t[1]]))[1]
+    return a_min, min(near, key=lambda t: t[1])[1]
+
+
+def _signed_zeros(rng, v, share=0.3):
+    """v with about share of its entries replaced by -0.0."""
+    v = v.copy()
+    v[rng.random(v.shape) < share] = -0.0
+    return v
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+class TestHitPath:
+    """The warm start's hit path skips copies and tests; every value it
+    returns must keep the bits of the general path, signed zeros too."""
+
+    @given(st.integers(0, 8), st.integers(0, 4),
+           st.sampled_from(["none", "wide", "tight", "pinned"]),
+           st.booleans(), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_warm_start_keeps_the_bits_of_the_general_path(
+            self, n, m, box, fortran, seed):
+        rng = np.random.default_rng(seed)
+        m = min(m, n)
+        M = rng.standard_normal((n, n))
+        W = M @ M.T + np.eye(n)
+        W = 0.5 * (W + W.T)
+        g = _signed_zeros(rng, rng.standard_normal(n))
+        A = _signed_zeros(rng, rng.standard_normal((n, m)))
+        if fortran:
+            A = np.asfortranarray(A)
+        b = _signed_zeros(rng, rng.standard_normal(m))
+        lb, ub = np.full(n, -INF), np.full(n, INF)
+        if box != "none":
+            half = 100.0 if box == "wide" else 0.3
+            lb, ub = np.full(n, -half), np.full(n, half)
+            if box == "pinned" and n:
+                lb[0] = ub[0] = 0.1
+        codes = np.zeros(n, dtype=np.int8)
+        if n and rng.random() < 0.5:
+            codes[rng.random(n) < 0.3] = LOWER
+        if box == "none":
+            codes[:] = FREE
+        core = _Core(W, g, A, b, lb, ub, 100)
+        got = core.warm_start(codes)
+        want = _general_warm_start(_Core(W, g, A, b, lb, ub, 100), codes)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _same_bits(got[0], want[0])
+            assert _same_bits(got[1], want[1])
+
+    def test_all_free_multiplier_check_returns_zero_mu(self):
+        rng = np.random.default_rng(3)
+        n, m = 6, 2
+        M = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, m))
+        core = _Core(M @ M.T + np.eye(n), rng.standard_normal(n), A,
+                     rng.standard_normal(m), np.full(n, -INF),
+                     np.full(n, INF), 100)
+        grad = _signed_zeros(rng, rng.standard_normal(n))
+        work = np.zeros(n, dtype=np.int8)
+        every = np.arange(n)
+        lam, mu, drop = core._multipliers(grad, work, every)
+        assert drop is None and _same_bits(mu, np.zeros(n))
+        want = core.reduced(every).qr.multipliers(grad[every])
+        assert _same_bits(lam, want)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ratio_keeps_the_values_of_numpy_scalars(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        lb = rng.uniform(-2.0, 0.0, n)
+        ub = rng.uniform(0.0, 2.0, n)
+        lb[rng.random(n) < 0.2] = -INF
+        ub[rng.random(n) < 0.2] = INF
+        x = _signed_zeros(rng, rng.uniform(lb.clip(-2.0), ub.clip(None, 2.0)))
+        # some at a finite lower bound: zero steps and ties
+        at = (rng.random(n) < 0.3) & np.isfinite(lb)
+        x[at] = lb[at]
+        p = _signed_zeros(rng, rng.standard_normal(n))
+        p[rng.random(n) < 0.2] = 1e-20
+        core = _Core(np.eye(n), np.zeros(n), np.zeros((n, 0)), np.zeros(0),
+                     lb, ub, 100)
+        for pivots in (0, 60):
+            core.pivots = pivots
+            for cap in (1.0, INF):
+                a, block = core._ratio(x, p, cap)
+                a_ref, block_ref = _ratio_numpy_scalars(core, x, p, cap)
+                assert block == block_ref
+                assert np.float64(a).tobytes() == np.float64(a_ref).tobytes()
+
+    def test_empty_qp_hits_its_warm_start(self):
+        qp = QpData(W=np.zeros((0, 0)), g=np.zeros(0), A=np.zeros((0, 0)),
+                    b=np.zeros(0), lb=np.zeros(0), ub=np.zeros(0))
+        sol = solve_qp(qp, warm_start=np.zeros(0, dtype=np.int8))
+        assert sol.status == "optimal" and sol.warm_start == "hit"
+        assert sol.x.shape == (0,)
+
+    @pytest.mark.parametrize("lb, ub, ok", [
+        ([0.0, -INF], [1.0, INF], True), ([INF], [INF], False),
+        ([-INF], [-INF], False), ([1.0], [0.0], False),
+        ([np.nan], [1.0], False), ([0.0], [np.nan], False),
+        ([-INF, 2.0], [INF, 2.0], True), ([], [], True)])
+    def test_box_check_verdicts(self, lb, ub, ok):
+        n = len(lb)
+        qp = box_qp(np.eye(n), np.zeros(n), lb=lb, ub=ub)
+        if ok:
+            assert solve_qp(qp).status == "optimal"
+        else:
+            with pytest.raises(DimensionMismatch, match="empty box"):
+                solve_qp(qp)
+
+    def test_elastic_problem_keeps_the_bits_of_vstack(self):
+        rng = np.random.default_rng(12)
+        n, m = 4, 3
+        A = np.asfortranarray(_signed_zeros(rng, rng.standard_normal((n, m))))
+        b = _signed_zeros(rng, rng.standard_normal(m))
+        lb, ub = np.full(n, -1.0), np.full(n, INF)
+        W = rng.standard_normal((n, n))
+        data, z0 = elastic_problem(A, b, lb, ub, W)
+        want_A = np.vstack([A, -np.eye(m), np.eye(m)])
+        assert _same_bits(data.A, want_A)
+        assert data.A.flags.c_contiguous
+        assert np.signbit(data.A[n:n + m]).sum() == m * m
+        assert _same_bits(data.g, np.concatenate([np.zeros(n),
+                                                  np.ones(2 * m)]))
+        x0 = np.clip(np.zeros(n), lb, ub)
+        r = A.T @ x0 - b
+        assert _same_bits(z0, np.concatenate(
+            [x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)]))

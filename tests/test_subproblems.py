@@ -124,6 +124,27 @@ class TestConvexify:
         assert np.array_equal(H, W + self.SP.eta0 * np.eye(2))
 
 
+class TestShifted:
+    """convexify's M + eta * I without the identity keeps the bits and the
+    C order of the sum it replaces, -0.0 entries and F-ordered M too."""
+
+    @pytest.mark.parametrize("eta", [1e-4, 1e20, 0.0, -2.5, -0.0, np.nan])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_of_the_identity_sum(self, eta, order):
+        rng = np.random.default_rng(21)
+        M = rng.standard_normal((5, 5))
+        M[rng.random((5, 5)) < 0.4] = -0.0
+        M[1, 1] = -0.0
+        M = np.asarray(M, order=order)
+        got = sp._shifted(M, eta)
+        want = M + eta * np.eye(5)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+
+    def test_empty(self):
+        assert sp._shifted(np.zeros((0, 0)), 1e-4).shape == (0, 0)
+
+
 def kkt_oracle_eta(W, A, rank, sp, band=1e-8):
     """The smallest rung at which eigvalsh of the unscaled KKT matrix
     [[W + eta*I, A], [A^T, 0]] has inertia (n, r, m - r), None when no rung
@@ -286,6 +307,20 @@ class TestDirectionEngine:
         assert np.allclose(res.d, [-0.2, -0.5])
         assert res.mu[0] != 0.0     # problem bound keeps its multiplier
         assert res.mu[1] == 0.0     # trust-region bound is synthetic
+
+    def test_stripping_keeps_the_bits_of_zero_multipliers(self):
+        # a mu of +0.0 only is returned as it is; a -0.0 on a binding trust
+        # bound still becomes +0.0, and one off it stays -0.0
+        prob = from_expressions(
+            "lin", 2, lambda x: x[0] + x[1], [],
+            lb=np.full(2, -10.0), ub=np.full(2, 10.0), x0=np.zeros(2))
+        engine = DirectionEngine(prob, _config(), EvalCounters(), [])
+        d, x = np.array([-0.5, 0.1]), np.zeros(2)
+        strip = engine._strip_trust_region_multipliers
+        zero = strip(d, np.zeros(2), x, 0.5)
+        assert zero.tobytes() == np.zeros(2).tobytes()
+        signed = strip(d, np.array([-0.0, -0.0]), x, 0.5)
+        assert signed.tobytes() == np.array([0.0, -0.0]).tobytes()
 
     def test_infeasible_linearization_enters_restoration(self):
         engine, prob, os = _engine("line-circle")
