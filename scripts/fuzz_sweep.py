@@ -35,7 +35,6 @@ import collections
 import dataclasses
 import hashlib
 import itertools
-import math
 import sys
 from pathlib import Path
 
@@ -44,26 +43,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from certify import (infeasibility_rate, kkt_residual,  # noqa: E402
-                     unbounded_residual)
+from certify import CERTIFICATES, worst  # noqa: E402
 from funnel_sqp import SolverConfig, solve  # noqa: E402
 from funnel_sqp.dsl import load_source  # noqa: E402
 from test_acceptance import _random_model_source  # noqa: E402
 
 VARIANTS = list(itertools.product(("funnel", "filter"),
                                   ("trust-region", "line-search")))
-# status -> (name of its certificate, the value it reads for a solve); every
-# sweep solve has the default unbounded_threshold
-CERTIFICATES = {
-    "kkt_point": ("kkt_residual", kkt_residual),
-    "infeasible_stationary": (
-        "infeasibility_rate",
-        lambda problem, res: infeasibility_rate(problem, res.x)),
-    "unbounded": (
-        "unbounded_residual",
-        lambda problem, res: unbounded_residual(
-            problem, res.x, SolverConfig().unbounded_threshold)),
-}
 
 
 def solve_class(res) -> str:
@@ -130,11 +116,8 @@ def main(argv=None):
                     unstable.append(f"unstable {label}: {' / '.join(three)}")
     for name, count in sorted(classes.items()):
         print(f"{count:6d}  {name}")
-    for status, rows in sorted(certified.items()):
-        # a NaN (a failed LP) is the worst value
-        value, label = max(rows, key=lambda r: (math.isnan(r[0]), r[0]))
-        print(f"worst {CERTIFICATES[status][0]} {value:.3e}  "
-              f"over {len(rows)} {status}  ({label})")
+    for line in worst(certified):
+        print(line)
     if args.nudge:
         for name, count in sorted(stable.items()):
             print(f"{count:6d}  stable {name}")

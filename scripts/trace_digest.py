@@ -19,6 +19,11 @@ convexify's QR of J, which seeds the line-search optimality QP's all-free
 working set, counts as a QR only.
 With --passes, each line instead counts the solve's forward passes of the
 derivative tape (calls of tape.forward) at order 0, 1 and 2.
+With --certify, each line instead gives the solve's class (its status, or
+status/error_kind) and the value of tests/certify.py's certificate for its
+status (kkt_residual, infeasibility_rate or unbounded_residual; "-" for a
+status without one); after the solves, one line per certified status gives
+the worst value as scripts/fuzz_sweep.py --certify prints it.
 The 136 solves, each under all four strategy/mechanism variants:
 
   - every registry problem and every models/*.nco model (56);
@@ -46,7 +51,8 @@ the 300 fuzz models of scripts/fuzz_sweep.py; and 24 malformed sources,
 at least one per ParseError raise site of dsl.py.
 
 Usage: python3 scripts/trace_digest.py
-           [--outcomes | --pivots | --factors | --passes | --parse]
+           [--outcomes | --pivots | --factors | --passes | --certify
+            | --parse]
            > digest.txt
 """
 
@@ -65,6 +71,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "solverbench"),
                 str(ROOT / "tests")]
 
 import chain  # noqa: E402
+from certify import CERTIFICATES, worst  # noqa: E402
 from funnel_sqp import SolverConfig, format_trace, solve  # noqa: E402
 from funnel_sqp import linalg, qp, tape  # noqa: E402
 from funnel_sqp.dsl import (Binary, Call, Num, Unary, Var,  # noqa: E402
@@ -243,6 +250,18 @@ def passes(counts, res) -> str:
     return "  ".join(f"order{k}={counts[k]}" for k in range(3))
 
 
+def certificate(problem, res) -> tuple:
+    """(the solve's class and its certificate's name and value, the value;
+    None for a status without a certificate)."""
+    name = res.status if res.error_kind is None \
+        else f"{res.status}/{res.error_kind}"
+    if res.status not in CERTIFICATES:
+        return f"{name}  -", None
+    check, read = CERTIFICATES[res.status]
+    value = read(problem, res)
+    return f"{name}  {check}={value:.3e}", value
+
+
 def by_order(fn, counts):
     """tape.forward, adding one to counts[order] per call."""
     @functools.wraps(fn)
@@ -275,6 +294,9 @@ def main(argv=None):
     mode.add_argument("--passes", action="store_true",
                       help="print each solve's tape forward passes per "
                            "order instead of a digest")
+    mode.add_argument("--certify", action="store_true",
+                      help="print each solve's certificate value instead "
+                           "of a digest, then the worst value per status")
     mode.add_argument("--parse", action="store_true",
                       help="print one digest per model source, parsed and "
                            "tokenized, and solve nothing")
@@ -294,6 +316,8 @@ def main(argv=None):
     if args.passes:
         tape.forward = by_order(tape.forward, counts)
         show = functools.partial(passes, counts)
+    # status -> [(value, label)] of every verdict certified
+    certified = collections.defaultdict(list)
     try:
         for label, make, max_outer in problems():
             for strategy, mechanism in VARIANTS:
@@ -301,10 +325,20 @@ def main(argv=None):
                 if max_outer is not None:
                     config.max_outer = max_outer
                 counts.clear()
-                res = solve(make(), config)
-                print(f"{show(res)}  {label} {strategy} {mechanism}")
+                problem = make()
+                res = solve(problem, config)
+                name = f"{label} {strategy} {mechanism}"
+                if not args.certify:
+                    print(f"{show(res)}  {name}")
+                    continue
+                line, value = certificate(problem, res)
+                print(f"{line}  {name}")
+                if value is not None:
+                    certified[res.status].append((value, name))
     finally:
         linalg.pivoted_qr, qp.nullspace_basis, tape.forward = originals
+    for line in worst(certified):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,23 @@ class EvalCounters:
                 "n_jac_c": self.n_jac_c, "n_hess": self.n_hess}
 
 
+class _Start:
+    """NcoProblem.x0: the start given, or, when a callable is given in its
+    place, what that callable returns for the problem, worked out on the
+    first read. Lowering gives slack starts this way, so that loading a
+    model evaluates nothing."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            raise AttributeError("x0")      # no default: x0 is required
+        if callable(p._x0):
+            p._x0 = p._x0(p)
+        return p._x0
+
+    def __set__(self, p, value):
+        p._x0 = value
+
+
 @dataclass
 class NcoProblem:
     """Standard-form problem with callable evaluators.
@@ -60,7 +77,7 @@ class NcoProblem:
     hess_c: Callable[[np.ndarray], np.ndarray]     # (m, n, n)
     lb: np.ndarray
     ub: np.ndarray
-    x0: np.ndarray
+    x0: np.ndarray = _Start()
     lambda0: Optional[np.ndarray] = None
     known_solution: Optional[np.ndarray] = None
     hess_lag: Optional[Callable[[np.ndarray, float, np.ndarray],
@@ -209,7 +226,8 @@ def to_standard_form(gp: GeneralProblem) -> NcoProblem:
     Rows with cl == cu become g(x) - cl = 0 directly. Every other row gets a
     slack s in [cl, cu] and the equality g(x) - s = 0. Both are built on the
     expression tree, so each lowered row is one tape. Slack starts are the
-    constraint values at x0 clipped into their range.
+    constraint values at x0 clipped into their range, worked out when x0
+    is first read.
     """
     n = gp.n
     cons = [_as_tape(e, n) for e in gp.con_exprs]
@@ -224,13 +242,16 @@ def to_standard_form(gp: GeneralProblem) -> NcoProblem:
         elif lo != 0.0:
             cons[i] = Tape(t.expr - lo, t.env)
     cl, cu = gp.cl[slack_rows], gp.cu[slack_rows]
+    x0 = np.concatenate([gp.x0, np.zeros(len(slack_rows))])
     p = from_expressions(gp.name, n + len(slack_rows), _as_tape(gp.f_expr, n),
                          cons, lb=np.concatenate([gp.lb, cl]),
-                         ub=np.concatenate([gp.ub, cu]),
-                         x0=np.concatenate([gp.x0, np.zeros(len(slack_rows))]))
+                         ub=np.concatenate([gp.ub, cu]), x0=x0)
     if slack_rows:
-        # g(x) - s at s = 0 is g(x) exactly: the lowered rows give the start
-        p.x0[n:] = np.clip(p.c(p.x0)[slack_rows], cl, cu)
+        def start(p):
+            # g(x) - s at s = 0 is g(x) exactly: the lowered rows give it
+            x0[n:] = np.clip(p.c(x0)[slack_rows], cl, cu)
+            return x0
+        p.x0 = start
     return p
 
 

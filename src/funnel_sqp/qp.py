@@ -82,13 +82,32 @@ class QpData:
         return self.b.shape[0]
 
 
+def qp_objective(qp: QpData, x: np.ndarray) -> float:
+    return float(0.5 * x @ qp.W @ x + qp.g @ x)
+
+
+class _Objective:
+    """QpSolution.objective: the value given, else qp_objective of the
+    solution's qp and x, computed when it is first read (the solver never
+    reads it)."""
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            return None             # the field's default
+        if sol._objective is None:
+            sol._objective = qp_objective(sol.qp, sol.x)
+        return sol._objective
+
+    def __set__(self, sol, value):
+        sol._objective = value
+
+
 @dataclass
 class QpSolution:
     status: str              # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
-    objective: float
     n_pivots: int
     active: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
     warm_start: str | None = None    # 'hit' | 'miss', None without a hint
@@ -96,10 +115,9 @@ class QpSolution:
     # z = (x, u, v) and working set, a feasible point and a working set for
     # the elastic QP over the same constraints
     lp: tuple | None = None
-
-
-def qp_objective(qp: QpData, x: np.ndarray) -> float:
-    return float(0.5 * x @ qp.W @ x + qp.g @ x)
+    # inf when infeasible, -inf when unbounded
+    objective: float = _Objective()
+    qp: QpData | None = field(default=None, repr=False)
 
 
 def complementarity(x, lb, ub, mu) -> float:
@@ -609,5 +627,5 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
                 lam = np.zeros(m)
 
     return QpSolution(status="optimal", x=x, lam=lam, mu=mu,
-                      objective=qp_objective(qp, x), n_pivots=core.pivots,
-                      active=work, warm_start=hint)
+                      n_pivots=core.pivots, active=work, warm_start=hint,
+                      qp=qp)

@@ -16,6 +16,18 @@ gradient (k,) and its Hessian (k, k), or None while the slot is linear, so
 a 2-variable constraint costs 2x2 however large n is. The pass is
 vectorized over a batch of tapes with the same ops.
 
+forward runs compiled code, not an interpreter. The first pass of an op
+list at an order compiles it into one straight-line numpy function, its
+kernel (_kernel), kept with the op list: one line per value, gradient and
+Hessian, in op order, and no dispatch per op. What depends only on
+constants is computed once then and kept read-only: the VAR unit
+gradients, the gradients of linear slots, outer products of constant
+gradients (so constant Hessians such as that of x * y) and the power
+rule's c - 1.0, c * (c - 1.0) and c - 2.0. The kernel runs the numpy
+expressions an op-by-op interpreter would, in the same order, so its
+results are the same to the bit; tests/tape_interpreter.py keeps that
+interpreter as the kernels' oracle.
+
 TapeSet compiles and evaluates: on its first evaluation (not when a model
 is loaded) it compiles each expression's top-level terms, and it evaluates
 all terms with the same ops in one batched pass. jacobian keeps the
@@ -29,11 +41,13 @@ non-finite derivative and returns non-finite values for the caller.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import linecache
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -210,44 +224,36 @@ _VALUE = {
 }
 
 
-def _powc(u, c, v):
+# the numpy expression of each op's value from u (slot a), w (slot b) and
+# c (the constant b)
+_VALUE_TEXT = {
+    ADD: "{u} + {w}", SUB: "{u} - {w}", MUL: "{u} * {w}", DIV: "{u} / {w}",
+    NEG: "-{u}", ADDC: "{u} + {c}", MULC: "{u} * {c}", RSUBC: "{c} - {u}",
+    DIVC: "{u} / {c}", RDIVC: "{c} / {u}", POWC: "{u} ** {c}",
+    RPOWC: "{c} ** {u}", EXP: "exp({u})", LOG: "log({u})", SIN: "sin({u})",
+    COS: "cos({u})", SQRT: "sqrt({u})",
+}
+# slope of each linear one-slot op but ADDC (slope 1), from its constant
+_SLOPE = {NEG: lambda c: -1.0, MULC: lambda c: c, RSUBC: lambda c: -1.0,
+          DIVC: lambda c: 1.0 / np.float64(c)}
+_LINEAR = {VAR, ADD, SUB, ADDC, *_SLOPE}
+# d1 and d2, the first and second derivative of each other one-slot op at
+# u given its value v, and the constants c0-c2 they read, made from c
+_DERIV_TEXT = {
+    RDIVC: ("-{v} / {u}", "-2.0 * d1 / {u}", ()),
     # c is neither 0 nor 1 (those fold away), and 0 ** 0 = 1 keeps the
     # curvature 2 of u ^ 2 at u = 0
-    return c * u ** (c - 1.0), c * (c - 1.0) * u ** (c - 2.0)
-
-
-def _rpowc(u, c, v):
-    lc = np.log(np.float64(c))
-    return v * lc, v * lc * lc
-
-
-def _log(u, c, v):
-    d1 = 1.0 / u
-    return d1, -d1 * d1
-
-
-def _sqrt(u, c, v):
-    d1 = 0.5 / v
-    return d1, -0.5 * d1 / u
-
-
-def _rdivc(u, c, v):
-    d1 = -v / u
-    return d1, -2.0 * d1 / u
-
-
-# slope of each linear one-slot op, from its constant
-_SLOPE = {NEG: lambda c: -1.0, ADDC: lambda c: 1.0, MULC: lambda c: c,
-          RSUBC: lambda c: -1.0, DIVC: lambda c: 1.0 / np.float64(c)}
-_LINEAR = {VAR, ADD, SUB, *_SLOPE}
-# first and second derivative of each other one-slot op at u, given v
-_DERIV = {
-    RDIVC: _rdivc, POWC: _powc, RPOWC: _rpowc,
-    EXP: lambda u, c, v: (v, v), LOG: _log,
-    SIN: lambda u, c, v: (np.cos(u), -v),
-    COS: lambda u, c, v: (-np.sin(u), -v),
-    SQRT: _sqrt,
+    POWC: ("{c} * {u} ** {c0}", "{c1} * {u} ** {c2}",
+           ("{c} - 1.0", "{c} * ({c} - 1.0)", "{c} - 2.0")),
+    RPOWC: ("{v} * {c0}", "{v} * {c0} * {c0}", ("log(float64({c}))",)),
+    EXP: ("{v}", "{v}", ()), LOG: ("1.0 / {u}", "-d1 * d1", ()),
+    SIN: ("cos({u})", "-{v}", ()), COS: ("-sin({u})", "-{v}", ()),
+    SQRT: ("0.5 / {v}", "-0.5 * d1 / {u}", ()),
 }
+# the names kernels and their constants' text read besides K{j}
+_FUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+          "sqrt": np.sqrt, "float64": np.float64}
+
 
 _CALL = {"exp": EXP, "log": LOG, "sin": SIN, "cos": COS, "sqrt": SQRT}
 # op for (slot, constant) and for (constant, slot) operands; '-' with a
@@ -312,7 +318,7 @@ def _compile(expr, env: dict) -> tuple:
     local index in a and the global index in b. The last slot is the result;
     an expression without variables has no ops and the value const.
     """
-    ops: list[tuple] = []
+    ops = Ops()
     local: dict[int, int] = {}      # global index -> VAR slot
     # id(node) -> its slot (an int) or its folded value (a float)
     done: dict[int, int | float] = {}
@@ -366,106 +372,149 @@ class Tape:
     env: dict
 
 
-def _outer(a, b):
-    """Outer products of two gradients, each (k,) or batched (G, k)."""
-    return a[..., :, None] * b[..., None, :]
+class Ops(list):
+    """The op list of one expression, and the kernels forward compiles from
+    it: kernels[order] is made by the first pass at that order and kept
+    here. label names the list in its kernels' file names."""
+
+    __slots__ = ("label", "kernels")
+
+    def __init__(self):
+        super().__init__()
+        self.label, self.kernels = "expression", [None, None, None]
 
 
-@lru_cache(maxsize=64)
-def _identity(k: int) -> np.ndarray:
-    """The read-only k x k identity: its rows are the VAR gradients."""
-    eye = np.eye(k)
-    eye.flags.writeable = False
-    return eye
-
-
-def forward(ops: list, X: np.ndarray, order: int):
+def forward(ops: Ops, X: np.ndarray, order: int):
     """One forward-over-forward pass of ops over a batch of points.
 
-    Row r of X (G, k) holds the k variables one tape reads; every tape of
-    the batch has these ops. Returns values (G,), then gradients from order
-    1 and Hessians at order 2 (else None; also None for a linear op list).
-    A gradient is (G, k), or (k,) while it is the same for every row, and a
-    Hessian likewise (G, k, k) or (k, k).
+    Row r of X (G, k) holds the k variables one tape reads, one per VAR op;
+    every tape of the batch has these ops. Returns values (G,), then
+    gradients from order 1 and Hessians at order 2 (else None; also None
+    for a linear op list). A gradient is (G, k), or (k,) while it is the
+    same for every row, and a Hessian likewise (G, k, k) or (k, k).
+
+    The pass runs ops' kernel for order, compiled by _kernel on the first
+    pass at that order: straight-line numpy code with no dispatch per op.
     """
+    kernel = ops.kernels[order]
+    if kernel is None:
+        kernel = ops.kernels[order] = _kernel(ops, order)
+    return kernel(X)
+
+
+def _kernel(ops: Ops, order: int):
+    """Compile ops at order into one Python function of X.
+
+    Each op becomes the numpy expressions of its value and, from order 1
+    and 2, of its gradient and Hessian, in op order. Slot i's value is
+    v{i}. What depends only on constants is computed here once and bound
+    read-only as K{j}: each op's constant, the VAR unit gradients, the
+    gradients of linear slots, Hessians and outer products of constant
+    gradients, and the power rule's c - 1.0, c * (c - 1.0) and c - 2.0.
+    The source holds op-derived text, integer indices and the kernel's own
+    names only. It is compiled under a file name that names ops.label,
+    order and a hash of the source, and registered in linecache, so that
+    profiles, tracebacks and inspect.getsource show its lines.
+    """
+    const: dict = {}                # K{j} -> its value
+    body = []
+
+    def hoist(value) -> str:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        const[f"K{len(const)}"] = value
+        return f"K{len(const) - 1}"
+
+    def let(name: str, text: str, *reads) -> str:
+        """name = text; a constant instead when text reads only constants."""
+        if all(r in const for r in reads):
+            return hoist(eval(text, dict(_FUNCS), const))
+        body.append(f"    {name} = {text}")
+        return name
+
     second = order >= 2
-    eye = _identity(X.shape[1]) if order else None
-    vals, grads, hess = [], [], []
-    g = H = None
-    for code, fn, a, b in ops:
-        if code == VAR:
-            v = X[:, a]
-            if order:
-                g, H = eye[a], None
-        elif code <= DIV:
-            u, w = vals[a], vals[b]
-            v = fn(u, w)
-            if order:
-                ga, gb = grads[a], grads[b]
-                if code == ADD:
-                    g = ga + gb
-                elif code == SUB:
-                    g = ga - gb
-                elif code == MUL:
-                    g = u[:, None] * gb + w[:, None] * ga
+    eye = np.eye(sum(op[0] == VAR for op in ops))
+    eye.flags.writeable = False
+    G, H = [], []       # per slot: the name of its gradient and its Hessian
+    with np.errstate(all="ignore"):
+        for i, (code, _, a, b) in enumerate(ops):
+            u, v, w, Hi = f"v{a}", f"v{i}", f"v{b}", f"H{i}"
+            if code == VAR:
+                body.append(f"    {v} = X[:, {a}]")
+                G.append(hoist(eye[a]) if order else None)
+                H.append(None)
+                continue
+            text = _VALUE_TEXT[code]
+            c = hoist(b) if "{c}" in text else None
+            body.append(f"    {v} = {text.format(u=u, w=w, c=c)}")
+            if not order:
+                continue
+            ga, Ha = G[a], H[a]
+            gb, Hb = (G[b], H[b]) if code <= DIV else (None, None)
+            h = None
+            if code == ADD or code == SUB:
+                op = "+" if code == ADD else "-"
+                g = let(f"g{i}", f"{ga} {op} {gb}", ga, gb)
+                if not second or Hb is None:
+                    h = Ha
+                elif Ha is None:
+                    h = Hb if code == ADD else let(Hi, f"-{Hb}", Hb)
                 else:
-                    g = (ga - v[:, None] * gb) / w[:, None]
+                    h = let(Hi, f"{Ha} {op} {Hb}", Ha, Hb)
+            elif code == MUL:
+                g = let(f"g{i}", f"{u}[:, None] * {gb} + {w}[:, None] * {ga}",
+                        u)
                 if second:
-                    H = _binary_hessian(code, u, w, v, g, ga, gb,
-                                        hess[a], hess[b])
-        else:
-            u = vals[a]
-            v = fn(u, b)
-            if order:
-                ga = grads[a]
-                Ha = hess[a] if second else None
-                if code in _SLOPE:
-                    if code == ADDC:
-                        g, H = ga, Ha
-                    else:
-                        d1 = _SLOPE[code](b)
-                        g = d1 * ga
-                        H = None if Ha is None else d1 * Ha
-                else:
-                    d1, d2 = _DERIV[code](u, b, v)
-                    g = d1[:, None] * ga
-                    if second:
-                        H = d2[:, None, None] * _outer(ga, ga)
-                        if Ha is not None:
-                            H = H + d1[:, None, None] * Ha
-        vals.append(v)
-        if order:
-            grads.append(g)
-            hess.append(H)
-    return v, g, H
-
-
-def _binary_hessian(code, u, w, v, g, ga, gb, Ha, Hb):
-    """Hessians of u (+-*/) w from the operands' values and derivatives."""
-    if code == ADD:
-        if Ha is None:
-            return Hb
-        return Ha if Hb is None else Ha + Hb
-    if code == SUB:
-        if Hb is None:
-            return Ha
-        return -Hb if Ha is None else Ha - Hb
-    if code == MUL:
-        P = _outer(ga, gb)
-        H = P + P.swapaxes(-1, -2)
-        if Ha is not None:
-            H = H + w[:, None, None] * Ha
-        if Hb is not None:
-            H = H + u[:, None, None] * Hb
-        return H
-    # q = u / w:  Hq = (Ha - q Hb - gq gb' - gb gq') / w
-    P = _outer(g, gb)
-    H = -(P + P.swapaxes(-1, -2))
-    if Ha is not None:
-        H = H + Ha
-    if Hb is not None:
-        H = H - v[:, None, None] * Hb
-    return H / w[:, None, None]
+                    P = let("P", f"{ga}[..., :, None] * {gb}[..., None, :]",
+                            ga, gb)
+                    h = let(Hi, f"{P} + {P}.swapaxes(-1, -2)", P)
+                    if Ha is not None:
+                        h = let(Hi, f"{h} + {w}[:, None, None] * {Ha}", w)
+                    if Hb is not None:
+                        h = let(Hi, f"{h} + {u}[:, None, None] * {Hb}", u)
+            elif code == DIV:
+                # q = u / w:  Hq = (Ha - q Hb - gq gb' - gb gq') / w
+                g = let(f"g{i}", f"({ga} - {v}[:, None] * {gb}) / {w}[:, None]",
+                        v)
+                if second:
+                    P = let("P", f"{g}[..., :, None] * {gb}[..., None, :]", g)
+                    h = let(Hi, f"-({P} + {P}.swapaxes(-1, -2))", P)
+                    if Ha is not None:
+                        h = let(Hi, f"{h} + {Ha}", h, Ha)
+                    if Hb is not None:
+                        h = let(Hi, f"{h} - {v}[:, None, None] * {Hb}", v)
+                    h = let(Hi, f"{h} / {w}[:, None, None]", w)
+            elif code == ADDC:
+                g, h = ga, Ha
+            elif code in _SLOPE:
+                d1 = hoist(_SLOPE[code](b))
+                g = let(f"g{i}", f"{d1} * {ga}", ga)
+                h = None if Ha is None else let(Hi, f"{d1} * {Ha}", Ha)
+            else:
+                t1, t2, made = _DERIV_TEXT[code]
+                names = {f"c{j}": let("", t.format(c=c), c)
+                         for j, t in enumerate(made)}
+                body.append(f"    d1 = {t1.format(u=u, v=v, c=c, **names)}")
+                g = let(f"g{i}", f"d1[:, None] * {ga}", "d1")
+                if second:
+                    body.append(
+                        f"    d2 = {t2.format(u=u, v=v, c=c, **names)}")
+                    P = let("P", f"{ga}[..., :, None] * {ga}[..., None, :]", ga)
+                    h = let(Hi, f"d2[:, None, None] * {P}", "d2")
+                    if Ha is not None:
+                        h = let(Hi, f"{h} + d1[:, None, None] * {Ha}", "d1")
+            G.append(g)
+            H.append(h)
+    out = [f"v{len(ops) - 1}", *((G[-1], H[-1]) if order else (None, None))]
+    source = "\n".join(["def kernel(X):", *body,
+                        f"    return {', '.join(map(str, out))}", ""])
+    digest = hashlib.sha256(source.encode()).hexdigest()[:12]
+    filename = f"<tape {ops.label} order {order} {digest}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {**_FUNCS, **const}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _terms(expr) -> list:
@@ -534,6 +583,8 @@ class TapeSet:
                          np.array(slots) // width, np.array(slots),
                          np.array(signs))
                   for ops, slots, signs, index in groups_by_ops.values()]
+        for i, grp in enumerate(groups):
+            grp.ops.label = f"{self.name} group {i}"
         return groups, [grp for grp in groups if grp.nonlinear], base
 
     @property
@@ -554,7 +605,7 @@ class TapeSet:
         with np.errstate(all="ignore"):
             for grp in groups:
                 v = forward(grp.ops, x[grp.index], 0)[0]
-                M.put(grp.slots, grp.sign * v)
+                M.put(grp.slots, v if grp.plus else grp.sign * v)
             if not M.size:
                 return np.zeros(self.size)
             return M.cumsum(axis=1)[:, -1].copy()   # not a view of M
@@ -570,7 +621,8 @@ class TapeSet:
             for grp in self.groups:
                 _, g, grp.hessian = forward(grp.ops, x[grp.index],
                                             2 if grp.nonlinear else 1)
-                w.append(grp.sign[:, None] * g)
+                w.append(g if grp.plus and g.ndim == 2
+                         else grp.sign[:, None] * g)
         self._kept_x = x.tobytes()
         return self._scatter(self._jac_index, w, (self.n, self.size),
                              "gradient")
@@ -593,7 +645,9 @@ class TapeSet:
         index, w = [], []
         with np.errstate(all="ignore"):
             for grp, at in zip(self._plan[1], self._pair_index):
-                scale = weights[grp.row] * grp.sign
+                scale = weights[grp.row]
+                if not grp.plus:
+                    scale = scale * grp.sign
                 if scale.any():
                     index.append(at)
                     H = grp.hessian if kept else \
@@ -629,11 +683,17 @@ def _concat(arrays: list) -> np.ndarray:
 class _Group:
     """Terms sharing one op list: the variables each reads (G, k), the
     expression each belongs to, and the slot of its value in the (size,
-    width) matrix of term values. jacobian sets hessian."""
+    width) matrix of term values. jacobian sets hessian.
+
+    plus says that every sign is +1.0 and that no term is a lone variable.
+    A product by the signs then changes no bit and is skipped; it would
+    quiet a signalling NaN that a lone VAR passes on from x.
+    """
 
     def __init__(self, ops, nonlinear, index, row, slots, sign):
         self.ops, self.nonlinear, self.hessian = ops, nonlinear, None
         self.index, self.row, self.slots, self.sign = index, row, slots, sign
+        self.plus = len(ops) > 1 and bool((sign == 1.0).all())
 
 
 def trace(fn, n: int) -> Tape:

@@ -12,10 +12,19 @@ solver, so a verdict the solver got wrong cannot pass by sharing its code.
   - unbounded_residual: for unbounded. Where f(x) lies below the
     threshold, max |c(x)| and the bound violation of x; inf where it does
     not. It is at most tol where x is a feasible point of unbounded descent.
+
+CERTIFICATES maps each status to its check, and worst() reports the worst
+value per status, for scripts/fuzz_sweep.py and scripts/trace_digest.py.
+The table reads the solver's default unbounded_threshold and nothing else
+of the solver.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from funnel_sqp.config import SolverConfig
 
 RADIUS = 1e-4      # half-width of the step box the rate is measured over
 GAP_CAP = 1e10     # stand-in gap for an infinite bound, as in the solver
@@ -65,3 +74,29 @@ def unbounded_residual(problem, x, threshold: float) -> float:
     bounds = np.concatenate([problem.lb - x, x - problem.ub])
     return max(float(np.max(np.abs(c), initial=0.0)),
                float(np.max(bounds, initial=0.0)))
+
+
+# status -> (name of its certificate, the value it reads for a solve); the
+# solves checked have the default unbounded_threshold
+CERTIFICATES = {
+    "kkt_point": ("kkt_residual", kkt_residual),
+    "infeasible_stationary": (
+        "infeasibility_rate",
+        lambda problem, res: infeasibility_rate(problem, res.x)),
+    "unbounded": (
+        "unbounded_residual",
+        lambda problem, res: unbounded_residual(
+            problem, res.x, SolverConfig().unbounded_threshold)),
+}
+
+
+def worst(certified: dict) -> list:
+    """One line per status of certified, a map of status -> [(value,
+    label)]: the worst value (a NaN, from a failed LP, is the worst), the
+    number of verdicts checked and the label of the worst."""
+    lines = []
+    for status, rows in sorted(certified.items()):
+        value, label = max(rows, key=lambda r: (math.isnan(r[0]), r[0]))
+        lines.append(f"worst {CERTIFICATES[status][0]} {value:.3e}  "
+                     f"over {len(rows)} {status}  ({label})")
+    return lines

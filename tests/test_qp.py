@@ -176,6 +176,46 @@ class TestHandCases:
         assert qp_objective(qp, np.array([2.0])) == 0.5 * 2 * 4 + 6.0
 
 
+class TestLazyObjective:
+    """solve_qp leaves the objective to be computed when it is read."""
+
+    def test_objective_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qp_module, "qp_objective", lambda qp, x: (
+            calls.append(1), qp_objective(qp, x))[1])
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            M = rng.standard_normal((n, n))
+            qp = box_qp(M @ M.T + 0.1 * np.eye(n), rng.standard_normal(n),
+                        lb=-rng.uniform(0.0, 2.0, n),
+                        ub=rng.uniform(0.0, 2.0, n))
+            sol = solve_qp(qp)
+            assert sol.status == "optimal" and calls == []
+            value = sol.objective
+            assert calls == [1]
+            # the bits solve_qp used to store, and read once
+            assert np.float64(value).tobytes() == \
+                np.float64(float(0.5 * sol.x @ qp.W @ sol.x
+                                 + qp.g @ sol.x)).tobytes()
+            assert sol.objective is value and calls == [1]
+            calls.clear()
+
+    def test_other_statuses_keep_their_infinities(self):
+        infeasible = solve_qp(box_qp(np.eye(2), [0.0, 0.0], lb=[0.0, 0.0],
+                                     ub=[1.0, 1.0], A=[[1.0], [1.0]],
+                                     b=[10.0]))
+        unbounded = solve_qp(box_qp(np.zeros((2, 2)), [1.0, -1.0],
+                                    lb=[0.0, 0.0]))
+        assert (infeasible.status, infeasible.objective) == \
+            ("infeasible", INF)
+        assert (unbounded.status, unbounded.objective) == ("unbounded", -INF)
+        given_value = QpSolution(status="optimal", x=np.zeros(1),
+                                 lam=np.zeros(0), mu=np.zeros(1),
+                                 objective=2.5, n_pivots=0)
+        assert given_value.objective == 2.5
+
+
 class TestRankDeficiency:
     def test_duplicate_row_consistent(self):
         # the same plane twice; the multipliers are the minimum-norm ones

@@ -1,7 +1,13 @@
-"""Derivative tape: oracle agreement, sparsity, tracing, domain faults."""
+"""Derivative tape: oracle agreement, sparsity, tracing, domain faults,
+and compiled kernels against the op-list interpreter."""
 
+import cProfile
+import inspect
+import linecache
 import operator
+import pstats
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -10,8 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import tape_interpreter
 from conftest import bench_chain, unsplit_value
-from funnel_sqp import hyperdual, tape
+from funnel_sqp import format_trace, hyperdual, tape
 from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import (format_expr, load_source, model_to_general,
@@ -20,8 +27,8 @@ from funnel_sqp.errors import NonFiniteValue
 from funnel_sqp.hyperdual import (HyperDual, hd_cos, hd_exp, hd_log, hd_sin,
                                   hd_sqrt)
 from funnel_sqp.problems import from_expressions, get_problem
-from funnel_sqp.tape import (SIN, Binary, Call, Num, Tape, TapeSet, Unary,
-                             Var, _compile, trace)
+from funnel_sqp.tape import (SIN, VAR, Binary, Call, Num, Tape, TapeSet,
+                             Unary, Var, _compile, trace)
 
 NAMES = ["x0", "x1", "x2", "x3"]
 VARIANTS = [("funnel", "trust-region"), ("funnel", "line-search"),
@@ -517,3 +524,203 @@ class TestKeptHessians:
                 unit[e] = 1.0
                 assert got[e].tobytes() == \
                     fresh.weighted_hessian(x, unit).tobytes()
+
+
+# the op each tree compiles to is named after it; together they reach all
+# 18 op codes, a dead op, a shared subtree and a constant subtree
+_X, _Y = Var("x0"), Var("x1")
+_SHARED = Call("sin", _X * _Y)
+OP_TREES = [
+    _X + _Y, _X - _Y, _X * _Y, _X / _Y, -_X,                # ADD-DIV, NEG
+    _X + 2.0, 3.0 * _X, 1.0 - _X, _X / 4.0, 2.0 / _X,       # ADDC-RDIVC
+    _X ** 3.0, 2.0 ** _X, _X ** _Y,                          # POWC, RPOWC
+    Call("exp", _X), Call("log", _X), Call("sin", _X), Call("cos", _X),
+    Call("sqrt", _X),
+    (_X ** 2.0) ** 0.0 + _Y,                                 # a dead square
+    _SHARED * _SHARED + _SHARED / _Y,                        # shared
+    (Num(2.0) ** Num(3.0) - Call("exp", Num(1.0))) * _X,     # constant
+    _X * _Y * _X * _Y - 3.0 * _X / (_Y * _Y),                # Hessian consts
+]
+# x entries: signed zeros, infinities, NaN, subnormals, huge and plain
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e300,
+           -1e300, 1.0, -1.5, 0.75]
+
+
+def _kernel_trees(n):
+    """Trees over n variables that reach every op code: constants on
+    either side of every binary operator, variable exponents, shared
+    operands, and powers 0 and 1 that fold."""
+    num = st.builds(Num, st.sampled_from(
+        [0.0, -0.0, 1.0, 2.0, 3.0, 0.5, -1.0, 1.5, -2.0, 1e300, 5e-324]))
+    var = st.sampled_from([Var(v) for v in NAMES[:n]])
+    binary = st.sampled_from(["+", "-", "*", "/", "^"])
+
+    def grow(children):
+        return st.one_of(
+            st.builds(Binary, binary, children, children),
+            st.builds(Unary, st.just("-"), children),
+            st.builds(Call, st.sampled_from(sorted(_FNS)), children),
+            # one node as both operands: a shared subtree
+            st.tuples(binary, children).map(
+                lambda t: Binary(t[0], t[1], t[1])))
+    return st.recursive(st.one_of(num, var), grow, max_leaves=10)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(ops, X): a compiled tree and a batch of G = 1-6 rows."""
+    tree = draw(_kernel_trees(draw(st.integers(1, 4))))
+    ops, vars_, _ = _compile(tree, dict(zip(NAMES, range(4))))
+    assume(ops)
+    rows = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(-3.0, 3.0),
+                            min_size=rows * len(vars_),
+                            max_size=rows * len(vars_)))
+    return ops, np.array(entries).reshape(rows, len(vars_))
+
+
+def _bitwise_interpreter(ops, X):
+    """Assert that the kernels at orders 0-2 give the interpreter's (v, g,
+    H) in bytes, shape and None."""
+    for order in range(3):
+        with np.errstate(all="ignore"):
+            want = tape_interpreter.forward(ops, X, order)
+            got = tape.forward(ops, X, order)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+
+# one model under names the kernel generator and Python use, and under
+# plain names
+_NAMED_MODEL = """
+var {0} start 0.5; var {1} start -1.2; var {2} in [0, 3] start 1;
+var {3} start 0.7; var {4} start 2; var {5} in [-1, 1] start -0.3;
+var {6} start 0.9; var {7} start 1.1; var {8} in [-1, 1] start 0.2;
+minimize ({0} - 1)^2 + 100 * ({1} - {0}^2)^2 + exp({2} / 3)
+         + ({3} * {4} - 1)^2 + sin({5}) * cos({6}) + sqrt({7}^2 + 1)
+         + log({8}^2 + 2) + 2^{8};
+subject_to {0} + {1} + {2} == 1;
+subject_to {3}^3 - {4} / ({5}^2 + 1) == 0.5;
+subject_to 1 <= {6} * {7} + {8} <= 3;
+"""
+GENERATOR_NAMES = ["X", "np", "v0", "g1", "H2", "d1", "K0", "lambda",
+                   "__import__"]
+
+
+class TestKernels:
+    """forward runs each op list's compiled kernel; the op-list interpreter
+    of tests/tape_interpreter.py is its bitwise oracle."""
+
+    def test_op_trees_reach_every_op_code(self):
+        codes = {op[0] for tree in OP_TREES
+                 for op in _compile(tree, dict(zip(NAMES, range(4))))[0]}
+        assert codes == set(range(18))
+
+    @pytest.mark.parametrize("tree", OP_TREES, ids=range(len(OP_TREES)))
+    def test_op_trees_match_the_interpreter(self, tree):
+        ops, vars_, _ = _compile(tree, dict(zip(NAMES, range(4))))
+        k = len(vars_)
+        grid = np.array(SPECIAL)    # each entry meets each other one
+        for rows in (1, 6):
+            for shift in range(grid.size):
+                _bitwise_interpreter(
+                    ops, np.resize(np.roll(grid, shift), (rows, k)))
+
+    @given(_kernel_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_trees_match_the_interpreter(self, case):
+        _bitwise_interpreter(*case)
+
+    def test_compiled_once_per_order_at_first_pass(self, monkeypatch):
+        compiled = []
+        original = tape._kernel
+        monkeypatch.setattr(tape, "_kernel", lambda ops, order: (
+            compiled.append(order), original(ops, order))[1])
+        chain = bench_chain()
+        x = chain.start_point(24, 0)
+        p = load_source(chain.nco_text(x))
+        assert compiled == []                       # nothing at load
+        p.f(x)
+        p.f(x + 1.0)
+        assert compiled == [0, 0]                   # the objective's groups
+        p.grad_f(x)
+        p.grad_f(x + 1.0)
+        assert compiled == [0, 0, 2, 2]
+        # a ranged row's slack start is worked out when x0 is first read
+        compiled.clear()
+        ranged = load_source("var x start 1; var y start 0.5;\n"
+                             "subject_to 1 <= x * y + x <= 2;")
+        assert compiled == []
+        assert ranged.x0.tolist() == [1.0, 0.5, 1.5] and set(compiled) == {0}
+        (objective, _), _ = _chain_sets()
+        objective.values(x)
+        for grp in objective.groups:
+            assert grp.ops.kernels[0] is not None
+            assert grp.ops.kernels[1:] == [None, None]
+
+    def test_hoisted_constants_are_read_only(self):
+        ops = _compile(3.0 * _X - _Y / 2.0 + _X * _Y,
+                       dict(zip(NAMES, range(4))))[0]
+        X = np.array([[0.5, -1.0], [2.0, 3.0]])
+        for order in range(3):
+            tape.forward(ops, X, order)
+        arrays = [value for kernel in ops.kernels
+                  for name, value in kernel.__globals__.items()
+                  if name.startswith("K") and isinstance(value, np.ndarray)]
+        assert len(arrays) >= 4     # unit gradients, slopes, x * y's Hessian
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        # a linear group's gradient is a hoisted constant
+        linear = _compile(3.0 * _X - _Y, dict(zip(NAMES, range(4))))[0]
+        _, g, H = tape.forward(linear, X, 2)
+        assert g.shape == (2,) and H is None
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 1.0
+
+    def test_variables_named_like_the_generator(self):
+        plain = [f"a{i}" for i in range(len(GENERATOR_NAMES))]
+        p = load_source(_NAMED_MODEL.format(*GENERATOR_NAMES), name="named")
+        q = load_source(_NAMED_MODEL.format(*plain), name="named")
+        rng = np.random.default_rng(5)
+        for x in [p.x0] + [p.x0 + rng.uniform(-0.5, 0.5, p.n)
+                           for _ in range(3)]:
+            for name in ("f", "c", "grad_f", "jac_c"):
+                assert np.asarray(getattr(p, name)(x)).tobytes() == \
+                    np.asarray(getattr(q, name)(x)).tobytes()
+            lam = np.linspace(-1.0, 1.0, p.m)
+            assert p.hess_lag(x, 0.5, lam).tobytes() == \
+                q.hess_lag(x, 0.5, lam).tobytes()
+        for strategy, mechanism in VARIANTS:
+            config = SolverConfig(strategy=strategy, mechanism=mechanism)
+            a, b = solve(p, config), solve(q, config)
+            assert a.status == b.status and a.x.tobytes() == b.x.tobytes()
+            assert format_trace(a) == format_trace(b)
+
+    def test_kernels_show_in_profiles_and_tracebacks(self):
+        (objective, rows), x = _chain_sets()
+        profile = cProfile.Profile()
+        profile.runcall(lambda: (objective.jacobian(x), rows.jacobian(x)))
+        profiled = {key[0] for key in pstats.Stats(profile).stats}
+        for ts in (objective, rows):
+            for i, grp in enumerate(ts.groups):
+                order = 2 if grp.nonlinear else 1
+                kernel = grp.ops.kernels[order]
+                filename = kernel.__code__.co_filename
+                assert filename.startswith(
+                    f"<tape {ts.name} group {i} order {order} ")
+                assert filename in profiled
+                source = inspect.getsource(kernel)
+                assert source.startswith("def kernel(X):\n")
+                assert source == "".join(linecache.getlines(filename))
+        # X with one column too few: the second VAR's line raises
+        ops = objective.groups[0].ops
+        assert [op[0] for op in ops[:2]] == [VAR, VAR]
+        with pytest.raises(IndexError) as info:
+            tape.forward(ops, np.zeros((3, 1)), 2)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename == ops.kernels[2].__code__.co_filename
+        assert frame.name == "kernel" and frame.line == "v1 = X[:, 1]"

@@ -1,13 +1,14 @@
 """scripts/trace_digest.py --parse: one digest per model source, over its
-parsed model and its tokens, in a fixed source order; and --passes, the
-tape's forward passes per order."""
+parsed model and its tokens, in a fixed source order; --passes, the tape's
+forward passes per order; and --certify, each verdict's certificate."""
 
 import hashlib
 import importlib.util
 import itertools
 from pathlib import Path
 
-from funnel_sqp import SolverConfig, solve, tape
+from certify import CERTIFICATES
+from funnel_sqp import SolverConfig, get_problem, solve, tape
 from funnel_sqp.dsl import load_source
 
 _spec = importlib.util.spec_from_file_location(
@@ -90,3 +91,32 @@ def test_passes_mode_counts_forward_passes_by_order(monkeypatch, capsys):
         # runs a pass of its own
         assert res.counters.n_hess > 0
         assert got == [5 * n_f, n_grad, 4 * n_grad]
+
+
+def test_certify_mode_three_solves(monkeypatch, capsys):
+    names = ["hs26", "infeasible-quadratic", "unbounded-cubic"]
+    monkeypatch.setattr(trace_digest, "VARIANTS", [("funnel", "line-search")])
+    monkeypatch.setattr(trace_digest, "problems", lambda: (
+        (name, lambda name=name: get_problem(name), None) for name in names))
+    trace_digest.main(["--certify"])
+    lines = capsys.readouterr().out.splitlines()
+    statuses = ["kkt_point", "infeasible_stationary", "unbounded"]
+    assert len(lines) == 6
+    for line, name, status in zip(lines, names, statuses):
+        got_status, value, label = line.split("  ")
+        assert (got_status, label) == (status, f"{name} funnel line-search")
+        check, value = value.split("=")
+        assert check == CERTIFICATES[status][0]
+        problem = get_problem(name)
+        res = solve(problem, SolverConfig(mechanism="line-search"))
+        assert value == f"{CERTIFICATES[status][1](problem, res):.3e}"
+        # every verdict passes its certificate
+        assert float(value) <= (0.01 if status == "infeasible_stationary"
+                                else 1e-6)
+    # then the worst value per status, in status order, as the sweep's
+    worst = sorted(zip(statuses, lines[:3]))
+    for line, (status, solve_line) in zip(lines[3:], worst):
+        value = solve_line.split("  ")[1].split("=")[1]
+        label = solve_line.split("  ")[2]
+        assert line == (f"worst {CERTIFICATES[status][0]} {value}  "
+                        f"over 1 {status}  ({label})")
