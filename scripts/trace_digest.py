@@ -280,26 +280,28 @@ def counted(fn, counts, key):
     return wrapper
 
 
+# each mode but the default digest: its flag and help. The parser is built
+# from this list, and scripts/same_behaviour.py runs every mode in it.
+MODES = [
+    ("--outcomes", "print each solve's outcome instead of a digest"),
+    ("--pivots", "print each solve's QP counts, pivots and warm starts "
+                 "instead of a digest"),
+    ("--factors", "print each solve's pivoted QRs and QP working sets "
+                  "factored instead of a digest"),
+    ("--passes", "print each solve's tape forward passes per order instead "
+                 "of a digest"),
+    ("--certify", "print each solve's certificate value instead of a "
+                  "digest, then the worst value per status"),
+    ("--parse", "print one digest per model source, parsed and tokenized, "
+                "and solve nothing"),
+]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--outcomes", action="store_true",
-                      help="print each solve's outcome instead of a digest")
-    mode.add_argument("--pivots", action="store_true",
-                      help="print each solve's QP counts, pivots and warm "
-                           "starts instead of a digest")
-    mode.add_argument("--factors", action="store_true",
-                      help="print each solve's pivoted QRs and QP working "
-                           "sets factored instead of a digest")
-    mode.add_argument("--passes", action="store_true",
-                      help="print each solve's tape forward passes per "
-                           "order instead of a digest")
-    mode.add_argument("--certify", action="store_true",
-                      help="print each solve's certificate value instead "
-                           "of a digest, then the worst value per status")
-    mode.add_argument("--parse", action="store_true",
-                      help="print one digest per model source, parsed and "
-                           "tokenized, and solve nothing")
+    for flag, text in MODES:
+        mode.add_argument(flag, action="store_true", help=text)
     args = parser.parse_args(argv)
     if args.parse:
         for label, text in sources():

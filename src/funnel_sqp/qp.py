@@ -4,21 +4,20 @@
 
 A holds the equality gradients column-wise (n x m). The working set is the
 equalities plus a subset of active bounds; steps live in the null space of
-the free-row Jacobian. Each working set is factored once, and its factors
-serve every pass (and the warm start) that sees it unchanged. One pivoted QR
-of the free rows of A, split at its numerical rank, gives the null-space
-basis Z, the warm start's minimum-norm point and, at full column rank, the
-equality multipliers; a rank-deficient working set gets the minimum-norm
-multipliers of lstsq, so dependent equalities need no other handling. The
-reduced Hessian Z^T W Z is first tried as a Cholesky factor that certifies
-every eigenvalue above the zero band: such a block gives Newton steps.
-Otherwise it is classified by eigenvalue: positive definite blocks still
-give Newton steps, negative or zero curvature gives a ray walked to its
-blocking bound (no bound means the QP is unbounded). With W identically
-zero (phase-1 LPs) the reduced Hessian needs no factorization. A caller
-that has already factored A and Z^T W Z (convexify does) passes them as
-the factors of the working set with every variable free; they are
-classified only if the solve reaches that set before any other.
+the free-row Jacobian. Each working set is one face (_Face), which gathers
+the free rows of A once and is factored once: its factors serve every pass
+(and the warm start) that sees the set unchanged. Their pivoted QR, split
+at its numerical rank, gives the null-space basis Z, the warm start's
+minimum-norm point and, at full column rank, the equality multipliers; a
+rank-deficient working set gets the minimum-norm multipliers of lstsq, so
+dependent equalities need no other handling. The first pass that reads a
+face classifies its reduced Hessian Z^T W Z: a Cholesky factor that
+certifies every eigenvalue above the zero band gives Newton steps; failing
+that, eigh and one band test do for a positive definite block, and negative
+or zero curvature gives a ray walked to its blocking bound (no bound means
+the QP is unbounded). With W identically zero (phase-1 LPs) the reduced
+Hessian needs no factorization. A caller that has factored A and Z^T W Z
+already (convexify does) seeds the all-free face with them (free_factors).
 Feasibility first tries the origin and then the minimum-norm least-squares
 solution of A^T x = b, each clipped to the box. When neither satisfies the
 equalities, an elastic l1 LP over every equality column runs; it is the
@@ -30,16 +29,15 @@ hit.
 Nearly every QP of a solve is a warm start that hits and then passes the
 multiplier check with no pivot, so that path runs only the array calls its
 result reads, each giving the bits the general path would: the box's
-pinned mask is worked out once per QP, a working set with every variable
-free reads A, W, g and the box in place instead of fancy-index copies, a
-box with no finite bound skips the pad test and the clip, and the
-multiplier check of a working set with no bound returns mu = 0 at once.
+pinned mask is worked out once per QP, the face with every variable free
+reads A, W, g and the box in place, a box with no finite bound skips the
+pad test and the clip, and a face with no bound returns mu = 0 at once.
 Anti-cycling: greedy pivot choice for the first half of the pivot budget,
 Bland's rule afterwards; a budget of 2 * max_pivots + 2 passes also stops
 steps that never pivot. A Newton step no larger than machine epsilon times
 |x_i| in every entry is a zero step, since it moves x by its rounding only.
 A small nonconvex box-only QP then gets a face scan, whose faces are warm
-starts on each face's bound codes.
+starts on each face's bound codes, each free set factored once.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxPivots
-from .linalg import (ZERO_EIG_REL, NullspaceFactors, certified_cholesky,
-                     cholesky_solve, nullspace_basis)
+from .linalg import (ZERO_EIG_REL, certified_cholesky, cholesky_solve,
+                     nullspace_basis)
 
 ELASTIC_TOL = 1e-10          # phase-1 residual above this is infeasible
 GAP_CAP = 1e10               # stand-in gap for infinite bounds in complementarity
@@ -164,16 +162,57 @@ def elastic_problem(A, b, lb, ub, W=None):
     return data, np.concatenate((x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)))
 
 
-@dataclass
-class _Reduced:
-    """Factors of one working set: qr of A[free], and the reduced Hessian
-    H = Z^T W[free, free] Z either as a Cholesky factor `chol` certified
-    positive definite or, when that fails, as its eigendecomposition (w, V)."""
+class _Face:
+    """One working set, named by its free variables `free`. With every
+    variable free (`every`) it reads A, W and the gradient in place, else it
+    gathers A's free rows once (`rows`). It holds their pivoted QR `qr` and
+    H = Z^T W[free, free] Z, None for a zero W or a Z with no column.
+    classify() gives H's class: a certified Cholesky factor `chol`, or else
+    eigh's ascending w and V and the masks `neg` and `zero` of the
+    eigenvalues below and in the zero band."""
 
-    qr: NullspaceFactors
-    chol: np.ndarray | None
-    w: np.ndarray | None = None
-    V: np.ndarray | None = None
+    def __init__(self, core, free, qr=None, H=None):
+        self.free, self.key, self.n = free, free.tobytes(), core.n
+        self.every = free.size == core.n
+        # in C order, as the copy A[free] holds them
+        self.rows = np.ascontiguousarray(core.A) if self.every \
+            else core.A[free]
+        self.qr = qr = nullspace_basis(self.rows) if qr is None else qr
+        if core.w_zero or not qr.Z.shape[1]:
+            H = None
+        elif H is None:
+            Wf = core.W if self.every else core.W[np.ix_(free, free)]
+            H = qr.Z.T @ Wf @ qr.Z
+        self.H, self.chol, self.w = H, None, None
+
+    def move(self, core, free):
+        """The face of `free`: this one if unchanged, else one from scratch."""
+        return self if self.key == free.tobytes() else _Face(core, free)
+
+    def classify(self):
+        if self.H is None:
+            # eigh of the zero matrix: the same values, without the solve
+            k = self.qr.Z.shape[1]
+            self.w, self.V = np.zeros(k), np.eye(k)
+        else:
+            self.chol = certified_cholesky(self.H, ZERO_EIG_REL)
+            if self.chol is not None:
+                return
+            self.w, self.V = np.linalg.eigh(0.5 * (self.H + self.H.T))
+        tol = ZERO_EIG_REL * max(1.0, float(np.abs(self.w).max(initial=0.0)))
+        self.neg, self.zero = self.w < -tol, np.abs(self.w) <= tol
+
+    def gather(self, v):
+        """v's free entries: v itself when every variable is free."""
+        return v if self.every else v[self.free]
+
+    def embed(self, p_f):
+        """p_f scattered into zeros(n), or p_f itself when all are free."""
+        if self.every:
+            return p_f
+        p = np.zeros(self.n)
+        p[self.free] = p_f
+        return p
 
     def newton(self, q, pos=slice(None)):
         """Newton step -H^-1 q in null-space coordinates; without a Cholesky
@@ -191,9 +230,6 @@ class _Core:
         self.W, self.g, self.A, self.b = W, g, A, b
         self.lb, self.ub = lb, ub
         self.n = g.shape[0]
-        # A's rows in C order, as the copy A[free] holds them: the working
-        # set with every variable free reads this instead of a copy
-        self.A_rows = np.ascontiguousarray(A)
         self.every = np.arange(self.n)
         # what every working set reads of the box: which variables are
         # pinned, and whether any bound is finite
@@ -204,11 +240,8 @@ class _Core:
         self.max_pivots = max_pivots
         self.half = max_pivots // 2
         self.pivots = 0
-        # the last working set's key and its _Reduced, or its (qr, H) pair
-        # until reduced() first asks for it
-        self._factored = None, None
-        if free_factors is not None:
-            self._factored = self.every.tobytes(), free_factors
+        # the last working set's face; free_factors seed the all-free one
+        self.face = free_factors and _Face(self, self.every, *free_factors)
 
     def run(self, x, work):
         """Iterate to optimality. Returns (status, x, lam, mu, work)."""
@@ -251,31 +284,12 @@ class _Core:
     # -- factors of the working set --
 
     def reduced(self, free):
-        """The _Reduced factors of the working set with free variables
-        `free`. The last working set's factors are kept; free_factors
-        pre-fill them for the working set with every variable free."""
-        key = free.tobytes()
-        if self._factored[0] != key:
-            every = free.size == self.n
-            fac = nullspace_basis(self.A if every else self.A[free])
-            H = None
-            if not self.w_zero and fac.Z.shape[1]:
-                Wf = self.W if every else self.W[np.ix_(free, free)]
-                H = fac.Z.T @ Wf @ fac.Z
-            self._factored = key, (fac, H)
-        factors = self._factored[1]
-        if isinstance(factors, tuple):
-            fac, H = factors
-            k = fac.Z.shape[1]
-            if self.w_zero or k == 0:
-                # eigh of the zero matrix: the same values, without the solve
-                factors = _Reduced(fac, None, np.zeros(k), np.eye(k))
-            else:
-                chol = certified_cholesky(H, ZERO_EIG_REL)
-                factors = _Reduced(fac, chol) if chol is not None else \
-                    _Reduced(fac, None, *np.linalg.eigh(0.5 * (H + H.T)))
-            self._factored = key, factors
-        return factors
+        """The face of the free variables `free`, classified."""
+        face = self.face = _Face(self, free) if self.face is None \
+            else self.face.move(self, free)
+        if face.chol is None and face.w is None:
+            face.classify()
+        return face
 
     def warm_start(self, codes):
         """Jump straight to the equality QP on a hinted active set.
@@ -293,8 +307,7 @@ class _Core:
         work[self.pinned] = PINNED
         every = self.n > 0 and not np.count_nonzero(work)
         if every:
-            free, rhs, A_free, lb_free, ub_free = self.every, b, \
-                self.A_rows, lb, ub
+            free, rhs = self.every, b
         else:
             fixed = work != FREE
             x = np.zeros(self.n)
@@ -305,18 +318,16 @@ class _Core:
                 return None
             free = np.flatnonzero(~fixed)
             rhs = b - A[fixed].T @ x[fixed]
-            A_free, lb_free, ub_free = A[free], lb[free], ub[free]
         tol = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
         if free.size == 0:
             return None if np.abs(rhs).max(initial=0.0) > tol else (x, work)
         f = self.reduced(free)
         xf0 = f.qr.range_point(rhs)
-        if np.abs(A_free.T @ xf0 - rhs).max(initial=0.0) > tol:
+        if np.abs(f.rows.T @ xf0 - rhs).max(initial=0.0) > tol:
             return None
         xf, Z = xf0, f.qr.Z
         if Z.shape[1]:
-            if f.chol is None and f.w[0] <= ZERO_EIG_REL * max(
-                    1.0, float(np.abs(f.w).max())):
+            if f.chol is None and (f.neg[0] or f.zero[0]):
                 return None
             if every:
                 gf = g + 0.0
@@ -329,6 +340,7 @@ class _Core:
             # with no finite bound a fixed variable would be infinite, so
             # every variable is free here
             return xf, work
+        lb_free, ub_free = f.gather(lb), f.gather(ub)
         pad = 1e-10 * (1.0 + np.abs(xf).max(initial=0.0))
         if np.count_nonzero(xf < lb_free - pad) \
                 or np.count_nonzero(xf > ub_free + pad):
@@ -348,31 +360,27 @@ class _Core:
         Z = f.qr.Z
         if Z.shape[1] == 0:
             return None
-        q = Z.T @ (grad if free.size == self.n else grad[free])
+        q = Z.T @ f.gather(grad)
         q_tol = STATIONARY_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
         if f.chol is not None:
             if np.abs(q).max() <= q_tol:
                 return None
             pz = f.newton(q)
         else:
-            w, V = f.w, f.V
-            eig_tol = ZERO_EIG_REL * max(1.0, float(np.abs(w).max()))
-            neg = w < -eig_tol
-            zero = np.abs(w) <= eig_tol
-            if neg.any():
-                v = V[:, int(np.argmin(w))]
-                return self._orient_ray(x, free, Z, v, q), True
-            if zero.any():
-                qz = V[:, zero] @ (V[:, zero].T @ q)
+            if f.neg.any():
+                v = f.V[:, int(np.argmin(f.w))]
+                return self._orient_ray(x, f, v, q), True
+            if f.zero.any():
+                qz = f.V[:, f.zero] @ (f.V[:, f.zero].T @ q)
                 if np.abs(qz).max(initial=0.0) > q_tol:
                     if not np.isfinite(np.linalg.norm(qz)):
                         qz = qz / np.abs(qz).max()    # its norm overflowed
                     v = -qz / np.linalg.norm(qz)
-                    return self._embed(free, Z @ v), True
+                    return f.embed(Z @ v), True
             if np.abs(q).max(initial=0.0) <= q_tol:
                 return None
-            pz = f.newton(q, ~(neg | zero))
-        p = self._embed(free, Z @ pz)
+            pz = f.newton(q, ~(f.neg | f.zero))
+        p = f.embed(Z @ pz)
         # a step within the rounding of x makes no progress: x would only
         # flip between adjacent doubles until the pass budget ran out
         if np.abs(p).max(initial=0.0) <= q_tol or \
@@ -380,14 +388,12 @@ class _Core:
             return None
         return p, False
 
-    def _orient_ray(self, x, free, Z, v, q):
+    def _orient_ray(self, x, f, v, q):
         slope = float(q @ v)
-        tol = 1e-12 * (1.0 + abs(slope))
-        if abs(slope) > tol:
-            v = -v if slope > 0.0 else v
-            return self._embed(free, Z @ v)
+        if abs(slope) > 1e-12 * (1.0 + abs(slope)):
+            return f.embed(f.qr.Z @ (-v if slope > 0.0 else v))
         # flat negative-curvature ray: march whichever endpoint is lower
-        p_plus = self._embed(free, Z @ v)
+        p_plus = f.embed(f.qr.Z @ v)
         p_minus = -p_plus
         a_plus, _ = self._ratio(x, p_plus, np.inf)
         a_minus, _ = self._ratio(x, p_minus, np.inf)
@@ -401,13 +407,6 @@ class _Core:
 
     def _phi(self, x):
         return float(0.5 * x @ self.W @ x + self.g @ x)
-
-    def _embed(self, free, p_f):
-        if free.size == self.n:
-            return p_f
-        p = np.zeros(self.n)
-        p[free] = p_f
-        return p
 
     # -- ratio test --
 
@@ -445,23 +444,21 @@ class _Core:
     # -- multiplier check --
 
     def _multipliers(self, grad, work, free):
-        every = free.size == self.n
         if free.size:
             # the pass that found x reduced-stationary factored this set
-            fac = self.reduced(free).qr
-            if fac.rank == self.A.shape[1]:
-                lam = fac.multipliers(grad if every else grad[free])
+            f = self.reduced(free)
+            if f.qr.rank == self.A.shape[1]:
+                lam = f.qr.multipliers(f.gather(grad))
             else:
                 # the minimum-norm lam decides which bound is dropped
-                lam = np.linalg.lstsq(self.A[free], grad[free],
-                                      rcond=None)[0]
+                lam = np.linalg.lstsq(f.rows, f.gather(grad), rcond=None)[0]
+            if f.every:
+                # no bound in the working set: mu = 0, with no sign to check
+                return lam, np.zeros(self.n), None
         elif self.A.shape[1]:
             lam = np.linalg.lstsq(self.A, grad, rcond=None)[0]
         else:
             lam = np.zeros(0)
-        if every:
-            # no bound in the working set: mu is zero, with no sign to check
-            return lam, np.zeros(self.n), None
         mu = grad - self.A @ lam
         mu[free] = 0.0
         tol = MU_SIGN_REL * (1.0 + float(np.abs(grad).max(initial=0.0)))
@@ -536,15 +533,20 @@ def _face_enumeration(core):
     definite blocks cover the optimum. The warm start solves each face and
     refuses one whose block is not positive definite or whose minimizer
     leaves the box. A pinned variable has one face, so only the others'
-    codes are enumerated. Returns (objective, x, work), x None when none is
-    left.
+    codes are enumerated. Codes with the same free set share one _Face,
+    handed back to the core before its warm start. Returns (objective, x,
+    work), x None when none is left.
     """
     best = np.inf, None, None
     codes = np.full(core.n, PINNED, dtype=np.int8)
     loose = np.flatnonzero(~core.pinned)
-    for face in itertools.product((FREE, LOWER, UPPER), repeat=loose.size):
-        codes[loose] = face
+    faces = {}
+    for sides in itertools.product((FREE, LOWER, UPPER), repeat=loose.size):
+        codes[loose] = sides
+        key = np.flatnonzero(codes == FREE).tobytes()
+        core.face = faces.get(key, core.face)
         start = core.warm_start(codes)
+        faces[core.face.key] = core.face
         if start is not None:
             obj = core._phi(start[0])
             if obj < best[0]:
@@ -560,8 +562,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     variable); feasible_start supplies a point already satisfying all
     constraints, skipping the elastic phase. free_factors = (qr, H), the
     nullspace_basis of qp.A and the k x k reduced Hessian Z^T W Z, as
-    convexify returns them, are the factors of the working set with every
-    variable free; they serve it until another working set is factored."""
+    convexify returns them, seed the face with every variable free."""
     n, m = qp.n, qp.m
     W = 0.5 * (qp.W + qp.W.T)
     g = np.asarray(qp.g, dtype=float)
@@ -615,8 +616,7 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
     # Cholesky factor of the all-free W means a convex QP.
     if 0 < n <= FACE_ENUM_MAX and not A.any():
         f = core.reduced(core.every)
-        if f.chol is None and f.w[0] < -ZERO_EIG_REL * max(
-                1.0, float(np.abs(f.w).max())):
+        if f.chol is None and f.neg[0]:
             obj_loc = core._phi(x)
             obj_enum, x_enum, work_enum = _face_enumeration(core)
             if x_enum is not None and obj_enum < obj_loc - 1e-12 * (

@@ -45,7 +45,6 @@ import hashlib
 import itertools
 import linecache
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -211,19 +210,6 @@ VAR, ADD, SUB, MUL, DIV = range(5)
 NEG, ADDC, MULC, RSUBC, DIVC, RDIVC, POWC, RPOWC = range(5, 13)
 EXP, LOG, SIN, COS, SQRT = range(13, 18)
 
-_VALUE = {
-    ADD: operator.add, SUB: operator.sub, MUL: operator.mul,
-    DIV: operator.truediv,
-    NEG: lambda u, c: -u, ADDC: operator.add, MULC: operator.mul,
-    RSUBC: lambda u, c: c - u, DIVC: operator.truediv,
-    RDIVC: lambda u, c: c / u, POWC: operator.pow,
-    RPOWC: lambda u, c: c ** u,
-    EXP: lambda u, c: np.exp(u), LOG: lambda u, c: np.log(u),
-    SIN: lambda u, c: np.sin(u), COS: lambda u, c: np.cos(u),
-    SQRT: lambda u, c: np.sqrt(u),
-}
-
-
 # the numpy expression of each op's value from u (slot a), w (slot b) and
 # c (the constant b)
 _VALUE_TEXT = {
@@ -265,14 +251,16 @@ _BOTH = {"+": ADD, "-": SUB, "*": MUL, "/": DIV}
 
 
 def _fold(code: int, a: float, b: float | None = None) -> float:
-    """Constant subtree value, computed with the same float64 semantics."""
+    """Constant subtree value: the op's value text evaluated on float64
+    scalars, as a kernel evaluates a constant."""
+    text = _VALUE_TEXT[code].format(u="u", w="w", c="w")
     with np.errstate(all="ignore"):
-        return float(_VALUE[code](np.float64(a),
-                                  None if b is None else np.float64(b)))
+        return float(eval(text, dict(_FUNCS), {
+            "u": np.float64(a), "w": None if b is None else np.float64(b)}))
 
 
 def _push(ops: list, code: int, a, b) -> int:
-    ops.append((code, _VALUE[code] if code != VAR else None, a, b))
+    ops.append((code, a, b))
     return len(ops) - 1
 
 
@@ -281,7 +269,7 @@ def _curved(ops: list) -> bool:
     in (x^2)^0 the square is compiled before the power folds to 1."""
     live = {len(ops) - 1}
     for i in range(len(ops) - 1, -1, -1):
-        code, _, a, b = ops[i]
+        code, a, b = ops[i]
         if i in live and code != VAR:
             if code not in _LINEAR:
                 return True
@@ -313,7 +301,7 @@ def _compile(expr, env: dict) -> tuple:
     """(ops, vars, const) of expr; env maps variable names to indices.
 
     vars holds the global indices of the touched variables in local order;
-    ops is a list of (code, fn, a, b): slot i is written by ops[i] from slot
+    ops is a list of (code, a, b): slot i is written by ops[i] from slot
     a and either slot b (binary ops) or the constant b. VAR ops carry the
     local index in a and the global index in b. The last slot is the result;
     an expression without variables has no ops and the value const.
@@ -437,7 +425,7 @@ def _kernel(ops: Ops, order: int):
     eye.flags.writeable = False
     G, H = [], []       # per slot: the name of its gradient and its Hessian
     with np.errstate(all="ignore"):
-        for i, (code, _, a, b) in enumerate(ops):
+        for i, (code, a, b) in enumerate(ops):
             u, v, w, Hi = f"v{a}", f"v{i}", f"v{b}", f"H{i}"
             if code == VAR:
                 body.append(f"    {v} = X[:, {a}]")
@@ -573,8 +561,7 @@ class TapeSet:
                 if not ops:             # a constant term
                     base[e, pos] = sign * const
                     continue
-                key = tuple((code, a) if code == VAR else (code, a, b)
-                            for code, _, a, b in ops)
+                key = tuple(op[:2] if op[0] == VAR else op for op in ops)
                 group = groups_by_ops.setdefault(key, (ops, [], [], []))
                 group[1].append(e * width + pos)
                 group[2].append(sign)

@@ -2,11 +2,12 @@
 compiled kernels of tape.py.
 
 forward walks an op list of tape._compile one op at a time, with the
-derivative rules as tables, and runs the numpy expressions each kernel
-must run in the same order. A kernel's (v, g, H) must equal this
-forward's in bytes, shape and which of them are None.
+value and derivative rules as tables of its own, and runs the numpy
+expressions each kernel must run in the same order. A kernel's (v, g, H)
+must equal this forward's in bytes, shape and which of them are None.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -14,6 +15,20 @@ import numpy as np
 from funnel_sqp.tape import (ADD, ADDC, COS, DIV, DIVC, EXP, LOG, MUL,
                              MULC, NEG, POWC, RDIVC, RPOWC, RSUBC, SIN, SQRT,
                              SUB, VAR)
+
+
+# value of each op from u (slot a) and w (slot b) or c (the constant b)
+VALUE = {
+    ADD: operator.add, SUB: operator.sub, MUL: operator.mul,
+    DIV: operator.truediv,
+    NEG: lambda u, c: -u, ADDC: operator.add, MULC: operator.mul,
+    RSUBC: lambda u, c: c - u, DIVC: operator.truediv,
+    RDIVC: lambda u, c: c / u, POWC: operator.pow,
+    RPOWC: lambda u, c: c ** u,
+    EXP: lambda u, c: np.exp(u), LOG: lambda u, c: np.log(u),
+    SIN: lambda u, c: np.sin(u), COS: lambda u, c: np.cos(u),
+    SQRT: lambda u, c: np.sqrt(u),
+}
 
 
 def _powc(u, c, v):
@@ -81,14 +96,14 @@ def forward(ops: list, X: np.ndarray, order: int):
     eye = _identity(X.shape[1]) if order else None
     vals, grads, hess = [], [], []
     g = H = None
-    for code, fn, a, b in ops:
+    for code, a, b in ops:
         if code == VAR:
             v = X[:, a]
             if order:
                 g, H = eye[a], None
         elif code <= DIV:
             u, w = vals[a], vals[b]
-            v = fn(u, w)
+            v = VALUE[code](u, w)
             if order:
                 ga, gb = grads[a], grads[b]
                 if code == ADD:
@@ -104,7 +119,7 @@ def forward(ops: list, X: np.ndarray, order: int):
                                         hess[a], hess[b])
         else:
             u = vals[a]
-            v = fn(u, b)
+            v = VALUE[code](u, b)
             if order:
                 ga = grads[a]
                 Ha = hess[a] if second else None

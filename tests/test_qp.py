@@ -15,6 +15,7 @@ from conftest import enumerate_qp_optimum, grid_qp_minimum
 from funnel_sqp import qp as qp_module
 from funnel_sqp.config import SubproblemParams
 from funnel_sqp.errors import DimensionMismatch, MaxPivots
+from funnel_sqp.linalg import ZERO_EIG_REL
 from funnel_sqp.qp import (ELASTIC_TOL, FREE, LOWER, PINNED, UPPER, QpData,
                            QpSolution, _Core, _elastic_lp, _initial_work,
                            _phase1, elastic_problem, kkt_residual,
@@ -550,6 +551,126 @@ class TestFreeFactors:
         for field_ in ("x", "lam", "mu", "active"):
             assert np.array_equal(getattr(seeded, field_),
                                   getattr(plain, field_))
+
+
+class TestFace:
+    """_Face owns a working set: its gathered rows, its factors and the
+    class of its reduced Hessian, found by one zero-band test."""
+
+    @staticmethod
+    def _core(W, A=None):
+        n = W.shape[0]
+        A = np.zeros((n, 0)) if A is None else A
+        return _Core(W, np.zeros(n), A, np.zeros(A.shape[1]),
+                     np.full(n, -INF), np.full(n, INF), 100)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_band_edges_classify_as_the_inline_tests_did(self, seed, scale,
+                                                         sign, ulps):
+        # t = +-ZERO_EIG_REL * max(1, max|w|), or one ulp either side, next
+        # to a positive definite block: W's smallest eigenvalue, which eigh
+        # returns exactly. Below 1 the block is a random rotation, with t
+        # first or last; at 1e3 W is a permuted diagonal, so that eigh
+        # returns max|w| = 1e3 exactly too
+        rng = np.random.default_rng(seed)
+        edge = sign * ZERO_EIG_REL * max(1.0, scale)
+        t = edge if ulps == 0 else np.nextafter(edge, ulps * INF)
+        if scale < 1.0:
+            Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            block = Q @ np.diag(rng.uniform(0.1, scale, 4)) @ Q.T
+            blocks = [0.5 * (block + block.T), [[t]]]
+            W = scipy.linalg.block_diag(*blocks[::1 - 2 * (seed % 2)])
+        else:
+            W = np.diag(rng.permutation([scale, t,
+                                         *rng.uniform(0.1, scale, 3)]))
+        f = self._core(W).reduced(np.arange(5))
+        # certified_cholesky certifies no band edge
+        assert f.chol is None
+        assert qp_module.certified_cholesky(W, ZERO_EIG_REL) is None
+        w, V = np.linalg.eigh(0.5 * (W + W.T))
+        assert _same_bits(f.w, w) and _same_bits(f.V, V)
+        assert w[0] == t
+        # the band test written out for each reader of the class
+        eig_tol = ZERO_EIG_REL * max(1.0, float(np.abs(w).max()))
+        assert np.array_equal(f.neg, w < -eig_tol)                 # _direction
+        assert np.array_equal(f.zero, np.abs(w) <= eig_tol)
+        assert bool(f.neg[0] or f.zero[0]) == (w[0] <= eig_tol)    # warm start
+        assert bool(f.neg[0]) == (w[0] < -eig_tol)                 # face scan
+
+    def test_gather_and_embed(self):
+        rng = np.random.default_rng(2)
+        n = 5
+        A = rng.standard_normal((n, 1))
+        core = self._core(np.eye(n), A)
+        v, some = rng.standard_normal(n), np.array([1, 3, 4])
+        every = core.reduced(np.arange(n))
+        assert every.gather(v) is v and every.embed(v) is v
+        assert every.rows is A
+        part = core.reduced(some)
+        assert np.array_equal(part.gather(v), v[some])
+        assert _same_bits(part.rows, A[some])
+        assert core.reduced(some.copy()) is part
+        p = part.embed(np.array([-0.0, 2.0, -3.0]))
+        assert _same_bits(p, np.array([0.0, -0.0, 0.0, 2.0, -3.0]))
+
+    def test_seed_is_classified_only_when_reached(self):
+        rng = np.random.default_rng(11)
+        n = 5
+        M = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, 2))
+        x_feas = rng.standard_normal(n)
+        W, _, free = convexify(0.5 * (M + M.T), A, SubproblemParams())
+        for pinned in (True, False):
+            lb, ub = x_feas - 0.5, x_feas + 0.5
+            if pinned:
+                lb[1] = ub[1] = x_feas[1]
+            core = _Core(W, 5.0 * rng.standard_normal(n), A, A.T @ x_feas,
+                         lb, ub, 100, free)
+            seed = core.face
+            status, *_ = core.run(x_feas.copy(),
+                                  _initial_work(x_feas, lb, ub))
+            assert status == "optimal"
+            # a pinned variable is never free: no pass reaches the seed
+            assert (seed.chol is None and seed.w is None) == pinned
+
+    def test_face_scan_factors_each_free_set_once(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        M = rng.standard_normal((6, 6))
+        qp = box_qp((M + M.T) / 2, rng.standard_normal(6),
+                    lb=-np.ones(6), ub=np.ones(6))
+        built = []
+        scan, face_init = qp_module._face_enumeration, qp_module._Face.__init__
+
+        def scanning(core):
+            built.append(None)                  # the scan starts here
+            return scan(core)
+
+        def init(face, core, free, *seed):
+            built.append(free.tobytes())
+            face_init(face, core, free, *seed)
+
+        monkeypatch.setattr(qp_module, "_face_enumeration", scanning)
+        monkeypatch.setattr(qp_module._Face, "__init__", init)
+        qr_calls = _counted(monkeypatch, qp_module, "nullspace_basis")
+        sol = solve_qp(qp)
+        during = built[built.index(None) + 1:]
+        # every free set but the empty one, which has no face, and the
+        # all-free one, which the gate before the scan factored
+        assert len(during) == len(set(during)) == 2 ** 6 - 2
+        assert len(qr_calls) == len(built) - 1 == 69
+        # the solution of a scan that factors every face it visits afresh
+        assert sol.status == "optimal" and sol.n_pivots == 6
+        assert sol.objective.hex() == "-0x1.fc88affeff174p+2"
+        assert np.array_equal(sol.x, [1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+        assert np.array_equal(sol.active, [1, 1, -1, 1, 1, -1])
+        assert sol.lam.shape == (0,)
+        assert [v.hex() for v in sol.mu.tolist()] == [
+            "-0x1.867ad9339af2bp+1", "-0x1.a795a7ff26c5cp+0",
+            "0x1.1e4fe972b56cbp+0", "-0x1.4a9e55b1f7027p+1",
+            "-0x1.63423a82a5f08p+1", "0x1.f1e88221f0190p+0"]
 
 
 def _deficient_columns(rng, rows, m, kind):

@@ -619,6 +619,24 @@ class TestKernels:
                  for op in _compile(tree, dict(zip(NAMES, range(4))))[0]}
         assert codes == set(range(18))
 
+    @pytest.mark.parametrize("code, binary", [
+        (tape.NEG, False), (tape.EXP, False), (tape.LOG, False),
+        (tape.SIN, False), (tape.COS, False), (tape.SQRT, False),
+        (tape.ADD, True), (tape.SUB, True), (tape.MUL, True),
+        (tape.DIV, True), (tape.POWC, True)])
+    def test_folded_constants_match_the_interpreter(self, code, binary):
+        # every code _fold meets: the unary ones of Unary and Call nodes,
+        # the binary operators of two constants, and ^ as POWC
+        for a in SPECIAL:
+            for b in SPECIAL if binary else [None]:
+                with np.errstate(all="ignore"):
+                    want = tape_interpreter.VALUE[code](
+                        np.float64(a), None if b is None else np.float64(b))
+                    got = tape._fold(code, a, b)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == \
+                    np.float64(want).tobytes()
+
     @pytest.mark.parametrize("tree", OP_TREES, ids=range(len(OP_TREES)))
     def test_op_trees_match_the_interpreter(self, tree):
         ops, vars_, _ = _compile(tree, dict(zip(NAMES, range(4))))

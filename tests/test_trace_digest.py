@@ -120,3 +120,28 @@ def test_certify_mode_three_solves(monkeypatch, capsys):
         label = solve_line.split("  ")[2]
         assert line == (f"worst {CERTIFICATES[status][0]} {value}  "
                         f"over 1 {status}  ({label})")
+
+
+def test_same_behaviour_runs_every_mode_and_both_sweeps(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "same_behaviour",
+        Path(__file__).resolve().parents[1] / "scripts" / "same_behaviour.py")
+    same = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same)
+    runs = [(script, tuple(args)) for _, script, args in same.RUNS]
+    assert sorted(runs) == sorted([
+        ("trace_digest.py", ()),
+        *(("trace_digest.py", (flag,)) for flag, _ in trace_digest.MODES),
+        ("fuzz_sweep.py", ()), ("fuzz_sweep.py", ("--nudge", "--certify"))])
+    modes = [mode for mode, _, _ in same.RUNS]
+    assert len(set(modes)) == len(modes)
+    assert all(mode.isprintable() and " " not in mode for mode in modes)
+    # the parser offers exactly the modes of MODES
+    try:
+        trace_digest.main(["--help"])
+    except SystemExit:
+        pass
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert [flag for flag in usage.replace("[", " ").replace("]", " ")
+            .replace("|", " ").split() if flag.startswith("--")] == \
+        [flag for flag, _ in trace_digest.MODES]
