@@ -18,7 +18,8 @@ and the working sets the QP factored itself (calls of qp.nullspace_basis);
 convexify's QR of J, which seeds the line-search optimality QP's all-free
 working set, counts as a QR only.
 With --passes, each line instead counts the solve's forward passes of the
-derivative tape (calls of tape.forward) at order 0, 1 and 2.
+derivative tape (calls of tape.forward): passes for values, and passes for
+values and every derivative.
 With --certify, each line instead gives the solve's class (its status, or
 status/error_kind) and the value of tests/certify.py's certificate for its
 status (kkt_residual, infeasibility_rate or unbounded_residual; "-" for a
@@ -246,8 +247,8 @@ def factors(counts, res) -> str:
 
 
 def passes(counts, res) -> str:
-    """Forward passes of the tape per order, counted over the solve."""
-    return "  ".join(f"order{k}={counts[k]}" for k in range(3))
+    """Forward passes of the tape of each kind, counted over the solve."""
+    return f"values={counts['values']}  derivatives={counts['derivatives']}"
 
 
 def certificate(problem, res) -> tuple:
@@ -262,12 +263,13 @@ def certificate(problem, res) -> tuple:
     return f"{name}  {check}={value:.3e}", value
 
 
-def by_order(fn, counts):
-    """tape.forward, adding one to counts[order] per call."""
+def by_kind(fn, counts):
+    """tape.forward, adding one to counts['values'] or
+    counts['derivatives'] per call."""
     @functools.wraps(fn)
-    def wrapper(ops, X, order):
-        counts[order] += 1
-        return fn(ops, X, order)
+    def wrapper(ops, X, derivatives):
+        counts["derivatives" if derivatives else "values"] += 1
+        return fn(ops, X, derivatives)
     return wrapper
 
 
@@ -288,8 +290,8 @@ MODES = [
                  "instead of a digest"),
     ("--factors", "print each solve's pivoted QRs and QP working sets "
                   "factored instead of a digest"),
-    ("--passes", "print each solve's tape forward passes per order instead "
-                 "of a digest"),
+    ("--passes", "print each solve's tape forward passes for values and "
+                 "for derivatives instead of a digest"),
     ("--certify", "print each solve's certificate value instead of a "
                   "digest, then the worst value per status"),
     ("--parse", "print one digest per model source, parsed and tokenized, "
@@ -316,7 +318,7 @@ def main(argv=None):
         qp.nullspace_basis = counted(qp.nullspace_basis, counts, "sets")
         show = functools.partial(factors, counts)
     if args.passes:
-        tape.forward = by_order(tape.forward, counts)
+        tape.forward = by_kind(tape.forward, counts)
         show = functools.partial(passes, counts)
     # status -> [(value, label)] of every verdict certified
     certified = collections.defaultdict(list)

@@ -192,34 +192,29 @@ class _Parser:
         if self.texts[self.i] == "in":
             self.advance()
             self.expect("[")
-            decl.lb = self.bound()
+            decl.lb = self.number(inf=True)
             self.expect(",")
-            decl.ub = self.bound()
+            decl.ub = self.number(inf=True)
             self.expect("]")
             if decl.lb > decl.ub or decl.lb == np.inf or decl.ub == -np.inf:
                 self.fail(f"empty bound interval for {name!r}", at)
         if self.texts[self.i] == "start":
             self.advance()
-            decl.start = self.signed_number()
+            decl.start = self.number()
         self.expect(";")
         self.declared[name] = len(self.model.variables)
         self.model.variables.append(decl)
 
-    def bound(self) -> float:
+    def number(self, inf: bool = False) -> float:
+        """A number after an optional sign; with inf, or a signed inf."""
         sign = 1.0
         if self.kinds[self.i] in ("-", "+"):
             sign = -1.0 if self.advance() == "-" else 1.0
-        if self.texts[self.i] == "inf":
+        if inf and self.texts[self.i] == "inf":
             self.advance()
             return sign * np.inf
-        if self.kinds[self.i] == "num":
-            return sign * float(self.advance())
-        self.fail("expected a number or inf")
-
-    def signed_number(self) -> float:
-        sign = 1.0
-        if self.kinds[self.i] in ("-", "+"):
-            sign = -1.0 if self.advance() == "-" else 1.0
+        if inf and self.kinds[self.i] != "num":
+            self.fail("expected a number or inf")
         return sign * float(self.expect("num", "a number"))
 
     def minimize(self):
@@ -258,25 +253,15 @@ class _Parser:
             if lo > hi:
                 self.fail("empty constraint range", op_at)
             return Relation(body=rhs, lo=lo, hi=hi)
+        # a literal on the left is one on the right, the relation mirrored;
+        # with none, the body is lhs - rhs against 0
         lv, rv = _literal_value(lhs), _literal_value(rhs)
-        if op == "==":
-            if rv is not None:
-                return Relation(lhs, rv, rv)
-            if lv is not None:
-                return Relation(rhs, lv, lv)
-            return Relation(Binary("-", lhs, rhs), 0.0, 0.0)
-        if op == "<=":
-            if rv is not None:
-                return Relation(lhs, -np.inf, rv)
-            if lv is not None:
-                return Relation(rhs, lv, np.inf)
-            return Relation(Binary("-", lhs, rhs), -np.inf, 0.0)
-        # '>='
-        if rv is not None:
-            return Relation(lhs, rv, np.inf)
-        if lv is not None:
-            return Relation(rhs, -np.inf, lv)
-        return Relation(Binary("-", lhs, rhs), 0.0, np.inf)
+        if rv is None and lv is not None:
+            lhs, rhs, rv, op = rhs, lhs, lv, _MIRROR[op]
+        if rv is None:
+            lhs, rv = Binary("-", lhs, rhs), 0.0
+        lo, hi = {"==": (rv, rv), "<=": (-np.inf, rv), ">=": (rv, np.inf)}[op]
+        return Relation(lhs, lo, hi)
 
     # -- expressions --
 
@@ -334,6 +319,9 @@ class _Parser:
             self.expect(")")
             return e
         self.fail(f"expected an expression, found {t or 'end of input'!r}")
+
+
+_MIRROR = {"==": "==", "<=": ">=", ">=": "<="}    # a (op) b is b (mirror) a
 
 
 def _literal_value(e: Expr) -> Optional[float]:
@@ -436,8 +424,7 @@ def model_to_general(m: Model) -> GeneralProblem:
         ub=np.array([v.ub for v in m.variables], dtype=float),
         cl=np.array([r.lo for r in m.constraints], dtype=float),
         cu=np.array([r.hi for r in m.constraints], dtype=float),
-        x0=np.array([v.start for v in m.variables], dtype=float),
-        var_names=[v.name for v in m.variables])
+        x0=np.array([v.start for v in m.variables], dtype=float))
 
 
 def load_source(text: str, name: str = "model") -> NcoProblem:

@@ -15,7 +15,7 @@ objective and constraint callables, and the same tape differentiates them.
 from __future__ import annotations
 
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,6 +65,10 @@ class NcoProblem:
     hess_f and hess_c (an (m, n, n) stack) are the per-function view, for
     tests and tools, and for problems given as callables only.
     evaluate_lagrangian_hessian is the one place the solver asks for W.
+
+    Every evaluator returns what it computes, inf and NaN included; the
+    solver's evaluate_* functions count each call, then raise
+    NonFiniteValue for a non-finite value.
     """
     name: str
     n: int
@@ -183,7 +187,6 @@ class GeneralProblem:
     cl: np.ndarray
     cu: np.ndarray
     x0: np.ndarray
-    var_names: list = field(default_factory=list)
 
 
 def _as_tape(e, n: int) -> Tape:
@@ -196,9 +199,9 @@ def from_expressions(name: str, n: int, f_expr, con_exprs,
     """Build a standard-form problem whose derivatives come from the tape.
 
     Expressions are Tapes or traceable callables (see GeneralProblem), and
-    every constraint expression is treated as an equality c_j(x) = 0. f and
-    c return inf or NaN for evaluate_functions to reject; the derivative
-    evaluators raise NonFiniteValue themselves.
+    every constraint expression is treated as an equality c_j(x) = 0. On a
+    domain fault every evaluator returns inf or NaN, without a warning, for
+    evaluate_* to reject.
     """
     objective = TapeSet([_as_tape(f_expr, n)], n, "objective")
     rows = TapeSet([_as_tape(e, n) for e in con_exprs], n, "constraint")
@@ -208,7 +211,8 @@ def from_expressions(name: str, n: int, f_expr, con_exprs,
 
     def hess_lag(x, rho, lam):
         W = objective.weighted_hessian(x, (rho,))
-        W -= rows.weighted_hessian(x, lam)
+        with np.errstate(all="ignore"):     # inf - inf reads NaN
+            W -= rows.weighted_hessian(x, lam)
         return W
 
     return NcoProblem(

@@ -39,14 +39,13 @@ class ProgressModels:
     """Linear/quadratic model reductions for the full step d."""
     pred_f: float        # - 1/2 d^T W d - g^T d
     pred_h: float        # h - |c + J^T d|_1
-    m_h: float           # |c + J^T d|_1
 
 
 def progress_models(d, W, grad_f, c, J, h: float) -> ProgressModels:
     """The models at an iterate with violation h = |c|_1."""
     m_h = float(np.abs(c + J.T @ d).sum()) if c.size else 0.0
     pred_f = float(-0.5 * d @ W @ d - grad_f @ d)
-    return ProgressModels(pred_f=pred_f, pred_h=h - m_h, m_h=m_h)
+    return ProgressModels(pred_f=pred_f, pred_h=h - m_h)
 
 
 @dataclass

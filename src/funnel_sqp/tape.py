@@ -11,13 +11,14 @@ into a flat op list over the k variables the tree touches. Constant
 subtrees are folded, constant operands are folded into their op and shared
 subtrees are compiled once, so every slot depends on a variable. forward()
 runs an op list forward-over-forward (Griewank & Walther, *Evaluating
-Derivatives*): for order 0, 1 or 2 each slot carries its value, its
-gradient (k,) and its Hessian (k, k), or None while the slot is linear, so
-a 2-variable constraint costs 2x2 however large n is. The pass is
-vectorized over a batch of tapes with the same ops.
+Derivatives*) for its values, or for its values and every derivative:
+then each slot carries its value, its gradient (k,) and its Hessian
+(k, k), or None while the slot is linear, so a 2-variable constraint costs
+2x2 however large n is. The pass is vectorized over a batch of tapes with
+the same ops.
 
 forward runs compiled code, not an interpreter. The first pass of an op
-list at an order compiles it into one straight-line numpy function, its
+list of either kind compiles it into one straight-line numpy function, its
 kernel (_kernel), kept with the op list: one line per value, gradient and
 Hessian, in op order, and no dispatch per op. What depends only on
 constants is computed once then and kept read-only: the VAR unit
@@ -29,14 +30,15 @@ results are the same to the bit; tests/tape_interpreter.py keeps that
 interpreter as the kernels' oracle.
 
 TapeSet compiles and evaluates: on its first evaluation (not when a model
-is loaded) it compiles each expression's top-level terms, and it evaluates
-all terms with the same ops in one batched pass. jacobian keeps the
-Hessians of nonlinear terms, so a point is differentiated in one pass.
+is loaded) it compiles each expression's top-level terms, a subtracted term
+as its negation, and it evaluates all terms with the same ops in one
+batched pass. jacobian keeps the Hessians of nonlinear terms, so a point
+is differentiated in one pass.
 
 Every operation runs on float64 arrays, so a domain fault (log of 0, sqrt
 of a negative, 0 ** -1, overflow) gives inf or NaN, never an exception or,
-under np.errstate, a warning. TapeSet raises NonFiniteValue for a
-non-finite derivative and returns non-finite values for the caller.
+under np.errstate, a warning. TapeSet returns what it computes, finite or
+not; problems.evaluate_* rejects a non-finite value or derivative.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-
-from .errors import NonFiniteValue
 
 
 class Node:
@@ -211,9 +211,10 @@ NEG, ADDC, MULC, RSUBC, DIVC, RDIVC, POWC, RPOWC = range(5, 13)
 EXP, LOG, SIN, COS, SQRT = range(13, 18)
 
 # the numpy expression of each op's value from u (slot a), w (slot b) and
-# c (the constant b)
+# c (the constant b); a VAR op reads column a of X
 _VALUE_TEXT = {
-    ADD: "{u} + {w}", SUB: "{u} - {w}", MUL: "{u} * {w}", DIV: "{u} / {w}",
+    VAR: "X[:, {a}]", ADD: "{u} + {w}", SUB: "{u} - {w}", MUL: "{u} * {w}",
+    DIV: "{u} / {w}",
     NEG: "-{u}", ADDC: "{u} + {c}", MULC: "{u} * {c}", RSUBC: "{c} - {u}",
     DIVC: "{u} / {c}", RDIVC: "{c} / {u}", POWC: "{u} ** {c}",
     RPOWC: "{c} ** {u}", EXP: "exp({u})", LOG: "log({u})", SIN: "sin({u})",
@@ -362,47 +363,49 @@ class Tape:
 
 class Ops(list):
     """The op list of one expression, and the kernels forward compiles from
-    it: kernels[order] is made by the first pass at that order and kept
-    here. label names the list in its kernels' file names."""
+    it: kernels[derivatives] is made by the first pass of that kind and
+    kept here. label names the list in its kernels' file names."""
 
     __slots__ = ("label", "kernels")
 
     def __init__(self):
         super().__init__()
-        self.label, self.kernels = "expression", [None, None, None]
+        self.label, self.kernels = "expression", [None, None]
 
 
-def forward(ops: Ops, X: np.ndarray, order: int):
+def forward(ops: Ops, X: np.ndarray, derivatives: bool):
     """One forward-over-forward pass of ops over a batch of points.
 
     Row r of X (G, k) holds the k variables one tape reads, one per VAR op;
-    every tape of the batch has these ops. Returns values (G,), then
-    gradients from order 1 and Hessians at order 2 (else None; also None
-    for a linear op list). A gradient is (G, k), or (k,) while it is the
-    same for every row, and a Hessian likewise (G, k, k) or (k, k).
+    every tape of the batch has these ops. Returns values (G,), gradients
+    and Hessians; the last two are None without derivatives, and the
+    Hessians are None for a linear op list. A gradient is (G, k), or (k,)
+    while it is the same for every row, and a Hessian likewise (G, k, k) or
+    (k, k).
 
-    The pass runs ops' kernel for order, compiled by _kernel on the first
-    pass at that order: straight-line numpy code with no dispatch per op.
+    The pass runs ops' kernel of that kind, compiled by _kernel on its
+    first pass: straight-line numpy code with no dispatch per op.
     """
-    kernel = ops.kernels[order]
+    kernel = ops.kernels[derivatives]
     if kernel is None:
-        kernel = ops.kernels[order] = _kernel(ops, order)
+        kernel = ops.kernels[derivatives] = _kernel(ops, derivatives)
     return kernel(X)
 
 
-def _kernel(ops: Ops, order: int):
-    """Compile ops at order into one Python function of X.
+def _kernel(ops: Ops, derivatives: bool):
+    """Compile ops into one Python function of X.
 
-    Each op becomes the numpy expressions of its value and, from order 1
-    and 2, of its gradient and Hessian, in op order. Slot i's value is
-    v{i}. What depends only on constants is computed here once and bound
-    read-only as K{j}: each op's constant, the VAR unit gradients, the
-    gradients of linear slots, Hessians and outer products of constant
-    gradients, and the power rule's c - 1.0, c * (c - 1.0) and c - 2.0.
-    The source holds op-derived text, integer indices and the kernel's own
-    names only. It is compiled under a file name that names ops.label,
-    order and a hash of the source, and registered in linecache, so that
-    profiles, tracebacks and inspect.getsource show its lines.
+    Each op becomes the numpy expression of its value and, with
+    derivatives, those of its gradient and Hessian, in op order. Slot i's
+    value is v{i}. What depends only on constants is computed here once
+    and bound read-only as K{j}: each op's constant, the VAR unit
+    gradients, the gradients of linear slots, Hessians and outer products
+    of constant gradients, and the power rule's c - 1.0, c * (c - 1.0) and
+    c - 2.0. The source holds op-derived text, integer indices and the
+    kernel's own names only. It is compiled under a file name that names
+    ops.label, the order (0 for values, 2 with derivatives) and a hash of
+    the source, and registered in linecache, so that profiles, tracebacks
+    and inspect.getsource show its lines.
     """
     const: dict = {}                # K{j} -> its value
     body = []
@@ -420,22 +423,20 @@ def _kernel(ops: Ops, order: int):
         body.append(f"    {name} = {text}")
         return name
 
-    second = order >= 2
     eye = np.eye(sum(op[0] == VAR for op in ops))
     eye.flags.writeable = False
     G, H = [], []       # per slot: the name of its gradient and its Hessian
     with np.errstate(all="ignore"):
         for i, (code, a, b) in enumerate(ops):
             u, v, w, Hi = f"v{a}", f"v{i}", f"v{b}", f"H{i}"
-            if code == VAR:
-                body.append(f"    {v} = X[:, {a}]")
-                G.append(hoist(eye[a]) if order else None)
-                H.append(None)
-                continue
             text = _VALUE_TEXT[code]
             c = hoist(b) if "{c}" in text else None
-            body.append(f"    {v} = {text.format(u=u, w=w, c=c)}")
-            if not order:
+            body.append(f"    {v} = {text.format(u=u, w=w, c=c, a=a)}")
+            if not derivatives:
+                continue
+            if code == VAR:
+                G.append(hoist(eye[a]))
+                H.append(None)
                 continue
             ga, Ha = G[a], H[a]
             gb, Hb = (G[b], H[b]) if code <= DIV else (None, None)
@@ -443,7 +444,7 @@ def _kernel(ops: Ops, order: int):
             if code == ADD or code == SUB:
                 op = "+" if code == ADD else "-"
                 g = let(f"g{i}", f"{ga} {op} {gb}", ga, gb)
-                if not second or Hb is None:
+                if Hb is None:
                     h = Ha
                 elif Ha is None:
                     h = Hb if code == ADD else let(Hi, f"-{Hb}", Hb)
@@ -452,26 +453,23 @@ def _kernel(ops: Ops, order: int):
             elif code == MUL:
                 g = let(f"g{i}", f"{u}[:, None] * {gb} + {w}[:, None] * {ga}",
                         u)
-                if second:
-                    P = let("P", f"{ga}[..., :, None] * {gb}[..., None, :]",
-                            ga, gb)
-                    h = let(Hi, f"{P} + {P}.swapaxes(-1, -2)", P)
-                    if Ha is not None:
-                        h = let(Hi, f"{h} + {w}[:, None, None] * {Ha}", w)
-                    if Hb is not None:
-                        h = let(Hi, f"{h} + {u}[:, None, None] * {Hb}", u)
+                P = let("P", f"{ga}[..., :, None] * {gb}[..., None, :]", ga, gb)
+                h = let(Hi, f"{P} + {P}.swapaxes(-1, -2)", P)
+                if Ha is not None:
+                    h = let(Hi, f"{h} + {w}[:, None, None] * {Ha}", w)
+                if Hb is not None:
+                    h = let(Hi, f"{h} + {u}[:, None, None] * {Hb}", u)
             elif code == DIV:
                 # q = u / w:  Hq = (Ha - q Hb - gq gb' - gb gq') / w
                 g = let(f"g{i}", f"({ga} - {v}[:, None] * {gb}) / {w}[:, None]",
                         v)
-                if second:
-                    P = let("P", f"{g}[..., :, None] * {gb}[..., None, :]", g)
-                    h = let(Hi, f"-({P} + {P}.swapaxes(-1, -2))", P)
-                    if Ha is not None:
-                        h = let(Hi, f"{h} + {Ha}", h, Ha)
-                    if Hb is not None:
-                        h = let(Hi, f"{h} - {v}[:, None, None] * {Hb}", v)
-                    h = let(Hi, f"{h} / {w}[:, None, None]", w)
+                P = let("P", f"{g}[..., :, None] * {gb}[..., None, :]", g)
+                h = let(Hi, f"-({P} + {P}.swapaxes(-1, -2))", P)
+                if Ha is not None:
+                    h = let(Hi, f"{h} + {Ha}", h, Ha)
+                if Hb is not None:
+                    h = let(Hi, f"{h} - {v}[:, None, None] * {Hb}", v)
+                h = let(Hi, f"{h} / {w}[:, None, None]", w)
             elif code == ADDC:
                 g, h = ga, Ha
             elif code in _SLOPE:
@@ -484,20 +482,19 @@ def _kernel(ops: Ops, order: int):
                          for j, t in enumerate(made)}
                 body.append(f"    d1 = {t1.format(u=u, v=v, c=c, **names)}")
                 g = let(f"g{i}", f"d1[:, None] * {ga}", "d1")
-                if second:
-                    body.append(
-                        f"    d2 = {t2.format(u=u, v=v, c=c, **names)}")
-                    P = let("P", f"{ga}[..., :, None] * {ga}[..., None, :]", ga)
-                    h = let(Hi, f"d2[:, None, None] * {P}", "d2")
-                    if Ha is not None:
-                        h = let(Hi, f"{h} + d1[:, None, None] * {Ha}", "d1")
+                body.append(f"    d2 = {t2.format(u=u, v=v, c=c, **names)}")
+                P = let("P", f"{ga}[..., :, None] * {ga}[..., None, :]", ga)
+                h = let(Hi, f"d2[:, None, None] * {P}", "d2")
+                if Ha is not None:
+                    h = let(Hi, f"{h} + d1[:, None, None] * {Ha}", "d1")
             G.append(g)
             H.append(h)
-    out = [f"v{len(ops) - 1}", *((G[-1], H[-1]) if order else (None, None))]
+    out = [f"v{len(ops) - 1}", *((G[-1], H[-1]) if derivatives
+                                 else (None, None))]
     source = "\n".join(["def kernel(X):", *body,
                         f"    return {', '.join(map(str, out))}", ""])
     digest = hashlib.sha256(source.encode()).hexdigest()[:12]
-    filename = f"<tape {ops.label} order {order} {digest}>"
+    filename = f"<tape {ops.label} order {2 if derivatives else 0} {digest}>"
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace = {**_FUNCS, **const}
@@ -506,33 +503,32 @@ def _kernel(ops: Ops, order: int):
 
 
 def _terms(expr) -> list:
-    """(sign, term) along the left spine of the top-level + and -.
+    """The terms along the left spine of the top-level + and -, each one
+    subtracted as its negation.
 
-    Adding the signed terms left to right repeats the tree's own additions,
-    so the sum is bit for bit the value of expr.
+    a - b is a + (-b) in floating point, so adding the terms left to right
+    repeats the tree's own additions, and the sum is bit for bit the value
+    of expr.
     """
-    if type(expr) is not Binary or expr.op not in ("+", "-"):
-        return [(1.0, expr)]
     out = []
     while type(expr) is Binary and expr.op in ("+", "-"):
-        out.append((1.0 if expr.op == "+" else -1.0, expr.right))
+        out.append(expr.right if expr.op == "+" else -expr.right)
         expr = expr.left
-    out.append((1.0, expr))
+    out.append(expr)
     return out[::-1]
 
 
 class TapeSet:
     """Expressions of one kind: the objective, or the constraint rows.
 
-    Each expression is split into its signed top-level terms (_terms), and
-    every term is compiled. Terms whose op lists agree up to the global
-    indices of their VAR ops form a group, and one batched pass of those
-    ops evaluates them all. The 46 terms of a chained Rosenbrock objective
-    are two groups. Values are summed per expression left to right;
-    derivatives are scattered into dense arrays over n variables, and an
-    inf or NaN among them raises NonFiniteValue. The solver's Hessian is
-    weighted_hessian: each term's Hessian scaled by its expression's weight
-    and summed into one n x n array, never a stack per expression.
+    Each expression is split into its top-level terms (_terms), and every
+    term is compiled. Terms whose op lists agree up to the global indices
+    of their VAR ops form a group, and one batched pass of those ops
+    evaluates them all. The 46 terms of a chained Rosenbrock objective are
+    two groups. Values are summed per expression left to right; derivatives
+    are scattered into dense arrays over n variables. The solver's Hessian
+    is weighted_hessian: each term's Hessian scaled by its expression's
+    weight and summed into one n x n array, never a stack per expression.
     jacobian(x) keeps the nonlinear groups' Hessians with the bytes of x,
     and weighted_hessian at those bytes reuses them; at any other x (even
     -0.0 for +0.0) it runs the pass. Evaluation runs under np.errstate.
@@ -553,23 +549,21 @@ class TapeSet:
         split = [_terms(t.expr) for t in self._tapes]
         width = max(map(len, split), default=0)
         base = np.zeros((self.size, width))
-        # op list without VAR global indices -> (ops, slots, signs, vars)
+        # op list without VAR global indices -> (ops, slots, vars)
         groups_by_ops: dict[tuple, tuple] = {}
         for e, (t, ts) in enumerate(zip(self._tapes, split)):
-            for pos, (sign, node) in enumerate(ts):
+            for pos, node in enumerate(ts):
                 ops, vars_, const = _compile(node, t.env)
                 if not ops:             # a constant term
-                    base[e, pos] = sign * const
+                    base[e, pos] = const
                     continue
                 key = tuple(op[:2] if op[0] == VAR else op for op in ops)
-                group = groups_by_ops.setdefault(key, (ops, [], [], []))
+                group = groups_by_ops.setdefault(key, (ops, [], []))
                 group[1].append(e * width + pos)
-                group[2].append(sign)
-                group[3].append(vars_)
+                group[2].append(vars_)
         groups = [_Group(ops, _curved(ops), np.array(index, np.intp),
-                         np.array(slots) // width, np.array(slots),
-                         np.array(signs))
-                  for ops, slots, signs, index in groups_by_ops.values()]
+                         np.array(slots) // width, np.array(slots))
+                  for ops, slots, index in groups_by_ops.values()]
         for i, grp in enumerate(groups):
             grp.ops.label = f"{self.name} group {i}"
         return groups, [grp for grp in groups if grp.nonlinear], base
@@ -591,28 +585,24 @@ class TapeSet:
         M = base.copy()
         with np.errstate(all="ignore"):
             for grp in groups:
-                v = forward(grp.ops, x[grp.index], 0)[0]
-                M.put(grp.slots, v if grp.plus else grp.sign * v)
+                M.put(grp.slots, forward(grp.ops, x[grp.index], False)[0])
             if not M.size:
                 return np.zeros(self.size)
             return M.cumsum(axis=1)[:, -1].copy()   # not a view of M
 
     def jacobian(self, x) -> np.ndarray:
         """(n, size) gradients at x, one column per expression. Nonlinear
-        groups run at order 2 and keep their Hessians for weighted_hessian
-        at the same x."""
+        groups keep their Hessians for weighted_hessian at the same x."""
         x = np.asarray(x, dtype=float)
         self._kept_x = None
         w = []
         with np.errstate(all="ignore"):
             for grp in self.groups:
-                _, g, grp.hessian = forward(grp.ops, x[grp.index],
-                                            2 if grp.nonlinear else 1)
-                w.append(g if grp.plus and g.ndim == 2
-                         else grp.sign[:, None] * g)
+                _, g, grp.hessian = forward(grp.ops, x[grp.index], True)
+                # a gradient the same for every term is (k,): one per term
+                w.append(g if g.ndim == 2 else g[None].repeat(grp.row.size, 0))
         self._kept_x = x.tobytes()
-        return self._scatter(self._jac_index, w, (self.n, self.size),
-                             "gradient")
+        return _scatter(self._jac_index, w, (self.n, self.size))
 
     def hessians(self, x) -> np.ndarray:
         """(size, n, n) Hessians at x, one weighted_hessian per expression:
@@ -633,14 +623,12 @@ class TapeSet:
         with np.errstate(all="ignore"):
             for grp, at in zip(self._plan[1], self._pair_index):
                 scale = weights[grp.row]
-                if not grp.plus:
-                    scale = scale * grp.sign
                 if scale.any():
                     index.append(at)
                     H = grp.hessian if kept else \
-                        forward(grp.ops, x[grp.index], 2)[2]
+                        forward(grp.ops, x[grp.index], True)[2]
                     w.append(scale[:, None, None] * H)
-        return self._scatter(_concat(index), w, (self.n, self.n), "Hessian")
+        return _scatter(_concat(index), w, (self.n, self.n))
 
     @cached_property
     def _pair_index(self) -> list:
@@ -649,16 +637,13 @@ class TapeSet:
         return [(grp.index[:, :, None] * n + grp.index[:, None, :]).ravel()
                 for grp in self._plan[1]]
 
-    def _scatter(self, index, weights, shape, what) -> np.ndarray:
-        """Sum the weights into a zero array of shape at flat index."""
-        if not weights:
-            return np.zeros(shape)
-        w = _concat([a.ravel() for a in weights])
-        if not np.isfinite(w).all():
-            raise NonFiniteValue(
-                f"{self.name} {what} evaluated to a non-finite value")
-        return np.bincount(index, weights=w,
-                           minlength=math.prod(shape)).reshape(shape)
+
+def _scatter(index, weights, shape) -> np.ndarray:
+    """Sum the weights into a zero array of shape at flat index."""
+    if not weights:
+        return np.zeros(shape)
+    return np.bincount(index, weights=_concat([a.ravel() for a in weights]),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 def _concat(arrays: list) -> np.ndarray:
@@ -670,17 +655,11 @@ def _concat(arrays: list) -> np.ndarray:
 class _Group:
     """Terms sharing one op list: the variables each reads (G, k), the
     expression each belongs to, and the slot of its value in the (size,
-    width) matrix of term values. jacobian sets hessian.
+    width) matrix of term values. jacobian sets hessian."""
 
-    plus says that every sign is +1.0 and that no term is a lone variable.
-    A product by the signs then changes no bit and is skipped; it would
-    quiet a signalling NaN that a lone VAR passes on from x.
-    """
-
-    def __init__(self, ops, nonlinear, index, row, slots, sign):
+    def __init__(self, ops, nonlinear, index, row, slots):
         self.ops, self.nonlinear, self.hessian = ops, nonlinear, None
-        self.index, self.row, self.slots, self.sign = index, row, slots, sign
-        self.plus = len(ops) > 1 and bool((sign == 1.0).all())
+        self.index, self.row, self.slots = index, row, slots
 
 
 def trace(fn, n: int) -> Tape:

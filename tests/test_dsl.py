@@ -347,7 +347,7 @@ class TestLowering:
     def test_model_to_general_shapes(self):
         gp = model_to_general(parse_model(CIRCLE_SRC))
         assert gp.n == 2 and len(gp.con_exprs) == 1
-        assert gp.var_names == ["x", "y"]
+        assert np.array_equal(gp.lb, [-np.inf, -10.0])     # x, then y
         assert np.array_equal(gp.x0, [2.0, 2.0])
         assert TapeSet([gp.f_expr], 2, "objective").values([1.0, 1.0])[0] \
             == 0.0

@@ -212,6 +212,25 @@ class TestEvaluators:
         with pytest.raises(NonFiniteValue):
             evaluate_lagrangian_hessian(p, x, 1.0, [0.5, 0.0])
 
+    def test_nonfinite_derivatives_are_counted_then_rejected(self):
+        # the tape returns what it computes; evaluate_* counts the call and
+        # then rejects an inf or NaN, as it does for f and c
+        p = from_expressions("t", 2, lambda x: np.sqrt(x[0]) + x[1] ** 1.5,
+                             [lambda x: x[1] ** 1.5 - x[0]])
+        x = np.zeros(2)
+        counters = EvalCounters()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.grad_f(x)[0] == np.inf
+            with pytest.raises(NonFiniteValue, match="objective gradient"):
+                evaluate_gradients(p, x, counters)
+            assert counters.n_grad_f == 1 and counters.n_jac_c == 1
+            # both Hessians read +inf at (1, 1), so W reads inf - inf there
+            assert np.isnan(p.hess_lag(x, 1.0, np.ones(1))[1, 1])
+            with pytest.raises(NonFiniteValue, match="Lagrangian Hessian"):
+                evaluate_lagrangian_hessian(p, x, 1.0, np.ones(1), counters)
+            assert counters.n_hess == 1
+
     def test_nonfinite_objective_raises(self):
         p = get_problem("powellbs")
         # exp(-x0) overflows for very negative x0

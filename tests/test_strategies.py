@@ -14,8 +14,8 @@ from funnel_sqp.strategies import (LABEL_F_TYPE, LABEL_H_TYPE,
 from funnel_sqp.subproblems import Phase
 
 
-def models(pred_f=0.0, pred_h=0.0, m_h=0.0):
-    return ProgressModels(pred_f=pred_f, pred_h=pred_h, m_h=m_h)
+def models(pred_f=0.0, pred_h=0.0):
+    return ProgressModels(pred_f=pred_f, pred_h=pred_h)
 
 
 def trial(phase=Phase.OPTIMALITY, f_k=1.0, h_k=1.0, f_t=0.5, h_t=0.5,
@@ -36,15 +36,15 @@ class TestProgressModels:
         c = np.array([0.5])
         J = np.array([[1.0], [1.0]])
         pm = progress_models(d, W, grad_f, c, J, 0.5)
-        assert pm.m_h == 0.5                       # c + J^T d = 0.5 + 0
-        assert pm.pred_h == 0.0
+        assert pm.pred_h == 0.0                    # c + J^T d = 0.5 + 0
+        assert progress_models(d, W, grad_f, c, J, 2.0).pred_h == 1.5
         assert pm.pred_f == -0.5 * 6.0 - 0.0       # -1/2 d^T W d - g^T d
 
     def test_no_constraints(self):
         pm = progress_models(np.array([1.0]), np.zeros((1, 1)),
                              np.array([-2.0]), np.zeros(0), np.zeros((1, 0)),
                              0.0)
-        assert pm.m_h == 0.0 and pm.pred_h == 0.0
+        assert pm.pred_h == 0.0
         assert pm.pred_f == 2.0
 
 

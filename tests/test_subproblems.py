@@ -1,5 +1,6 @@
 """Regularization, subproblem assembly, and the direction engine."""
 
+import collections
 import types
 
 import numpy as np
@@ -13,11 +14,12 @@ from funnel_sqp.config import (SolverConfig, SubproblemParams,
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import load_source
 from funnel_sqp.errors import RegularizationFailed, RestorationStall
-from funnel_sqp.linalg import nullspace_basis
+from funnel_sqp.linalg import (ZERO_EIG_REL, certified_cholesky,
+                               nullspace_basis)
 from funnel_sqp.mechanisms import OuterState
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
-                                 get_problem, infeasibility)
+                                 get_problem, infeasibility, problem_names)
 from funnel_sqp.qp import ELASTIC_TOL, QpSolution
 from funnel_sqp.subproblems import (DirectionEngine, Phase,
                                     build_feasibility_qp,
@@ -216,6 +218,44 @@ class TestConvexifyKktOracle:
         assert checked >= 200
         assert kinds == {"no column", "zero column", "dependent",
                          "independent"}
+
+
+class TestRungVerdicts:
+    """On the solver's own traffic, a convexify rung's LDL^T inertia test
+    and certified_cholesky give the same verdict (ROADMAP item 7)."""
+
+    def test_ldlt_inertia_equals_certified_cholesky(self, monkeypatch):
+        rungs = []
+        ldlt = sp.ldlt_factorize
+
+        def logged(H):
+            rungs.append(H.copy())
+            return ldlt(H)
+
+        monkeypatch.setattr(sp, "ldlt_factorize", logged)
+        chain = bench_chain()
+        x0 = chain.start_point(24, 0)
+        makes = [lambda name=name: get_problem(name)
+                 for name in problem_names()]
+        makes.append(lambda: load_source(chain.nco_text(x0)))
+        for make in makes:
+            for strategy in ("funnel", "filter"):
+                for mechanism in ("trust-region", "line-search"):
+                    solve(make(), _config(mechanism, strategy=strategy))
+        verdicts = collections.Counter()
+        for H in rungs:
+            k = H.shape[0]
+            passed = ldlt(H).inertia == (k, 0, 0)
+            if k == 0:
+                # an empty reduced Hessian passes; certified_cholesky takes
+                # no 0 x 0 matrix, so a swap must pass it without the call
+                assert passed
+            else:
+                assert passed == \
+                    (certified_cholesky(H, ZERO_EIG_REL) is not None)
+            verdicts[k == 0, passed] += 1
+        # (empty?, passed): 230 passing rungs, 904 failing and 68 empty
+        assert set(verdicts) == {(False, True), (False, False), (True, True)}
 
 
 class TestBuilders:

@@ -4,6 +4,7 @@ and compiled kernels against the op-list interpreter."""
 import cProfile
 import inspect
 import linecache
+import math
 import operator
 import pstats
 import sys
@@ -26,9 +27,12 @@ from funnel_sqp.dsl import (format_expr, load_source, model_to_general,
 from funnel_sqp.errors import NonFiniteValue
 from funnel_sqp.hyperdual import (HyperDual, hd_cos, hd_exp, hd_log, hd_sin,
                                   hd_sqrt)
-from funnel_sqp.problems import from_expressions, get_problem
+from funnel_sqp.problems import (EvalCounters, evaluate_functions,
+                                 evaluate_gradients,
+                                 evaluate_lagrangian_hessian,
+                                 from_expressions, get_problem)
 from funnel_sqp.tape import (SIN, VAR, Binary, Call, Num, Tape, TapeSet,
-                             Unary, Var, _compile, trace)
+                             Unary, Var, _compile, _curved, trace)
 
 NAMES = ["x0", "x1", "x2", "x3"]
 VARIANTS = [("funnel", "trust-region"), ("funnel", "line-search"),
@@ -173,16 +177,9 @@ class TestOracleAgreement:
         text = "".join(f"var {v} start {float(xi)!r};\n" for v, xi in
                        zip(NAMES, x))
         nco = load_source(text + f"minimize {format_expr(tree)};\n")
-        with np.errstate(all="ignore"):
-            assert np.array_equal(traced.f(x), nco.f(x), equal_nan=True)
-        for name in ("grad_f", "hess_f"):
-            try:
-                a = getattr(nco, name)(x)
-            except NonFiniteValue:
-                with pytest.raises(NonFiniteValue):
-                    getattr(traced, name)(x)
-                continue
-            assert np.array_equal(getattr(traced, name)(x), a)
+        for name in ("f", "grad_f", "hess_f"):
+            assert np.array_equal(getattr(traced, name)(x),
+                                  getattr(nco, name)(x), equal_nan=True)
 
     def test_hessian_exactly_symmetric(self):
         p = load_source("""
@@ -316,8 +313,10 @@ class TestZeroBasePower:
             with pytest.raises(NonFiniteValue):
                 HyperDual(0.0, 1.0, 1.0, 0.0) ** p
             prob = load_source(f"var x start 0; minimize x^{p!r};")
+            assert not np.isfinite(prob.hess_f(np.zeros(1))).all()
             with pytest.raises(NonFiniteValue):
-                prob.hess_f(np.zeros(1))
+                evaluate_lagrangian_hessian(prob, np.zeros(1), 1.0,
+                                            np.zeros(0))
 
 
 class TestDomainFaults:
@@ -328,13 +327,22 @@ class TestDomainFaults:
             subject_to log(y) == 0;
         """)
         x = np.array([-1.0, 0.0])
+        counters = EvalCounters()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not np.isfinite(p.f(x))
             assert not np.isfinite(p.c(x)[0])
+            # the evaluators return what they compute, and evaluate_*
+            # counts the call, then rejects it
             for name in ("grad_f", "jac_c", "hess_f", "hess_c"):
+                assert not np.isfinite(getattr(p, name)(x)).all()
+            for evaluate in (evaluate_functions, evaluate_gradients):
                 with pytest.raises(NonFiniteValue):
-                    getattr(p, name)(x)
+                    evaluate(p, x, counters)
+            with pytest.raises(NonFiniteValue):
+                evaluate_lagrangian_hessian(p, x, 1.0, np.ones(p.m), counters)
+        assert counters.as_dict() == {"n_f": 1, "n_c": 1, "n_grad_f": 1,
+                                      "n_jac_c": 1, "n_hess": 1}
 
     def test_oracle_sqrt_at_zero(self):
         with pytest.raises(NonFiniteValue):
@@ -440,15 +448,18 @@ def _chain_sets():
 
 
 def _passes(monkeypatch):
-    """Count tape.forward calls per order from here on."""
-    counts = {0: 0, 1: 0, 2: 0}
+    """Count tape.forward's value and derivative passes from here on."""
+    counts = {"values": 0, "derivatives": 0}
     original = tape.forward
 
-    def counted(ops, X, order):
-        counts[order] += 1
-        return original(ops, X, order)
+    def counted(ops, X, derivatives):
+        counts["derivatives" if derivatives else "values"] += 1
+        return original(ops, X, derivatives)
     monkeypatch.setattr(tape, "forward", counted)
     return counts
+
+
+NO_PASSES = {"values": 0, "derivatives": 0}
 
 
 class TestKeptHessians:
@@ -469,19 +480,19 @@ class TestKeptHessians:
         for ts, fresh in zip((objective, rows), fresh_sets):
             ts.jacobian(x)
             for w in self._weights(ts.size):
-                counts.update({0: 0, 1: 0, 2: 0})
+                counts.update(NO_PASSES)
                 got = ts.weighted_hessian(x, w)
-                assert counts == {0: 0, 1: 0, 2: 0}
+                assert counts == NO_PASSES
                 want = fresh.weighted_hessian(x, w)
                 assert got.tobytes() == want.tobytes()
 
     def test_gradients_of_the_order_2_pass_are_bitwise_order_1(
             self, monkeypatch):
+        # the interpreter's order-1 pass computes no Hessian
         (objective, rows), x = _chain_sets()
         got = [objective.jacobian(x), rows.jacobian(x)]
-        original = tape.forward
-        monkeypatch.setattr(tape, "forward", lambda ops, X, order:
-                            original(ops, X, min(order, 1)))
+        monkeypatch.setattr(tape, "forward", lambda ops, X, derivatives:
+                            tape_interpreter.forward(ops, X, int(derivatives)))
         (objective, rows), _ = _chain_sets()
         want = [objective.jacobian(x), rows.jacobian(x)]
         assert [J.tobytes() for J in got] == [J.tobytes() for J in want]
@@ -500,15 +511,14 @@ class TestKeptHessians:
         counts = _passes(monkeypatch)
         for other in (moved, signed):
             rows.jacobian(x)
-            counts.update({0: 0, 1: 0, 2: 0})
+            counts.update(NO_PASSES)
             got = rows.weighted_hessian(other, w)
-            assert counts == {0: 0, 1: 0, 2: nonlinear}
+            assert counts == {"values": 0, "derivatives": nonlinear}
             assert got.tobytes() == fresh.weighted_hessian(other, w).tobytes()
-        # the gradient pass runs linear groups at order 1 only
-        counts.update({0: 0, 1: 0, 2: 0})
+        # the gradient pass runs every group, linear ones too
+        counts.update(NO_PASSES)
         rows.jacobian(x)
-        assert counts == {0: 0, 1: len(rows.groups) - nonlinear,
-                          2: nonlinear}
+        assert counts == {"values": 0, "derivatives": len(rows.groups)}
 
     def test_hessians_view_is_unchanged(self):
         (objective, rows), x = _chain_sets()
@@ -580,13 +590,17 @@ def _kernel_cases(draw):
 
 
 def _bitwise_interpreter(ops, X):
-    """Assert that the kernels at orders 0-2 give the interpreter's (v, g,
-    H) in bytes, shape and None."""
-    for order in range(3):
-        with np.errstate(all="ignore"):
-            want = tape_interpreter.forward(ops, X, order)
-            got = tape.forward(ops, X, order)
-        for a, b in zip(got, want):
+    """Assert that the value kernel gives the interpreter's order-0 (v, g,
+    H), and the derivative kernel its order-2 (v, g, H) and its order-1
+    (v, g), in bytes, shape and None."""
+    with np.errstate(all="ignore"):
+        values = tape.forward(ops, X, False)
+        derivatives = tape.forward(ops, X, True)
+        runs = [(values, tape_interpreter.forward(ops, X, 0)),
+                (derivatives, tape_interpreter.forward(ops, X, 2)),
+                (derivatives[:2], tape_interpreter.forward(ops, X, 1)[:2])]
+    for got, want in runs:
+        for a, b in zip(got, want, strict=True):
             assert (a is None) == (b is None)
             if b is not None:
                 assert a.shape == b.shape and a.dtype == b.dtype
@@ -655,36 +669,37 @@ class TestKernels:
     def test_compiled_once_per_order_at_first_pass(self, monkeypatch):
         compiled = []
         original = tape._kernel
-        monkeypatch.setattr(tape, "_kernel", lambda ops, order: (
-            compiled.append(order), original(ops, order))[1])
+        monkeypatch.setattr(tape, "_kernel", lambda ops, derivatives: (
+            compiled.append(derivatives), original(ops, derivatives))[1])
         chain = bench_chain()
         x = chain.start_point(24, 0)
         p = load_source(chain.nco_text(x))
         assert compiled == []                       # nothing at load
         p.f(x)
         p.f(x + 1.0)
-        assert compiled == [0, 0]                   # the objective's groups
+        assert compiled == [False, False]           # the objective's groups
         p.grad_f(x)
         p.grad_f(x + 1.0)
-        assert compiled == [0, 0, 2, 2]
+        assert compiled == [False, False, True, True]
         # a ranged row's slack start is worked out when x0 is first read
         compiled.clear()
         ranged = load_source("var x start 1; var y start 0.5;\n"
                              "subject_to 1 <= x * y + x <= 2;")
         assert compiled == []
-        assert ranged.x0.tolist() == [1.0, 0.5, 1.5] and set(compiled) == {0}
+        assert ranged.x0.tolist() == [1.0, 0.5, 1.5]
+        assert set(compiled) == {False}
         (objective, _), _ = _chain_sets()
         objective.values(x)
         for grp in objective.groups:
-            assert grp.ops.kernels[0] is not None
-            assert grp.ops.kernels[1:] == [None, None]
+            assert grp.ops.kernels[False] is not None
+            assert grp.ops.kernels[True] is None
 
     def test_hoisted_constants_are_read_only(self):
         ops = _compile(3.0 * _X - _Y / 2.0 + _X * _Y,
                        dict(zip(NAMES, range(4))))[0]
         X = np.array([[0.5, -1.0], [2.0, 3.0]])
-        for order in range(3):
-            tape.forward(ops, X, order)
+        for derivatives in (False, True):
+            tape.forward(ops, X, derivatives)
         arrays = [value for kernel in ops.kernels
                   for name, value in kernel.__globals__.items()
                   if name.startswith("K") and isinstance(value, np.ndarray)]
@@ -694,7 +709,7 @@ class TestKernels:
                 a[...] = 0.0
         # a linear group's gradient is a hoisted constant
         linear = _compile(3.0 * _X - _Y, dict(zip(NAMES, range(4))))[0]
-        _, g, H = tape.forward(linear, X, 2)
+        _, g, H = tape.forward(linear, X, True)
         assert g.shape == (2,) and H is None
         with pytest.raises(ValueError, match="read-only"):
             g[0] = 1.0
@@ -725,11 +740,10 @@ class TestKernels:
         profiled = {key[0] for key in pstats.Stats(profile).stats}
         for ts in (objective, rows):
             for i, grp in enumerate(ts.groups):
-                order = 2 if grp.nonlinear else 1
-                kernel = grp.ops.kernels[order]
+                kernel = grp.ops.kernels[True]
                 filename = kernel.__code__.co_filename
                 assert filename.startswith(
-                    f"<tape {ts.name} group {i} order {order} ")
+                    f"<tape {ts.name} group {i} order 2 ")
                 assert filename in profiled
                 source = inspect.getsource(kernel)
                 assert source.startswith("def kernel(X):\n")
@@ -738,7 +752,142 @@ class TestKernels:
         ops = objective.groups[0].ops
         assert [op[0] for op in ops[:2]] == [VAR, VAR]
         with pytest.raises(IndexError) as info:
-            tape.forward(ops, np.zeros((3, 1)), 2)
+            tape.forward(ops, np.zeros((3, 1)), True)
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert frame.filename == ops.kernels[2].__code__.co_filename
+        assert frame.filename == ops.kernels[True].__code__.co_filename
         assert frame.name == "kernel" and frame.line == "v1 = X[:, 1]"
+
+
+def _signed_terms(expr) -> list:
+    """(sign, term) along the left spine of the top-level + and -: the
+    split of an expression when a term's sign was a factor, not an op."""
+    out = []
+    while type(expr) is Binary and expr.op in ("+", "-"):
+        out.append((1.0 if expr.op == "+" else -1.0, expr.right))
+        expr = expr.left
+    out.append((1.0, expr))
+    return out[::-1]
+
+
+def _signed_reference(ts, x, weights):
+    """(values, jacobian, weighted_hessian) of ts at x by the sign-factor
+    formulas.
+
+    Each term is compiled without its sign, and the terms of one op list
+    are evaluated in one batch by the interpreter, at order 2 if the list
+    is nonlinear and else at order 1. Its value, gradient and weight are
+    then multiplied by its sign, except in a batch whose signs are all +1
+    and whose list is more than a lone variable (the plus rule). The
+    derivatives are summed term by term in the order of ts's groups, and a
+    nonlinear group of ts whose weights are all zero adds nothing. That
+    order is not the sign-factor batches' order where a batch held both
+    signs: ts splits it into two groups, so an entry with three or more
+    summands can round differently from such a batch's sum.
+    """
+    tapes, size, n = ts._tapes, ts.size, ts.n
+    split = [_signed_terms(t.expr) for t in tapes]
+    width = max(map(len, split))
+    M = np.zeros((size, width))
+    batches: dict[tuple, tuple] = {}    # ops key -> (ops, [(slot, sign, vars)])
+    for e, (t, terms) in enumerate(zip(tapes, split)):
+        for pos, (sign, node) in enumerate(terms):
+            ops, vars_, const = _compile(node, t.env)
+            if not ops:
+                M[e, pos] = sign * const
+                continue
+            key = tuple(op[:2] if op[0] == VAR else op for op in ops)
+            batches.setdefault(key, (ops, []))[1].append(
+                (e * width + pos, sign, vars_))
+    grad, hess = {}, {}     # term slot -> (flat index, its summands)
+    for ops, terms in batches.values():
+        slots, signs, index = (np.array(a) for a in zip(*terms))
+        plus = len(ops) > 1 and bool((signs == 1.0).all())
+        nonlinear = _curved(ops)
+        v, g, H = tape_interpreter.forward(ops, x[index], 2 if nonlinear
+                                           else 1)
+        M.put(slots, v if plus else signs * v)
+        g = g if plus and g.ndim == 2 else signs[:, None] * g
+        rows = slots // width
+        scale = weights[rows] if plus else weights[rows] * signs
+        if nonlinear:
+            H = scale[:, None, None] * H
+        for t, slot in enumerate(slots):
+            grad[slot] = (index[t] * size + rows[t], g[t])
+            if nonlinear:
+                hess[slot] = ((index[t][:, None] * n + index[t]).ravel(),
+                              H[t].ravel())
+
+    def scatter(parts, shape):
+        if not parts:
+            return np.zeros(shape)
+        index, summands = (np.concatenate(a) for a in zip(*parts))
+        return np.bincount(index, weights=summands,
+                           minlength=math.prod(shape)).reshape(shape)
+    J = scatter([grad[slot] for grp in ts.groups for slot in grp.slots],
+                (n, size))
+    W = scatter([hess[slot] for grp in ts.groups
+                 if grp.nonlinear and weights[grp.row].any()
+                 for slot in grp.slots], (n, n))
+    return M.cumsum(axis=1)[:, -1], J, W
+
+
+def _same_bits(got, want):
+    """Equal bytes, but for a NaN's sign and payload."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@st.composite
+def _signed_sums(draw):
+    """(tapes, x, weights): 1-3 sums of lone variables, constants and
+    nonlinear terms over 4 variables, joined by + and -, at an x with
+    entries of SPECIAL (+-inf and NaN among them) or from [-3, 3]."""
+    var = st.sampled_from([Var(v) for v in NAMES])
+    term = st.one_of(
+        var, st.builds(Num, st.sampled_from([0.0, -0.0, 1.5, -2.0, np.inf])),
+        # few shapes, so that a shape recurs with either sign
+        st.builds(Binary, st.sampled_from(["*", "/", "^"]), var, var),
+        st.builds(Call, st.sampled_from(sorted(_FNS)), var),
+        st.builds(Unary, st.just("-"), var | st.builds(Binary, st.just("*"),
+                                                         var, var)),
+        _kernel_trees(4))
+    env = dict(zip(NAMES, range(4)))
+    tapes = []
+    for _ in range(draw(st.integers(1, 3))):
+        expr = draw(term)
+        for op in draw(st.lists(st.sampled_from("+-"), max_size=6)):
+            expr = Binary(op, expr, draw(term))
+        tapes.append(Tape(expr, env))
+    x = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(-3.0, 3.0),
+                      min_size=4, max_size=4))
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.5]),
+                            min_size=len(tapes), max_size=len(tapes)))
+    return tapes, np.array(x), np.array(weights)
+
+
+class TestSignedTerms:
+    """A subtracted term compiles as its negation, a NEG op. Its value,
+    gradient and Hessian are the bits of the term's times its sign."""
+
+    @given(_signed_sums())
+    @settings(max_examples=200, deadline=None)
+    @example(([Tape(_X - _X * _Y + _X * _Y - Num(-0.0) - _X, {"x0": 0,
+                                                             "x1": 1})],
+              np.array([1.5, -np.inf, 0.0, 0.0]), np.array([1.0])))
+    # -0.0 - 0.0 is -0.0: a subtracted +0.0 must read -0.0, not 0.0 - 0.0
+    @example(([Tape(Binary("-", _X, Num(0.0)), {"x0": 0}),
+               Tape(_X - _X * _Y, {"x0": 0, "x1": 1})],
+              np.array([-0.0, -0.0, 0.0, 0.0]), np.array([1.0, 1.0])))
+    def test_signs_as_ops_match_the_sign_factors(self, case):
+        tapes, x, weights = case
+        ts = TapeSet(tapes, 4, "constraint")
+        fresh = TapeSet(tapes, 4, "constraint")
+        with np.errstate(all="ignore"):
+            values, J, W = _signed_reference(ts, x, weights)
+        _same_bits(ts.values(x), values)
+        _same_bits(ts.jacobian(x), J)
+        _same_bits(ts.weighted_hessian(x, weights), W)     # kept Hessians
+        _same_bits(fresh.weighted_hessian(x, weights), W)  # a fresh pass

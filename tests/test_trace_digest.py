@@ -1,6 +1,6 @@
 """scripts/trace_digest.py --parse: one digest per model source, over its
 parsed model and its tokens, in a fixed source order; --passes, the tape's
-forward passes per order; and --certify, each verdict's certificate."""
+value and derivative passes; and --certify, each verdict's certificate."""
 
 import hashlib
 import importlib.util
@@ -78,19 +78,19 @@ def test_passes_mode_counts_forward_passes_by_order(monkeypatch, capsys):
             lines, itertools.product(made, trace_digest.VARIANTS)):
         *counts, rest = line.split("  ")
         assert rest == f"{label} {strategy} {mechanism}"
+        assert [c.split("=")[0] for c in counts] == ["values", "derivatives"]
         got = [int(c.split("=")[1]) for c in counts]
         if label.startswith("analytic"):
-            assert got == [0, 0, 0]     # numpy callables, no tape
+            assert got == [0, 0]        # numpy callables, no tape
             continue
         res = solve(made[label](), SolverConfig(strategy=strategy,
                                                 mechanism=mechanism))
         n_f, n_grad = res.counters.n_f, res.counters.n_grad_f
-        # the objective's two groups and the rows' three run per f and c;
-        # each gradient evaluation runs the four nonlinear groups at order
-        # 2 and the rows' linear 2 * x group at order 1, and no Hessian
+        # the objective's two groups and the rows' three run per f and c,
+        # and again with derivatives per gradient evaluation; no Hessian
         # runs a pass of its own
         assert res.counters.n_hess > 0
-        assert got == [5 * n_f, n_grad, 4 * n_grad]
+        assert got == [5 * n_f, 5 * n_grad]
 
 
 def test_certify_mode_three_solves(monkeypatch, capsys):
