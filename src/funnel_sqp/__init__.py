@@ -17,7 +17,7 @@ from .errors import (DimensionMismatch, DuplicateDeclaration, FunnelSqpError,
                      SmallStepInfeasible, UndeclaredVariable, UnknownProblem)
 from .problems import (EvalCounters, GeneralProblem, NcoProblem, get_problem,
                        infeasibility, problem_names, to_standard_form)
-from .qp import QpData, QpSolution, kkt_residual, solve_qp
+from .qp import QpData, QpSolution, kkt_residual, qp_objective, solve_qp
 from .strategies import FilterStrategy, FunnelStrategy
 
 __version__ = "0.1.0"
@@ -32,6 +32,6 @@ __all__ = [
     "TrustRegionParams", "UndeclaredVariable", "UnknownProblem",
     "apply_overrides", "format_model", "format_trace", "get_problem",
     "infeasibility", "kkt_residual", "load_file", "load_source",
-    "model_to_general", "parse_model", "problem_names", "solve", "solve_qp",
-    "to_standard_form",
+    "model_to_general", "parse_model", "problem_names", "qp_objective",
+    "solve", "solve_qp", "to_standard_form",
 ]

@@ -235,6 +235,8 @@ def certified_cholesky(H: np.ndarray, zero_rel: float) -> np.ndarray | None:
     _check(info, "potrf")
     if info > 0:
         return None
+    if not L.size:
+        return L                            # no eigenvalue to fail the bound
     # potrf zeroed the upper triangle, and trtri leaves it zero
     Linv, info = _trtri(L, 1)               # lower
     _check_solve(info, "trtri")

@@ -19,7 +19,7 @@ import numpy as np
 from .config import SolverConfig
 from .errors import NonFiniteValue, SmallStepInfeasible
 from .problems import EvalCounters, NcoProblem, evaluate_functions, infeasibility
-from .strategies import LABEL_REJ_EVAL, TrialData, progress_models
+from .strategies import LABEL_REJ_EVAL, TrialData
 from .subproblems import DirectionEngine
 
 
@@ -76,14 +76,12 @@ class _Mechanism:
         shift and QP work) and let the strategy judge it. Returns its verdict
         if accepted, else None. An accepted trial becomes the iterate: its x,
         f, c and h are written into os, its multipliers left to the caller."""
-        d = dres.d
-        dn = float(np.abs(d).max(initial=0.0))
-        x_t = os.x + alpha * d
+        x_t = os.x + alpha * dres.d
         rec = IterationRecord(
             k=k if l == 1 else None, l=l, delta=delta,
             alpha=alpha if delta is None else None,
             regularization=dres.eta if fresh else None,
-            tau=self.strategy.trace_value(), step_norm=alpha * dn,
+            tau=self.strategy.trace_value(), step_norm=alpha * dres.norm,
             f_trial=math.nan, h_trial=math.nan, grad_lag=None,
             label=LABEL_REJ_EVAL, phase=dres.phase.value)
         if fresh:
@@ -94,10 +92,9 @@ class _Mechanism:
         except NonFiniteValue:
             return None
         h_t = infeasibility(c_t)
-        models = progress_models(d, dres.W_used, os.grad_f, os.c, os.J, os.h)
         trial = TrialData(phase=dres.phase, f_k=os.f, h_k=os.h,
-                          f_t=f_t, h_t=h_t, models=models, alpha=alpha,
-                          full_step_norm=dn,
+                          f_t=f_t, h_t=h_t, models=dres.models, alpha=alpha,
+                          full_step_norm=dres.norm,
                           subproblem_feasible=dres.subproblem_feasible,
                           h_resto=self.engine.h_resto)
         verdict = self.strategy.decide(trial)
@@ -129,13 +126,12 @@ class TrustRegionMechanism(_Mechanism):
             dres = self.engine.compute(os, k, self.delta)
             verdict = self._trial(os, dres, 1.0, k, l, records, True,
                                   delta=self.delta)
-            dn = records[-1].step_norm      # alpha = 1: the full |d|_inf
             if verdict is not None:
-                if dn >= self.delta * (1.0 - tr.activity_tol):
+                if dres.norm >= self.delta * (1.0 - tr.activity_tol):
                     self.delta = min(tr.grow * self.delta, tr.delta_max)
                 os.lam, os.mu = dres.lam.copy(), dres.mu.copy()
                 return verdict, records[-1]
-            self.delta = tr.shrink * min(self.delta, dn)
+            self.delta = tr.shrink * min(self.delta, dres.norm)
 
 
 class LineSearchMechanism(_Mechanism):

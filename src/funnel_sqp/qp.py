@@ -81,23 +81,8 @@ class QpData:
 
 
 def qp_objective(qp: QpData, x: np.ndarray) -> float:
+    """The QP's objective 1/2 x^T W x + g^T x at x."""
     return float(0.5 * x @ qp.W @ x + qp.g @ x)
-
-
-class _Objective:
-    """QpSolution.objective: the value given, else qp_objective of the
-    solution's qp and x, computed when it is first read (the solver never
-    reads it)."""
-
-    def __get__(self, sol, owner=None):
-        if sol is None:
-            return None             # the field's default
-        if sol._objective is None:
-            sol._objective = qp_objective(sol.qp, sol.x)
-        return sol._objective
-
-    def __set__(self, sol, value):
-        sol._objective = value
 
 
 @dataclass
@@ -113,9 +98,6 @@ class QpSolution:
     # z = (x, u, v) and working set, a feasible point and a working set for
     # the elastic QP over the same constraints
     lp: tuple | None = None
-    # inf when infeasible, -inf when unbounded
-    objective: float = _Objective()
-    qp: QpData | None = field(default=None, repr=False)
 
 
 def complementarity(x, lb, ub, mu) -> float:
@@ -600,15 +582,13 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
         if start is None:
             return QpSolution(status="infeasible", x=np.zeros(n),
                               lam=np.zeros(m), mu=np.zeros(n),
-                              objective=np.inf, n_pivots=phase1_pivots,
-                              warm_start=hint, lp=lp)
+                              n_pivots=phase1_pivots, warm_start=hint, lp=lp)
 
     status, x, lam, mu, work = core.run(*start)
     core.pivots += phase1_pivots
     if status == "unbounded":
         return QpSolution(status="unbounded", x=x, lam=np.zeros(m),
-                          mu=np.zeros(n), objective=-np.inf,
-                          n_pivots=core.pivots, active=work,
+                          mu=np.zeros(n), n_pivots=core.pivots, active=work,
                           warm_start=hint)
 
     # active-set iteration is local; on small box-only nonconvex problems a
@@ -627,5 +607,4 @@ def solve_qp(qp: QpData, warm_start: np.ndarray | None = None,
                 lam = np.zeros(m)
 
     return QpSolution(status="optimal", x=x, lam=lam, mu=mu,
-                      n_pivots=core.pivots, active=work, warm_start=hint,
-                      qp=qp)
+                      n_pivots=core.pivots, active=work, warm_start=hint)

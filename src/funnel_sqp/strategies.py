@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .subproblems import Phase
+from .subproblems import Phase, ProgressModels
 
 LABEL_INITIAL = "initial point"
 LABEL_F_TYPE = "f-type step"
@@ -32,20 +30,6 @@ LABEL_REJ_ARMIJO = "rejected (Armijo)"
 LABEL_REJ_EVAL = "rejected (evaluation)"
 LABEL_OPTIMAL = "eps-optimal"
 LABEL_INFEASIBLE = "infeasible stationary"
-
-
-@dataclass
-class ProgressModels:
-    """Linear/quadratic model reductions for the full step d."""
-    pred_f: float        # - 1/2 d^T W d - g^T d
-    pred_h: float        # h - |c + J^T d|_1
-
-
-def progress_models(d, W, grad_f, c, J, h: float) -> ProgressModels:
-    """The models at an iterate with violation h = |c|_1."""
-    m_h = float(np.abs(c + J.T @ d).sum()) if c.size else 0.0
-    pred_f = float(-0.5 * d @ W @ d - grad_f @ d)
-    return ProgressModels(pred_f=pred_f, pred_h=h - m_h)
 
 
 @dataclass

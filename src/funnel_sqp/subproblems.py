@@ -1,4 +1,6 @@
-"""Direction computation: local QPs, elastic feasibility QPs, convexification.
+"""Directions: the engine builds each local or elastic QP, solves it, and
+scores its step once. A DirectionResult carries |d|_inf and the model
+reductions of the full step, which every trial along it reads.
 
 The optimality QP linearizes the constraints and keeps the exact Lagrangian
 Hessian (trust-region variant) or an inertia-corrected one (line-search
@@ -98,19 +100,18 @@ def step_box(x, lb, ub, delta: Optional[float]):
     return lo, hi
 
 
-def build_optimality_qp(x, grad_f, J, c, lb, ub, W,
-                        delta: Optional[float]) -> QpData:
-    """min 1/2 d^T W d + grad_f^T d  s.t.  c + J^T d = 0, step bounds."""
-    lo, hi = step_box(x, lb, ub, delta)
-    return QpData(W=W, g=grad_f.copy(), A=J.copy(), b=-c, lb=lo, ub=hi)
+@dataclass
+class ProgressModels:
+    """Linear/quadratic model reductions for the full step d."""
+    pred_f: float        # - 1/2 d^T W d - g^T d
+    pred_h: float        # h - |c + J^T d|_1
 
 
-def build_feasibility_qp(x, J, c, lb, ub, W0, delta: Optional[float]):
-    """Elastic QP over (d, u, v): min 1/2 d^T W0 d + sum(u) + sum(v)
-    s.t. c + J^T d - u + v = 0, u, v >= 0 and the step box on d. Returns
-    (QpData, feasible_start), the start at d = 0 when the box holds 0."""
-    lo, hi = step_box(x, lb, ub, delta)
-    return elastic_problem(J, -c, lo, hi, W0)
+def progress_models(d, W, grad_f, c, J, h: float) -> ProgressModels:
+    """The models at an iterate with violation h = |c|_1."""
+    m_h = float(np.abs(c + J.T @ d).sum()) if c.size else 0.0
+    pred_f = float(-0.5 * d @ W @ d - grad_f @ d)
+    return ProgressModels(pred_f=pred_f, pred_h=h - m_h)
 
 
 @dataclass
@@ -120,6 +121,8 @@ class DirectionResult:
     mu: np.ndarray               # bound multipliers on d (trust-region ones zeroed)
     W_used: np.ndarray           # Hessian the subproblem actually saw (d block)
     phase: Phase
+    norm: float                  # |d|_inf
+    models: ProgressModels       # of the full step d, with W_used
     eta: Optional[float] = None  # diagonal shift, None when none was applied
     subproblem_feasible: bool = True
     n_pivots: int = 0            # QP pivots, an infeasible optimality QP's included
@@ -197,8 +200,8 @@ class DirectionEngine:
         prob = self.problem
         W = evaluate_lagrangian_hessian(prob, os.x, 1.0, os.lam,
                                         self.counters)
-        qp = build_optimality_qp(os.x, os.grad_f, os.J, os.c, prob.lb,
-                                 prob.ub, W, delta)
+        qp = QpData(W, os.grad_f, os.J, -os.c,
+                    *step_box(os.x, prob.lb, prob.ub, delta))
         eta = free = None
         if self.convexify_directions:
             # J's factors serve the QP's all-free working set too
@@ -214,10 +217,9 @@ class DirectionEngine:
             raise RegularizationFailed("optimality subproblem unbounded")
         self.warm_codes = sol.active
         mu = self._strip_trust_region_multipliers(sol.x, sol.mu, os.x, delta)
-        return DirectionResult(d=sol.x, lam=sol.lam, mu=mu, W_used=qp.W,
-                               phase=Phase.OPTIMALITY, eta=eta,
-                               n_pivots=sol.n_pivots,
-                               warm_start=sol.warm_start)
+        return self._scored(os, sol.x, qp.W, lam=sol.lam, mu=mu,
+                            phase=Phase.OPTIMALITY, eta=eta,
+                            n_pivots=sol.n_pivots, warm_start=sol.warm_start)
 
     def _restoration_direction(self, os, delta, lp=None, pivots=0):
         """The elastic QP's direction, warm-started from the previous elastic
@@ -231,8 +233,8 @@ class DirectionEngine:
         W0, eta = W, None
         if self.convexify_directions:
             W0, eta, _ = convexify(W, J, sp)
-        fqp, z0 = build_feasibility_qp(x, J, os.c, prob.lb, prob.ub, W0,
-                                       delta)
+        fqp, z0 = elastic_problem(J, -os.c,
+                                  *step_box(x, prob.lb, prob.ub, delta), W0)
         if lp is not None:
             z0, self.warm_codes = lp
         sol = solve_qp(fqp, warm_start=self.warm_codes, feasible_start=z0)
@@ -251,12 +253,20 @@ class DirectionEngine:
         self.resto_lam = sol.lam.copy()
         mu = self._strip_trust_region_multipliers(d, sol.mu[:n], x, delta)
         feasible = float(u.sum() + v.sum()) <= ELASTIC_TOL
-        return DirectionResult(d=d, lam=sol.lam, mu=mu,
-                               W_used=fqp.W[:n, :n],
-                               phase=Phase.RESTORATION, eta=eta,
-                               subproblem_feasible=feasible,
-                               n_pivots=sol.n_pivots + pivots,
-                               warm_start=sol.warm_start)
+        return self._scored(os, d, fqp.W[:n, :n], lam=sol.lam, mu=mu,
+                            phase=Phase.RESTORATION, eta=eta,
+                            subproblem_feasible=feasible,
+                            n_pivots=sol.n_pivots + pivots,
+                            warm_start=sol.warm_start)
+
+    @staticmethod
+    def _scored(os, d, W, **fields) -> DirectionResult:
+        """The direction d of the QP with Hessian W at the iterate os, with
+        its |d|_inf and models, which every trial along it reads."""
+        return DirectionResult(
+            d=d, W_used=W, norm=float(np.abs(d).max(initial=0.0)),
+            models=progress_models(d, W, os.grad_f, os.c, os.J, os.h),
+            **fields)
 
     def _strip_trust_region_multipliers(self, d, mu, x, delta):
         """Zero bound multipliers created by the trust region itself: the

@@ -4,7 +4,7 @@ The oracles here deliberately avoid the library code paths they check:
 eigenvalues come from plain Jacobi sweeps, QP optima from brute-force
 active-set enumeration or grid search, derivatives from central differences.
 unsplit_value is the reference for TapeSet's term split: the whole tree in
-one op list.
+one op list. solve_unwritten guards solve_qp against writing its inputs.
 """
 
 import itertools
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import funnel_sqp.qp as qp_module
 from funnel_sqp.problems import NcoProblem
 from funnel_sqp.tape import _compile, forward
 
@@ -156,6 +157,22 @@ def grid_qp_minimum(W, g, lb, ub, points=13):
     X = np.stack([m.ravel() for m in mesh], axis=1)
     vals = 0.5 * np.einsum("ki,ij,kj->k", X, W, X) + X @ g
     return float(np.min(vals))
+
+
+def solve_unwritten(qp, **kwargs):
+    """solve_qp(qp, **kwargs), asserting that it left every byte of the QP,
+    the hint, the start and the free factors as it found them."""
+    arrays = [qp.W, qp.g, qp.A, qp.b, qp.lb, qp.ub]
+    for value in kwargs.values():
+        if isinstance(value, tuple):            # free_factors = (qr, H)
+            arrays += [value[0].Z, value[0].qr, value[0].tau,
+                       value[0].R11, value[1]]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    before = [a.tobytes() for a in arrays]
+    sol = qp_module.solve_qp(qp, **kwargs)
+    assert [a.tobytes() for a in arrays] == before
+    return sol
 
 
 def random_quadratic_problem(rng, with_bounds=True):

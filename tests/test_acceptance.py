@@ -23,7 +23,7 @@ from funnel_sqp.config import SolverConfig
 from funnel_sqp.driver import solve
 from funnel_sqp.dsl import load_source
 from funnel_sqp.problems import get_problem, problem_names
-from funnel_sqp.qp import QpData, solve_qp
+from funnel_sqp.qp import QpData, qp_objective, solve_qp
 from funnel_sqp.strategies import (LABEL_H_TYPE, FilterStrategy,
                                    FunnelStrategy, StepVerdict)
 from funnel_sqp.subproblems import Phase
@@ -304,7 +304,7 @@ class TestGate:
                 sol = solve_qp(qp)
                 assert sol.status == "optimal"
                 ref, _ = enumerate_qp_optimum(W, g, A, b, lb, ub)
-                assert abs(sol.objective - ref) <= 1e-8
+                assert abs(qp_objective(qp, sol.x) - ref) <= 1e-8
             rng = np.random.default_rng(602)
             for _ in range(100):
                 n = int(rng.integers(1, 5))
@@ -317,7 +317,8 @@ class TestGate:
                             lb=lb, ub=ub)
                 sol = solve_qp(qp)
                 assert sol.status == "optimal"
-                assert sol.objective <= grid_qp_minimum(W, g, lb, ub) + 1e-6
+                assert qp_objective(qp, sol.x) <= \
+                    grid_qp_minimum(W, g, lb, ub) + 1e-6
             assert time.perf_counter() - t0 < 30.0
 
     def test_07_derivative_checks(self):

@@ -346,6 +346,13 @@ class TestCertifiedCholesky:
     def test_not_certified(self, H):
         assert certified_cholesky(H, 1e-12) is None
 
+    def test_empty_matrix_certified_quietly(self, capfd):
+        # no eigenvalue can fail the bound; trtri used to reject the call
+        # and LAPACK to print its complaint
+        L = certified_cholesky(np.zeros((0, 0)), ZERO_EIG_REL)
+        assert L is not None and L.shape == (0, 0)
+        assert capfd.readouterr() == ("", "")
+
     @given(st.integers(1, 8), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_certified_means_eigh_sees_no_zero_or_negative(self, k, seed):

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+import funnel_sqp.mechanisms as mechanisms
+import funnel_sqp.subproblems as subproblems
 from funnel_sqp.config import SolverConfig, apply_overrides
 from funnel_sqp.errors import RestorationStall, SmallStepInfeasible
 from funnel_sqp.driver import solve
@@ -340,3 +342,47 @@ class TestIterateContract:
         assert os.x is x and np.array_equal(os.x, x0)
         assert os.c is c and np.array_equal(os.c, c0)
         assert (os.f, os.h) == (f, h)
+
+
+class TestOneScorePerDirection:
+    """The engine scores each direction once; every trial along it reads
+    the direction's |d|_inf and models, and the radius reads no trace row."""
+
+    @pytest.mark.parametrize("strategy", ["funnel", "filter"])
+    def test_backtracks_reuse_the_models(self, monkeypatch, strategy):
+        scores = []
+        real = subproblems.progress_models
+
+        def counted(*args):
+            scores.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(subproblems, "progress_models", counted)
+        config = apply_overrides(SolverConfig(), {
+            "mechanism": "line-search", "strategy": strategy})
+        res = solve(get_problem("maratos-fletcher"), config)
+        trials = res.iterations[1:]
+        directions = sum(r.qp_pivots is not None for r in trials)
+        # 6 directions over 8 trials
+        assert len(scores) == directions < len(trials)
+
+    def test_radius_reads_no_trace_row(self, monkeypatch):
+        config = apply_overrides(SolverConfig(),
+                                 {"mechanism": "trust-region"})
+        want = solve(get_problem("maratos-fletcher"), config).iterations
+        record = mechanisms.IterationRecord
+
+        def unreadable(**fields):
+            rec = record(**fields)
+            rec.step_norm = math.nan
+            return rec
+
+        monkeypatch.setattr(mechanisms, "IterationRecord", unreadable)
+        got = solve(get_problem("maratos-fletcher"), config).iterations
+        assert all(math.isnan(r.step_norm) for r in got[1:])
+        radii = [r.delta for r in want]
+        assert [r.delta for r in got] == radii
+        # a rejection shrinks the radius to half the step, below half the
+        # radius, and an accepted step that fills it grows it
+        assert any(b < 0.5 * a for a, b in zip(radii, radii[1:]))
+        assert any(b > a for a, b in zip(radii, radii[1:]))

@@ -1,5 +1,6 @@
 """Active-set QP solver against hand cases and brute-force oracles."""
 
+import collections
 import inspect
 import signal
 import sys
@@ -11,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_qp_optimum, grid_qp_minimum
+from conftest import enumerate_qp_optimum, grid_qp_minimum, solve_unwritten
 from funnel_sqp import qp as qp_module
 from funnel_sqp.config import SubproblemParams
 from funnel_sqp.errors import DimensionMismatch, MaxPivots
@@ -20,6 +21,7 @@ from funnel_sqp.qp import (ELASTIC_TOL, FREE, LOWER, PINNED, UPPER, QpData,
                            QpSolution, _Core, _elastic_lp, _initial_work,
                            _phase1, elastic_problem, kkt_residual,
                            qp_objective, solve_qp)
+from funnel_sqp.linalg import nullspace_basis
 from funnel_sqp.subproblems import convexify
 
 INF = np.inf
@@ -67,7 +69,7 @@ class TestHandCases:
         sol = solve_qp(qp)
         assert sol.status == "optimal"
         assert np.allclose(sol.x, [1.0, 2.0])
-        assert np.isclose(sol.objective, -9.0)
+        assert np.isclose(qp_objective(qp, sol.x), -9.0)
         assert_kkt(qp, sol)
 
     def test_equality_constrained(self):
@@ -106,17 +108,44 @@ class TestHandCases:
                     A=[[1.0], [1.0]], b=[10.0])
         sol = solve_qp(qp)
         assert sol.status == "infeasible"
-        assert sol.objective == INF
 
     def test_unbounded_linear(self):
         qp = box_qp(np.zeros((2, 2)), [1.0, -1.0], lb=[0.0, 0.0])
         sol = solve_qp(qp)
         assert sol.status == "unbounded"
-        assert sol.objective == -INF
 
     def test_unbounded_negative_curvature(self):
         qp = box_qp([[-2.0]], [0.0])
         sol = solve_qp(qp)
+        assert sol.status == "unbounded"
+
+    def test_flat_ray_unbounded_one_way_only(self):
+        # at x = 0 the slope along the negative curvature is zero; the ray
+        # Z v blocks at a finite bound and -Z v at none, so the QP is
+        # unbounded along -Z v
+        v = np.linalg.eigh(np.array([[-2.0]]))[1][:, 0]
+        p_plus = nullspace_basis(np.zeros((1, 0))).Z @ v
+        lb, ub = ([-INF], [1.0]) if p_plus[0] > 0.0 else ([-1.0], [INF])
+        qp = box_qp([[-2.0]], [0.0], lb=lb, ub=ub)
+        code = _Core._orient_ray.__code__
+        source, first = inspect.getsourcelines(code)
+        target = first + next(i for i, line in enumerate(source)
+                              if "return p_minus" in line)
+        ran = set()
+
+        def lines(frame, event, arg):
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     lines if frame.f_code is code else None)
+        try:
+            sol = solve_qp(qp)
+        finally:
+            sys.settrace(previous)
+        assert target in ran
         assert sol.status == "unbounded"
 
     def test_negative_curvature_boxed_global(self):
@@ -124,13 +153,13 @@ class TestHandCases:
         qp = box_qp([[-2.0]], [0.0], lb=[-1.0], ub=[2.0])
         sol = solve_qp(qp)
         assert sol.status == "optimal"
-        assert sol.objective <= -4.0 + 1e-9
+        assert qp_objective(qp, sol.x) <= -4.0 + 1e-9
 
     def test_zero_curvature_flat_objective(self):
         qp = box_qp(np.zeros((1, 1)), [0.0], lb=[-1.0], ub=[1.0])
         sol = solve_qp(qp)
         assert sol.status == "optimal"
-        assert np.isclose(sol.objective, 0.0)
+        assert np.isclose(qp_objective(qp, sol.x), 0.0)
 
     def test_empty_box_rejected(self):
         qp = box_qp(np.eye(1), [0.0], lb=[1.0], ub=[0.0])
@@ -175,46 +204,6 @@ class TestHandCases:
     def test_objective_helper(self):
         qp = box_qp([[2.0]], [3.0])
         assert qp_objective(qp, np.array([2.0])) == 0.5 * 2 * 4 + 6.0
-
-
-class TestLazyObjective:
-    """solve_qp leaves the objective to be computed when it is read."""
-
-    def test_objective_is_computed_on_first_read(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(qp_module, "qp_objective", lambda qp, x: (
-            calls.append(1), qp_objective(qp, x))[1])
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            M = rng.standard_normal((n, n))
-            qp = box_qp(M @ M.T + 0.1 * np.eye(n), rng.standard_normal(n),
-                        lb=-rng.uniform(0.0, 2.0, n),
-                        ub=rng.uniform(0.0, 2.0, n))
-            sol = solve_qp(qp)
-            assert sol.status == "optimal" and calls == []
-            value = sol.objective
-            assert calls == [1]
-            # the bits solve_qp used to store, and read once
-            assert np.float64(value).tobytes() == \
-                np.float64(float(0.5 * sol.x @ qp.W @ sol.x
-                                 + qp.g @ sol.x)).tobytes()
-            assert sol.objective is value and calls == [1]
-            calls.clear()
-
-    def test_other_statuses_keep_their_infinities(self):
-        infeasible = solve_qp(box_qp(np.eye(2), [0.0, 0.0], lb=[0.0, 0.0],
-                                     ub=[1.0, 1.0], A=[[1.0], [1.0]],
-                                     b=[10.0]))
-        unbounded = solve_qp(box_qp(np.zeros((2, 2)), [1.0, -1.0],
-                                    lb=[0.0, 0.0]))
-        assert (infeasible.status, infeasible.objective) == \
-            ("infeasible", INF)
-        assert (unbounded.status, unbounded.objective) == ("unbounded", -INF)
-        given_value = QpSolution(status="optimal", x=np.zeros(1),
-                                 lam=np.zeros(0), mu=np.zeros(1),
-                                 objective=2.5, n_pivots=0)
-        assert given_value.objective == 2.5
 
 
 class TestRankDeficiency:
@@ -267,6 +256,15 @@ class TestStarts:
         assert miss.x[0] == hit.x[0] == 1.0
         assert hit.n_pivots == 0
 
+    def test_hint_at_an_infinite_bound_misses(self):
+        # LOWER on lb = -inf would fix x0 at -inf: the hint is refused, and
+        # phase 1 starts the solve instead
+        qp = box_qp(np.eye(2), [1.0, 1.0], lb=[-INF, -1.0], ub=[INF, 1.0])
+        sol = solve_qp(qp, warm_start=np.array([LOWER, FREE]))
+        assert (sol.status, sol.warm_start) == ("optimal", "miss")
+        assert np.array_equal(sol.x, [-1.0, -1.0])
+        assert_kkt(qp, sol)
+
     def test_warm_start_resolve_few_pivots(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -284,7 +282,8 @@ class TestStarts:
             assert cold.status == "optimal"
             warm = solve_qp(qp, warm_start=cold.active)
             assert warm.status == "optimal"
-            assert np.isclose(warm.objective, cold.objective, atol=1e-9)
+            assert np.isclose(qp_objective(qp, warm.x),
+                              qp_objective(qp, cold.x), atol=1e-9)
             assert warm.n_pivots <= 2
 
     def test_warm_start_wrong_set_still_correct(self):
@@ -349,7 +348,7 @@ class TestStarts:
         assert sol.n_pivots == pivots
         ref, _ = enumerate_qp_optimum(W, g, np.zeros((6, 0)), np.zeros(0),
                                       -np.ones(6), np.ones(6))
-        assert np.isclose(sol.objective, ref, rtol=1e-10)
+        assert np.isclose(qp_objective(qp, sol.x), ref, rtol=1e-10)
         assert_kkt(qp, sol)
 
 
@@ -547,7 +546,7 @@ class TestFreeFactors:
         assert all(H is not free[1] for H, _ in chol_calls)
         assert plain.status == seeded.status == "optimal"
         assert plain.n_pivots == seeded.n_pivots > 0
-        assert plain.objective == seeded.objective
+        assert qp_objective(qp, plain.x) == qp_objective(qp, seeded.x)
         for field_ in ("x", "lam", "mu", "active"):
             assert np.array_equal(getattr(seeded, field_),
                                   getattr(plain, field_))
@@ -663,7 +662,7 @@ class TestFace:
         assert len(qr_calls) == len(built) - 1 == 69
         # the solution of a scan that factors every face it visits afresh
         assert sol.status == "optimal" and sol.n_pivots == 6
-        assert sol.objective.hex() == "-0x1.fc88affeff174p+2"
+        assert qp_objective(qp, sol.x).hex() == "-0x1.fc88affeff174p+2"
         assert np.array_equal(sol.x, [1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
         assert np.array_equal(sol.active, [1, 1, -1, 1, 1, -1])
         assert sol.lam.shape == (0,)
@@ -792,7 +791,8 @@ class TestOracleBattery:
             sol = solve_qp(qp)
             assert sol.status == "optimal"
             ref, _ = enumerate_qp_optimum(W, g, A, b, lb, ub)
-            assert abs(sol.objective - ref) <= 1e-8 * (1.0 + abs(ref))
+            obj = qp_objective(qp, sol.x)
+            assert abs(obj - ref) <= 1e-8 * (1.0 + abs(ref))
             assert_kkt(qp, sol)
 
     def test_indefinite_beats_grid(self):
@@ -818,7 +818,7 @@ class TestOracleBattery:
             sol = solve_qp(qp)
             assert sol.status == "optimal"
             ref = grid_qp_minimum(W, g, lb, ub)
-            assert sol.objective <= ref + 1e-6
+            assert qp_objective(qp, sol.x) <= ref + 1e-6
             assert_kkt(qp, sol, tol=1e-7 * (1.0 + np.max(np.abs(g))))
 
     def test_face_scan_visits_each_face_once(self, monkeypatch):
@@ -840,7 +840,7 @@ class TestOracleBattery:
         assert len(faces) == len(set(faces)) == 9
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, [0.7, 3.0, -0.5], atol=1e-12)
-        assert abs(sol.objective - -4.145) <= 1e-12
+        assert abs(qp_objective(qp, sol.x) - -4.145) <= 1e-12
 
     def test_equalities_hold_exactly(self):
         rng = np.random.default_rng(300)
@@ -1068,7 +1068,7 @@ class TestKktResidual:
                         ([0.0, -0.7], True)):
             qp.g = np.asarray(mu)
             sol = QpSolution(status="optimal", x=x, lam=np.zeros(0),
-                             mu=qp.g.copy(), objective=0.0, n_pivots=0)
+                             mu=qp.g.copy(), n_pivots=0)
             assert (kkt_residual(qp, sol) >= 0.5) == bad
 
     def test_vectorized_matches_loop(self):
@@ -1087,7 +1087,7 @@ class TestKktResidual:
             mu = rng.standard_normal(n) * rng.integers(0, 2, size=n)
             sol = QpSolution(status="optimal", x=x,
                              lam=rng.standard_normal(m), mu=mu,
-                             objective=0.0, n_pivots=0)
+                             n_pivots=0)
             assert kkt_residual(qp, sol) == kkt_residual_loop(qp, sol)
 
     def test_solver_output_passes_sign_check(self):
@@ -1299,3 +1299,48 @@ class TestHitPath:
         r = A.T @ x0 - b
         assert _same_bits(z0, np.concatenate(
             [x0, np.maximum(r, 0.0), np.maximum(-r, 0.0)]))
+
+
+class TestInputsUnwritten:
+    """solve_qp writes none of its inputs, so a caller may hand it arrays
+    it keeps using: the direction engine passes grad f and J in place."""
+
+    def test_random_qps(self):
+        rng = np.random.default_rng(31)
+        statuses = collections.Counter()
+        for trial in range(60):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(0, 3))
+            M = rng.standard_normal((n, n))
+            # every third W is indefinite, and then the box is finite
+            indefinite = trial % 3 == 0
+            W = 0.5 * (M + M.T) if indefinite else M @ M.T + 0.1 * np.eye(n)
+            A = rng.standard_normal((n, m))
+            x_feas = rng.uniform(-1.0, 1.0, n)
+            if indefinite or trial % 3 == 1:
+                lb, ub = x_feas - rng.uniform(0.1, 2.0, n), \
+                    x_feas + rng.uniform(0.1, 2.0, n)
+            else:
+                lb, ub = np.full(n, -INF), np.full(n, INF)
+            qp = QpData(W=W, g=rng.standard_normal(n), A=A, b=A.T @ x_feas,
+                        lb=lb, ub=ub)
+            cold = solve_unwritten(qp)
+            statuses[cold.status] += 1
+            if cold.status == "optimal":
+                for hint in (cold.active.copy(),
+                             np.where(cold.active == FREE, UPPER, FREE)):
+                    warm = solve_unwritten(qp, warm_start=hint)
+                    statuses[warm.warm_start] += 1
+            solve_unwritten(qp, feasible_start=x_feas)
+            Wc, _, free = convexify(W, A, SubproblemParams())
+            solve_unwritten(QpData(Wc, qp.g, A, qp.b, lb, ub),
+                             free_factors=free)
+            # an elastic QP over constraints the box may not meet
+            eqp, z0 = elastic_problem(A, rng.standard_normal(m), lb, ub,
+                                      M @ M.T + np.eye(n))
+            sol = solve_unwritten(eqp, feasible_start=z0)
+            assert sol.status == "optimal"
+            solve_unwritten(eqp, warm_start=sol.active.copy(),
+                             feasible_start=z0)
+        # warm starts that hit and that miss both ran
+        assert statuses["optimal"] and statuses["hit"] and statuses["miss"]

@@ -9,9 +9,8 @@ from funnel_sqp.strategies import (LABEL_F_TYPE, LABEL_H_TYPE,
                                    LABEL_REJ_ARMIJO, LABEL_REJ_FILTER,
                                    LABEL_REJ_FUNNEL, LABEL_RESTORATION,
                                    FilterStrategy, FunnelStrategy,
-                                   ProgressModels, StepVerdict, TrialData,
-                                   progress_models)
-from funnel_sqp.subproblems import Phase
+                                   StepVerdict, TrialData)
+from funnel_sqp.subproblems import Phase, ProgressModels, progress_models
 
 
 def models(pred_f=0.0, pred_h=0.0):

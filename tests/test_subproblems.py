@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import bench_chain
+from conftest import bench_chain, solve_unwritten
 import funnel_sqp.qp as qp_module
 import funnel_sqp.subproblems as sp
 from funnel_sqp.config import (SolverConfig, SubproblemParams,
@@ -16,14 +16,13 @@ from funnel_sqp.dsl import load_source
 from funnel_sqp.errors import RegularizationFailed, RestorationStall
 from funnel_sqp.linalg import (ZERO_EIG_REL, certified_cholesky,
                                nullspace_basis)
-from funnel_sqp.mechanisms import OuterState
+from funnel_sqp.mechanisms import OuterState, TrustRegionMechanism
 from funnel_sqp.problems import (EvalCounters, evaluate_functions,
                                  evaluate_gradients, from_expressions,
                                  get_problem, infeasibility, problem_names)
-from funnel_sqp.qp import ELASTIC_TOL, QpSolution
-from funnel_sqp.subproblems import (DirectionEngine, Phase,
-                                    build_feasibility_qp,
-                                    build_optimality_qp, convexify)
+from funnel_sqp.qp import ELASTIC_TOL, QpData, QpSolution, elastic_problem
+from funnel_sqp.subproblems import (DirectionEngine, Phase, convexify,
+                                    step_box)
 
 
 def _config(mechanism="trust-region", **overrides):
@@ -246,13 +245,8 @@ class TestRungVerdicts:
         for H in rungs:
             k = H.shape[0]
             passed = ldlt(H).inertia == (k, 0, 0)
-            if k == 0:
-                # an empty reduced Hessian passes; certified_cholesky takes
-                # no 0 x 0 matrix, so a swap must pass it without the call
-                assert passed
-            else:
-                assert passed == \
-                    (certified_cholesky(H, ZERO_EIG_REL) is not None)
+            # an empty reduced Hessian passes both ways
+            assert passed == (certified_cholesky(H, ZERO_EIG_REL) is not None)
             verdicts[k == 0, passed] += 1
         # (empty?, passed): 230 passing rungs, 904 failing and 68 empty
         assert set(verdicts) == {(False, True), (False, False), (True, True)}
@@ -267,14 +261,16 @@ class TestBuilders:
         lb = np.array([-4.0, -4.0])
         ub = np.array([4.0, 4.0])
         W = np.eye(2)
-        qp = build_optimality_qp(x, grad_f, J, c, lb, ub, W, delta=2.0)
+        # the engine's optimality QP: min 1/2 d^T W d + grad_f^T d
+        # s.t. c + J^T d = 0 and the step box
+        qp = QpData(W, grad_f, J, -c, *step_box(x, lb, ub, 2.0))
         assert np.array_equal(qp.b, [-3.0])
         assert np.array_equal(qp.A, J)
         assert np.array_equal(qp.g, grad_f)
         # step box: bound gap intersected with the trust region
         assert np.array_equal(qp.lb, [-2.0, -2.0])
         assert np.array_equal(qp.ub, [2.0, 2.0])
-        qp2 = build_optimality_qp(x, grad_f, J, c, lb, ub, W, delta=None)
+        qp2 = QpData(W, grad_f, J, -c, *step_box(x, lb, ub, None))
         assert np.array_equal(qp2.lb, [-5.0, -2.0])
         assert np.array_equal(qp2.ub, [3.0, 6.0])
 
@@ -285,7 +281,7 @@ class TestBuilders:
         lb = np.array([-10.0])
         ub = np.array([10.0])
         W0 = np.array([[3.0]])
-        qp, z0 = build_feasibility_qp(x, J, c, lb, ub, W0, delta=1.0)
+        qp, z0 = elastic_problem(J, -c, *step_box(x, lb, ub, 1.0), W0)
         n, m = 1, 2
         assert qp.W.shape == (n + 2 * m, n + 2 * m)
         assert qp.W[0, 0] == 3.0
@@ -547,7 +543,7 @@ def _unbounded(qp, **kwargs):
     n = qp.g.shape[0]
     return QpSolution(status="unbounded", x=np.zeros(n),
                       lam=np.zeros(qp.b.shape[0]), mu=np.zeros(n),
-                      objective=-np.inf, n_pivots=3)
+                      n_pivots=3)
 
 
 class TestUnboundedQp:
@@ -780,3 +776,35 @@ class TestRestorationWarmStart:
         first = next(r for r in res.iterations
                      if r.phase == "restoration" and r.qp_pivots is not None)
         assert first.warm_start == "hit"
+
+
+class TestGradientsInPlace:
+    """The optimality QP reads grad f and J in place, uncopied: no QP of an
+    outer iteration writes them."""
+
+    def test_trust_region_chain(self, monkeypatch):
+        chain = bench_chain()
+        problem = load_source(chain.nco_text(chain.start_point(24, 0)))
+        real_run = TrustRegionMechanism.run
+        iterate, optimality = [], []
+
+        def logged_solve(qp, **kwargs):
+            if qp.n == problem.n:
+                optimality.append(qp.g is iterate[-1].grad_f
+                                  and qp.A is iterate[-1].J)
+            return solve_unwritten(qp, **kwargs)
+
+        def logged_run(mech, os, k, records):
+            iterate.append(os)
+            grad_f, J = os.grad_f, os.J
+            before = grad_f.tobytes(), J.tobytes()
+            out = real_run(mech, os, k, records)
+            assert os.grad_f is grad_f and os.J is J
+            assert (grad_f.tobytes(), J.tobytes()) == before
+            return out
+
+        monkeypatch.setattr(sp, "solve_qp", logged_solve)
+        monkeypatch.setattr(TrustRegionMechanism, "run", logged_run)
+        res = solve(problem, _config("trust-region"))
+        assert res.status == "kkt_point"
+        assert all(optimality) and len(optimality) >= res.n_outer > 0

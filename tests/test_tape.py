@@ -661,6 +661,22 @@ class TestKernels:
                 _bitwise_interpreter(
                     ops, np.resize(np.roll(grid, shift), (rows, k)))
 
+    def test_result_in_an_earlier_slot_is_moved_last(self):
+        # y ^ 0 folds to 1 and x ^ 1 to x, whose slot precedes y's: the
+        # result is moved to the last slot as x * 1
+        tree = Var("x0") ** (Var("x1") ** Num(0.0))
+        env = {"x0": 0, "x1": 1}
+        ops, _, const = _compile(tree, env)
+        assert ops[-1] == (tape.MULC, 0, 1.0) and const == 0.0
+        grid = np.array(SPECIAL)
+        for shift in range(grid.size):
+            _bitwise_interpreter(ops, np.resize(np.roll(grid, shift), (6, 2)))
+        ts = TapeSet([Tape(tree, env)], 2, "objective")
+        x = np.array([1.5, -2.0])
+        assert ts.values(x).tolist() == [1.5]
+        assert ts.jacobian(x).tolist() == [[1.0], [0.0]]
+        assert not ts.weighted_hessian(x, [1.0]).any()
+
     @given(_kernel_cases())
     @settings(max_examples=300, deadline=None)
     def test_random_trees_match_the_interpreter(self, case):
